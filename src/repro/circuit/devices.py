@@ -102,12 +102,12 @@ def junction_current_vec(v: np.ndarray, isat: np.ndarray,
     form so the compiled and legacy stamping paths agree to rounding.
     """
     arg = v / nvt
-    clipped = np.clip(arg, -MAX_EXP_ARG, MAX_EXP_ARG)
+    clipped = np.minimum(np.maximum(arg, -MAX_EXP_ARG), MAX_EXP_ARG)
     exp = np.exp(clipped)
     i = isat * (exp - 1.0)
     g = isat * exp / nvt
     high = arg > MAX_EXP_ARG
-    if np.any(high):
+    if high.any():
         peak = math.exp(MAX_EXP_ARG)
         i = np.where(high, isat * (peak * (1.0 + (arg - MAX_EXP_ARG)) - 1.0), i)
         g = np.where(high, isat * peak / nvt, g)
@@ -123,7 +123,7 @@ def pnjlim_vec(vnew: np.ndarray, vold: np.ndarray, nvt: np.ndarray,
     scalar SPICE3 rule.
     """
     limited = (vnew > vcrit) & (np.abs(vnew - vold) > 2.0 * nvt)
-    if not np.any(limited):
+    if not limited.any():
         return vnew, limited
     vnew = vnew.copy()
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -123,6 +123,15 @@ class Circuit:
         #: the simulation engine cache per-topology artifacts (MNA
         #: numbering, compiled stamps) and invalidate them reliably.
         self._topology_version = 0
+        #: Those artifacts, held here so they die with the circuit (see
+        #: :func:`repro.sim.mna.structure_for`).  Copies and pickles
+        #: leave them behind; they are rebuilt on demand.
+        self._solver_cache = None
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_solver_cache"] = None
+        return state
 
     @property
     def topology_version(self) -> int:

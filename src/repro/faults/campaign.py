@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import time
-import weakref
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -462,27 +461,6 @@ def _solve_defect_impl(defect: Defect, circuit: Circuit,
     return record
 
 
-#: Per-process cache of delta contexts, keyed on the (weakly held) MNA
-#: structure of the fault-free circuit.  Worker processes rebuild the
-#: context from the pickled circuit once per chunk; the build is a pure
-#: function of (circuit, options, x_ref), so serial and parallel
-#: campaigns perform identical arithmetic.
-_DELTA_CONTEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _delta_context(circuit: Circuit, options: SimOptions,
-                   x_ref: np.ndarray) -> DeltaContext:
-    structure = structure_for(circuit)
-    entry = _DELTA_CONTEXTS.get(structure)
-    if entry is not None:
-        cached_options, cached_x, context = entry
-        if cached_options == options and np.array_equal(cached_x, x_ref):
-            return context
-    context = DeltaContext.build(circuit, options, x_ref)
-    _DELTA_CONTEXTS[structure] = (options, x_ref.copy(), context)
-    return context
-
-
 def _solve_defect_delta(defect: Defect, *, circuit: Circuit,
                         oracles: Sequence[Oracle], options: SimOptions,
                         warm: Optional[Tuple[Dict[str, float],
@@ -516,7 +494,7 @@ def _solve_defect_delta_impl(defect: Defect, circuit: Circuit,
     deltas = defect.delta_conductances(circuit)
     if deltas is None:
         return _solve_defect_impl(defect, circuit, oracles, options, warm)
-    context = _delta_context(circuit, options, x_ref)
+    context = DeltaContext.cached(circuit, options, x_ref)
     index_pairs = [(context.structure.index(p), context.structure.index(n))
                    for p, n, _ in deltas]
     conductances = [g for _, _, g in deltas]
@@ -677,7 +655,7 @@ def _solve_defect_batch(batch: Sequence[Defect], *, circuit: Circuit,
     records: List[Optional[FaultRecord]] = [None] * len(batch)
     counters = dict.fromkeys(_BATCH_COUNTER_KEYS, 0)
     try:
-        context = _delta_context(circuit, options, x_ref)
+        context = DeltaContext.cached(circuit, options, x_ref)
     except Exception:
         # The serial path rebuilds (and per-defect quarantines on) the
         # same failure, so nothing is lost by degrading the whole batch.

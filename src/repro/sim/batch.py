@@ -7,7 +7,7 @@ compiled system across defects but still runs one Python-level Newton
 loop per defect; this module runs one Newton loop per *batch*:
 
 * **device evaluation** is one vectorised call over ``(n_defects,
-  n_devices)`` arrays (:meth:`CompiledStamps.eval_nonlinear_batch`),
+  n_junctions)`` arrays (:meth:`CompiledStamps.eval_nonlinear_batch`),
 * the **linear solve** routes every still-converging member through a
   single stacked dense solve, or — on the sparse path — one multi-RHS
   back-substitution of the shared fault-free factorization with a
@@ -150,10 +150,7 @@ def _batch_replay(context: DeltaContext, members: Sequence[MemberSpec],
         [FaultedSystem(system, pairs, gs)._base_faulted
          for pairs, gs in members])
     rhs_base = backend.asarray(system.rhs_base)
-    d_reset, qbe_reset, qbc_reset = context._reset_limits
-    d_vlast = _tile(backend, d_reset, count)
-    q_vbe = _tile(backend, qbe_reset, count)
-    q_vbc = _tile(backend, qbc_reset, count)
+    limits = _tile(backend, context._reset_limits, count)
     x_stack = _tile(backend, context.x_ref, count)
 
     active = np.arange(count)
@@ -169,12 +166,8 @@ def _batch_replay(context: DeltaContext, members: Sequence[MemberSpec],
                 results[j].failure = str(error)
             return
         x_active = x_stack[active]
-        (nl_vals, nl_rhs_vals, limited, d_new, qbe_new,
-         qbc_new) = stamps.eval_nonlinear_batch(
-            x_active, d_vlast[active], q_vbe[active], q_vbc[active], xp)
-        d_vlast[active] = d_new
-        q_vbe[active] = qbe_new
-        q_vbc[active] = qbc_new
+        nl_vals, nl_rhs_vals, limited, limits[active] = (
+            stamps.eval_nonlinear_batch(x_active, limits[active], xp))
 
         rows = np.arange(active.size)
         rhs = _tile(backend, rhs_base, active.size)
@@ -274,10 +267,7 @@ def _batch_chord(context: DeltaContext, members: Sequence[MemberSpec],
             solvers.append(None)
             results[index].failure = str(error)
 
-    d_ref, qbe_ref, qbc_ref = context._reference_limits
-    d_vlast = _tile(backend, d_ref, count)
-    q_vbe = _tile(backend, qbe_ref, count)
-    q_vbc = _tile(backend, qbc_ref, count)
+    limits = _tile(backend, context._reference_limits, count)
     x_stack = _tile(backend, context.x_ref, count)
 
     active = np.array([i for i in range(count) if solvers[i] is not None],
@@ -301,12 +291,8 @@ def _batch_chord(context: DeltaContext, members: Sequence[MemberSpec],
                 results[j].failure = str(error)
             return
         x_active = x_stack[active]
-        (nl_vals, nl_rhs_vals, limited, d_new, qbe_new,
-         qbc_new) = stamps.eval_nonlinear_batch(
-            x_active, d_vlast[active], q_vbe[active], q_vbc[active], xp)
-        d_vlast[active] = d_new
-        q_vbe[active] = qbe_new
-        q_vbc[active] = qbc_new
+        nl_vals, nl_rhs_vals, limited, limits[active] = (
+            stamps.eval_nonlinear_batch(x_active, limits[active], xp))
 
         # Per-member sparse assembly and residual (matches
         # ``FaultedSystem.assemble`` / ``_delta_residual`` bit for bit).

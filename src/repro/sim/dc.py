@@ -143,6 +143,28 @@ class DcSolution:
             self.structure.voltages_from(self.x), branch)
 
 
+@contextlib.contextmanager
+def _device_run(structure: MnaStructure, options: SimOptions):
+    """One solve run over the compiled devices.
+
+    Gathers device parameters and junction-limiting state into the
+    compiled arrays once on entry, and writes the limiting state back to
+    the devices once on exit, returned or raised, so the legacy path
+    (AC linearisation, KCL residual checks) sees exactly the state the
+    run left.  A run is one operating-point Newton solve or one whole
+    transient.  The legacy engine reads the devices directly.
+    """
+    if not options.use_compiled:
+        yield
+        return
+    stamps = structure.compiled()
+    stamps.refresh()
+    try:
+        yield
+    finally:
+        stamps.store_states()
+
+
 def _newton_solve(structure: MnaStructure, options: SimOptions,
                   x0: np.ndarray, *,
                   t: Optional[float] = None,
@@ -157,6 +179,8 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
 
     The returned vector satisfies the per-unknown tolerance tests of
     ``options`` on an iteration where no junction limiting occurred.
+    On the compiled engine it must run inside a :func:`_device_run`,
+    which owns the device values and limiting state it iterates on.
 
     ``factor_cache`` (compiled path only) selects the modified-Newton
     iteration: steps are computed through the cache's LU factorization —
@@ -190,30 +214,24 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
             or options.newton_reuse == "always")
         refresh_first = (allow_dense_reuse and not system.sparse
                          and options.newton_reuse != "always")
-        try:
-            if use_cache:
-                return _modified_newton(system, options, x, n_nets, stats,
-                                        factor_cache, deadline,
-                                        refresh_first=refresh_first)
-            for iteration in range(options.max_nr_iterations):
-                _check_deadline(deadline, iteration, "newton solve")
-                x_new, limited = system.iterate(x)
-                if options.max_voltage_step > 0:
-                    delta = x_new[:n_nets] - x[:n_nets]
-                    np.clip(delta, -options.max_voltage_step,
-                            options.max_voltage_step, out=delta)
-                    x_new[:n_nets] = x[:n_nets] + delta
-                if stats is not None:
-                    stats.iterations += 1
-                    stats.n_factorizations += 1
-                if not limited and _converged(x, x_new, n_nets, options):
-                    return x_new
-                x = x_new
-        finally:
-            # Persist junction-limiting state onto the devices so the
-            # legacy path (AC linearisation, KCL checks) sees the same
-            # state a per-component solve would have left behind.
-            stamps.store_states()
+        if use_cache:
+            return _modified_newton(system, options, x, n_nets, stats,
+                                    factor_cache, deadline,
+                                    refresh_first=refresh_first)
+        for iteration in range(options.max_nr_iterations):
+            _check_deadline(deadline, iteration, "newton solve")
+            x_new, limited = system.iterate(x)
+            if options.max_voltage_step > 0:
+                delta = x_new[:n_nets] - x[:n_nets]
+                np.clip(delta, -options.max_voltage_step,
+                        options.max_voltage_step, out=delta)
+                x_new[:n_nets] = x[:n_nets] + delta
+            if stats is not None:
+                stats.iterations += 1
+                stats.n_factorizations += 1
+            if not limited and _converged(x, x_new, n_nets, options):
+                return x_new
+            x = x_new
     else:
         stamper = build_base(structure, local, t, source_scale, companions)
         for iteration in range(options.max_nr_iterations):
@@ -334,6 +352,7 @@ class DeltaContext:
         structure = structure_for(circuit)
         structure.reset_device_states()
         stamps = structure.compiled()
+        stamps.refresh()
         system = stamps.build_system(options)
         # Two limiting-state snapshots.  The *reset* snapshot is taken
         # before any assembly: it is exactly the state a freshly compiled
@@ -350,6 +369,27 @@ class DeltaContext:
         cache.factorize(matrix, system.factor_token, system.sparse)
         return cls(structure, system, cache, x_ref.copy(),
                    reset_limits, stamps.snapshot_limits())
+
+    @classmethod
+    def cached(cls, circuit: Circuit, options: SimOptions,
+               x_ref: np.ndarray) -> "DeltaContext":
+        """The context for ``(circuit, options, x_ref)``, built once.
+
+        Kept on the circuit's MNA structure, so it is freed with the
+        circuit.  Worker processes rebuild it from the pickled circuit
+        once per chunk; the build is a pure function of its inputs, so
+        serial and parallel campaigns perform identical arithmetic.
+        """
+        structure = structure_for(circuit)
+        entry = structure.delta_context
+        if entry is not None:
+            cached_options, context = entry
+            if (cached_options == options
+                    and np.array_equal(context.x_ref, x_ref)):
+                return context
+        context = cls.build(circuit, options, x_ref)
+        structure.delta_context = (options, context)
+        return context
 
     def restore_reset(self) -> None:
         """Restore the pristine (pre-assembly) junction-limiting state."""
@@ -608,6 +648,14 @@ def operating_point(circuit: Circuit, options: SimOptions = DEFAULT_OPTIONS,
         return solution
 
 
+def _fresh_solve(structure: MnaStructure, options: SimOptions,
+                 x0: np.ndarray, **kwargs) -> np.ndarray:
+    """One operating-point Newton solve from reset limiting state."""
+    structure.reset_device_states()
+    with _device_run(structure, options):
+        return _newton_solve(structure, options, x0, **kwargs)
+
+
 def _operating_point_impl(circuit: Circuit, options: SimOptions,
                           initial: Optional[np.ndarray],
                           stats: NewtonStats, tel) -> DcSolution:
@@ -621,11 +669,10 @@ def _operating_point_impl(circuit: Circuit, options: SimOptions,
     # not faster) instead of falling through to them.
     deadline = _deadline_for(options)
 
-    structure.reset_device_states()
     try:
         with _newton_span(tel, stats, "newton"):
-            x = _newton_solve(structure, options, x0, stats=stats,
-                              factor_cache=cache, deadline=deadline)
+            x = _fresh_solve(structure, options, x0, stats=stats,
+                             factor_cache=cache, deadline=deadline)
         return DcSolution(structure, x, stats)
     except SolveDeadlineExceeded:
         raise
@@ -638,10 +685,9 @@ def _operating_point_impl(circuit: Circuit, options: SimOptions,
     try:
         with _newton_span(tel, stats, "gmin-stepping"):
             for gmin in options.gmin_ladder():
-                structure.reset_device_states()
-                x = _newton_solve(structure, options, x, gmin=gmin,
-                                  stats=stats, factor_cache=cache,
-                                  deadline=deadline)
+                x = _fresh_solve(structure, options, x, gmin=gmin,
+                                 stats=stats, factor_cache=cache,
+                                 deadline=deadline)
                 stats.gmin_steps += 1
         return DcSolution(structure, x, stats)
     except SolveDeadlineExceeded:
@@ -656,10 +702,9 @@ def _operating_point_impl(circuit: Circuit, options: SimOptions,
         with _newton_span(tel, stats, "source-stepping"):
             for step in range(1, options.source_steps + 1):
                 scale = step / options.source_steps
-                structure.reset_device_states()
-                x = _newton_solve(structure, options, x, source_scale=scale,
-                                  stats=stats, factor_cache=cache,
-                                  deadline=deadline)
+                x = _fresh_solve(structure, options, x, source_scale=scale,
+                                 stats=stats, factor_cache=cache,
+                                 deadline=deadline)
                 stats.source_steps += 1
         return DcSolution(structure, x, stats)
     except SolveDeadlineExceeded:

@@ -21,9 +21,9 @@ Two assembly engines coexist:
 * the **compiled path** (:class:`CompiledStamps` / :class:`CompiledSystem`)
   resolves every net and branch name to integer indices once per
   topology, prebuilds fixed-sparsity COO index arrays for the linear,
-  gmin and device stamps, and evaluates all diode/BJT junctions in
-  vectorised numpy batches (gather junction voltages → batched
-  exponential + SPICE limiting → scatter stamps).  On the sparse path
+  gmin and device stamps, and evaluates every diode/BJT junction as one
+  vector (gather junction voltages → one exponential + SPICE limiting
+  call → scatter stamps).  On the sparse path
   the CSC sparsity pattern and the COO→CSC scatter map are computed once
   and reused by every Newton iteration and transient timestep, so each
   iteration only rewrites the value vector before refactorising.
@@ -31,21 +31,22 @@ Two assembly engines coexist:
 Compiled artifacts are cached per circuit topology via
 :func:`structure_for`, keyed on :attr:`Circuit.topology_version`, which
 is what lets DC sweeps, parameter sweeps and fault campaigns stop paying
-structure-rebuild cost on every solve.  Component *values* (resistances,
-device parameters, source waveforms) are re-gathered on every solve, so
-mutating them between solves — as the variation studies do — stays safe.
+structure-rebuild cost on every solve.  Component *values* are read
+again by every solve run — resistances and source waveforms per system
+build, device parameters and junction-limiting state once per run (one
+operating-point Newton solve, one whole transient) — so mutating them
+between runs, as the variation studies do, stays safe.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 
-from ..circuit.devices import junction_current_vec, pnjlim_vec
+from ..circuit.devices import Bjt, junction_current_vec, pnjlim_vec
 from ..circuit.netlist import GROUND, Circuit, Component
 
 
@@ -81,6 +82,9 @@ class MnaStructure:
             for p, n, _vcrit in component.junctions():
                 self.junction_list.append((p, n))
         self._compiled: Optional["CompiledStamps"] = None
+        #: ``(options, DeltaContext)`` of the last low-rank campaign
+        #: context built on this topology (see ``DeltaContext.cached``).
+        self.delta_context = None
 
     def index(self, net: str) -> int:
         """Matrix index of a net; -1 for ground."""
@@ -117,12 +121,6 @@ class MnaStructure:
                 reset()
 
 
-#: Per-circuit cache of (topology_version, MnaStructure); weak keys keep
-#: throwaway fault-injected copies from accumulating.
-_STRUCTURE_CACHE: "weakref.WeakKeyDictionary[Circuit, Tuple[int, MnaStructure]]" = (
-    weakref.WeakKeyDictionary()
-)
-
 #: Always-on, per-process cache statistics.  Plain dict increments cost
 #: nanoseconds, so these run unconditionally; the telemetry layer
 #: snapshots them around campaigns to show what the structure and
@@ -143,21 +141,22 @@ def structure_for(circuit: Circuit) -> MnaStructure:
     rebuild.  This is what makes repeated ``operating_point`` calls on
     one circuit — DC sweeps, hysteresis legs, campaign references — pay
     the name-resolution cost only once.
+
+    The ``(topology_version, structure)`` entry lives on the circuit
+    itself: the structure refers back to its circuit, so a global map
+    would keep every solved circuit alive, while an attribute forms a
+    cycle the garbage collector frees with the circuit.
     """
     version = getattr(circuit, "topology_version", None)
-    try:
-        entry = _STRUCTURE_CACHE.get(circuit)
-    except TypeError:  # unhashable/unweakrefable circuit-like object
-        CACHE_STATS["structure_misses"] += 1
-        return MnaStructure(circuit)
+    entry = getattr(circuit, "_solver_cache", None)
     if entry is not None and entry[0] == version:
         CACHE_STATS["structure_hits"] += 1
         return entry[1]
     CACHE_STATS["structure_misses"] += 1
     structure = MnaStructure(circuit)
     try:
-        _STRUCTURE_CACHE[circuit] = (version, structure)
-    except TypeError:
+        circuit._solver_cache = (version, structure)
+    except AttributeError:  # circuit-like object without attributes
         pass
     return structure
 
@@ -505,10 +504,11 @@ class CompiledStamps:
 
     Resolves every net and branch name to an integer index exactly once,
     prebuilds the fixed COO index/sign arrays for linear elements, gmin
-    shunts and nonlinear devices, and evaluates all diode/BJT junctions
-    as vectorised numpy batches.  Component *values* (resistances, device
-    parameters, limiting state) are re-gathered per solve by
-    :meth:`refresh`, so parameter mutation between solves stays safe.
+    shunts and nonlinear devices, and evaluates every diode/BJT junction
+    as one vector.  Resistances and source values are read per
+    :meth:`build_system`; device parameters and limiting state are
+    gathered by :meth:`refresh` once per solve run and written back by
+    :meth:`store_states`, so parameter mutation between runs stays safe.
     """
 
     def __init__(self, structure: MnaStructure):
@@ -576,93 +576,97 @@ class CompiledStamps:
         (self._is_rhs_rows, self._is_rhs_src,
          self._is_rhs_sign) = _injection_pattern(is_p, is_n)
 
+        # --- junction vector -----------------------------------------
+        # Every compiled junction in one vector: diodes, then the BJT
+        # base-emitter junctions, then the base-collector ones.
+        d_p = _index_array(structure, [d.net("p") for d in self._diodes])
+        d_n = _index_array(structure, [d.net("n") for d in self._diodes])
+        q_b = _index_array(structure, [q.net("b") for q in self._bjts])
+        q_c = _index_array(structure, [q.net("c") for q in self._bjts])
+        q_e = _index_array(structure, [q.net("e") for q in self._bjts])
+        self._n_diodes = len(self._diodes)
+        self._j_terminals = np.stack([np.concatenate([d_p, q_b, q_b]),
+                                      np.concatenate([d_n, q_e, q_c])])
+
         # --- diode pattern -------------------------------------------
-        self._d_p = _index_array(structure, [d.net("p") for d in self._diodes])
-        self._d_n = _index_array(structure, [d.net("n") for d in self._diodes])
-        (self._d_rows, self._d_cols,
-         self._d_src, self._d_sign) = _conductance_pattern(self._d_p, self._d_n)
+        (d_rows, d_cols,
+         self._d_src, self._d_sign) = _conductance_pattern(d_p, d_n)
         # Norton RHS value per diode is (g*v - i): +1 on p's row, -1 on n's.
-        (self._d_rhs_rows, self._d_rhs_src,
-         self._d_rhs_sign) = _injection_pattern(self._d_n, self._d_p)
+        (d_rhs_rows, self._d_rhs_src,
+         self._d_rhs_sign) = _injection_pattern(d_n, d_p)
 
         # --- BJT pattern ---------------------------------------------
-        self._q_b = _index_array(structure, [q.net("b") for q in self._bjts])
-        self._q_c = _index_array(structure, [q.net("c") for q in self._bjts])
-        self._q_e = _index_array(structure, [q.net("e") for q in self._bjts])
-        mq = len(self._bjts)
-        # Slot-major layout matching the (9, mq) value buffer: rows are
+        # Slot-major layout matching the (3, 3, mq) stamp block: rows are
         # (c,c,c, b,b,b, e,e,e), cols cycle (b,c,e).
-        rows9 = np.concatenate([self._q_c] * 3 + [self._q_b] * 3
-                               + [self._q_e] * 3)
-        cols9 = np.concatenate([self._q_b, self._q_c, self._q_e] * 3)
+        rows9 = np.concatenate([q_c] * 3 + [q_b] * 3 + [q_e] * 3)
+        cols9 = np.concatenate([q_b, q_c, q_e] * 3)
         keep9 = (rows9 >= 0) & (cols9 >= 0)
-        self._q_rows, self._q_cols = rows9[keep9], cols9[keep9]
         self._q_vsel = np.nonzero(keep9)[0]
-        rows3 = np.concatenate([self._q_c, self._q_b, self._q_e])
+        rows3 = np.concatenate([q_c, q_b, q_e])
         keep3 = rows3 >= 0
-        self._q_rhs_rows = rows3[keep3]
         self._q_rhs_vsel = np.nonzero(keep3)[0]
-        self._q_mat_buf = np.empty((9, mq))
-        self._q_rhs_buf = np.empty((3, mq))
 
         # Unified nonlinear pattern (fixed across iterations/timesteps).
-        self.nl_rows = np.concatenate([self._d_rows, self._q_rows])
-        self.nl_cols = np.concatenate([self._d_cols, self._q_cols])
-        self.nl_rhs_rows = np.concatenate([self._d_rhs_rows, self._q_rhs_rows])
+        self.nl_rows = np.concatenate([d_rows, rows9[keep9]])
+        self.nl_cols = np.concatenate([d_cols, cols9[keep9]])
+        self.nl_rhs_rows = np.concatenate([d_rhs_rows, rows3[keep3]])
 
         self._pattern_nocomp: Optional[_CscPattern] = None
         self.refresh()
 
     # ------------------------------------------------------------------
-    # Per-solve value/state gathering
+    # Per-run value/state gathering
     # ------------------------------------------------------------------
     def refresh(self) -> None:
-        """Re-gather mutable device parameters and limiting state."""
-        diodes, bjts = self._diodes, self._bjts
-        self._d_isat = np.array([d.isat for d in diodes])
-        self._d_nvt = np.array([d.nvt for d in diodes])
-        self._d_vcrit = np.array([d._vcrit for d in diodes])
-        self._d_vlast = np.array([d._v_last for d in diodes])
-        self._q_isat = np.array([q.isat for q in bjts])
-        self._q_nvt = np.array([q.nvt for q in bjts])
-        self._q_vcrit = np.array([q._vcrit for q in bjts])
-        self._q_bf = np.array([q.beta_f for q in bjts])
-        self._q_br = np.array([q.beta_r for q in bjts])
-        self._q_vaf = np.array([q.vaf for q in bjts])
-        self._q_vbe_last = np.array([q._vbe_last for q in bjts])
-        self._q_vbc_last = np.array([q._vbc_last for q in bjts])
+        """Gather device parameters and junction-limiting state.
 
-    def snapshot_limits(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of the junction-limiting state arrays.
+        Called once per solve run (one operating-point Newton solve, one
+        whole transient), never per system build: device values cannot
+        change inside a run.
+        """
+        diodes, bjts = self._diodes, self._bjts
+        self._j_isat = np.array([d.isat for d in diodes]
+                                + [q.isat for q in bjts] * 2)
+        self._j_nvt = np.array([d.nvt for d in diodes]
+                               + [q.nvt for q in bjts] * 2)
+        self._j_vcrit = np.array([d._vcrit for d in diodes]
+                                 + [q._vcrit for q in bjts] * 2)
+        self._q_beta = np.array([[q.beta_f for q in bjts],
+                                 [q.beta_r for q in bjts]])
+        self._q_vaf = np.array([q.vaf for q in bjts])
+        self._has_early = bool((self._q_vaf > 0).any())
+        self._limits = np.array([d._v_last for d in diodes]
+                                + [q._vbe_last for q in bjts]
+                                + [q._vbc_last for q in bjts])
+
+    def snapshot_limits(self) -> np.ndarray:
+        """A copy of the junction-limiting state (junction-vector order).
 
         Paired with :meth:`restore_limits` so a caller replaying many
         solves from one reference point (the fault-delta campaign) can
         start every solve from an identical, history-independent state —
         a requirement for serial/parallel result identity.
         """
-        return (self._d_vlast.copy(), self._q_vbe_last.copy(),
-                self._q_vbc_last.copy())
+        return self._limits.copy()
 
-    def restore_limits(self, saved: Tuple[np.ndarray, np.ndarray,
-                                          np.ndarray]) -> None:
+    def restore_limits(self, saved: np.ndarray) -> None:
         """Restore a :meth:`snapshot_limits` state."""
-        d_vlast, q_vbe, q_vbc = saved
-        self._d_vlast = d_vlast.copy()
-        self._q_vbe_last = q_vbe.copy()
-        self._q_vbc_last = q_vbc.copy()
+        self._limits = saved.copy()
 
     def store_states(self) -> None:
         """Write limiting state back to the devices.
 
         Keeps the legacy path (AC linearisation, KCL residual checks)
-        seeing exactly the state a compiled solve would have left.
+        seeing exactly the state a compiled run would have left.
         """
-        for diode, v in zip(self._diodes, self._d_vlast):
-            diode._v_last = float(v)
-        for bjt, vbe, vbc in zip(self._bjts, self._q_vbe_last,
-                                 self._q_vbc_last):
-            bjt._vbe_last = float(vbe)
-            bjt._vbc_last = float(vbc)
+        nd, mq = self._n_diodes, len(self._bjts)
+        limits = self._limits.tolist()
+        for diode, v in zip(self._diodes, limits[:nd]):
+            diode._v_last = v
+        for bjt, vbe, vbc in zip(self._bjts, limits[nd:nd + mq],
+                                 limits[nd + mq:]):
+            bjt._vbe_last = vbe
+            bjt._vbc_last = vbc
 
     # ------------------------------------------------------------------
     # Nonlinear evaluation (vectorised)
@@ -671,87 +675,13 @@ class CompiledStamps:
                        ) -> Tuple[np.ndarray, np.ndarray, bool]:
         """Evaluate all compiled devices linearised at iterate ``x``.
 
-        Returns matrix values aligned with ``nl_rows/nl_cols``, RHS
-        values aligned with ``nl_rhs_rows``, and the limited flag.
+        Uses and updates the stored limiting state.  Returns matrix
+        values aligned with ``nl_rows/nl_cols``, RHS values aligned with
+        ``nl_rhs_rows``, and the limited flag.
         """
-        n = self.structure.n_unknowns
-        x_ext = np.empty(n + 1)
-        x_ext[:n] = x
-        x_ext[n] = 0.0  # ground slot, reached through index -1
-
-        limited = False
-        # Diodes -------------------------------------------------------
-        if self._diodes:
-            v_raw = x_ext[self._d_p] - x_ext[self._d_n]
-            v, lim = pnjlim_vec(v_raw, self._d_vlast, self._d_nvt,
-                                self._d_vcrit)
-            limited = bool(lim.any())
-            self._d_vlast = v
-            i, g = junction_current_vec(v, self._d_isat, self._d_nvt)
-            d_mat = g[self._d_src] * self._d_sign
-            d_rhs = (g * v - i)[self._d_rhs_src] * self._d_rhs_sign
-        else:
-            d_mat = np.empty(0)
-            d_rhs = np.empty(0)
-
-        # BJTs ---------------------------------------------------------
-        if self._bjts:
-            vb = x_ext[self._q_b]
-            vbe, lim_be = pnjlim_vec(vb - x_ext[self._q_e], self._q_vbe_last,
-                                     self._q_nvt, self._q_vcrit)
-            vbc, lim_bc = pnjlim_vec(vb - x_ext[self._q_c], self._q_vbc_last,
-                                     self._q_nvt, self._q_vcrit)
-            limited = limited or bool(lim_be.any()) or bool(lim_bc.any())
-            self._q_vbe_last = vbe
-            self._q_vbc_last = vbc
-
-            ide, gde = junction_current_vec(vbe, self._q_isat, self._q_nvt)
-            idc, gdc = junction_current_vec(vbc, self._q_isat, self._q_nvt)
-
-            vaf = self._q_vaf
-            has_early = vaf > 0
-            vaf_div = np.where(has_early, vaf, 1.0)
-            k_raw = 1.0 - vbc / vaf_div
-            # The scalar rule keeps dk = -1/vaf on the closed interval.
-            kmin, kmax = 0.05, 10.0  # Bjt.EARLY_FACTOR_MIN / _MAX
-            k = np.clip(k_raw, kmin, kmax)
-            dk = np.where((k_raw >= kmin) & (k_raw <= kmax),
-                          -1.0 / vaf_div, 0.0)
-            k = np.where(has_early, k, 1.0)
-            dk = np.where(has_early, dk, 0.0)
-
-            bf, br = self._q_bf, self._q_br
-            ic = (ide - idc) * k - idc / br
-            ib = ide / bf + idc / br
-            ie = -(ic + ib)
-            dic_dvbc = -gdc * k + (ide - idc) * dk - gdc / br
-
-            buf = self._q_mat_buf
-            buf[0] = gde * k + dic_dvbc          # (c, b)
-            buf[1] = -dic_dvbc                   # (c, c)
-            buf[2] = -gde * k                    # (c, e)
-            buf[3] = gde / bf + gdc / br         # (b, b)
-            buf[4] = -gdc / br                   # (b, c)
-            buf[5] = -gde / bf                   # (b, e)
-            buf[6] = -(buf[0] + buf[3])          # (e, b)
-            buf[7] = -(buf[1] + buf[4])          # (e, c)
-            buf[8] = -(buf[2] + buf[5])          # (e, e)
-            q_mat = buf.ravel()[self._q_vsel]
-
-            # Node voltages at the limited linearisation point.
-            vc_op = vb - vbc
-            ve_op = vb - vbe
-            rbuf = self._q_rhs_buf
-            rbuf[0] = buf[0] * vb + buf[1] * vc_op + buf[2] * ve_op - ic
-            rbuf[1] = buf[3] * vb + buf[4] * vc_op + buf[5] * ve_op - ib
-            rbuf[2] = buf[6] * vb + buf[7] * vc_op + buf[8] * ve_op - ie
-            q_rhs = rbuf.ravel()[self._q_rhs_vsel]
-        else:
-            q_mat = np.empty(0)
-            q_rhs = np.empty(0)
-
-        return (np.concatenate([d_mat, q_mat]),
-                np.concatenate([d_rhs, q_rhs]), limited)
+        vals, rhs, limited, self._limits = self._eval_junctions(
+            x, self._limits)
+        return vals, rhs, bool(limited)
 
     @property
     def supports_batch(self) -> bool:
@@ -763,110 +693,109 @@ class CompiledStamps:
         """
         return not self._nonlinear_fallback
 
-    def eval_nonlinear_batch(self, X, d_vlast, q_vbe_last, q_vbc_last,
-                             xp=np):
+    def eval_nonlinear_batch(self, X, limits, xp=np):
         """Batched :meth:`eval_nonlinear` over a ``(B, n)`` iterate stack.
 
         ``X`` holds one Newton iterate per batch member (one member per
-        fault system); ``d_vlast``/``q_vbe_last``/``q_vbc_last`` carry
-        each member's *own* junction-limiting state as ``(B, n_devices)``
-        arrays — limiting history is part of the Newton trajectory, so
-        it must never be shared across members.  Returns
+        fault system) and ``limits`` each member's *own* ``(B, m)``
+        junction-limiting state — limiting history is part of the
+        Newton trajectory, so it is never shared across members.
+        Returns ``(nl_vals, nl_rhs_vals, limited, limits')``: ``(B, .)``
+        value stacks, a per-member limited vector and the updated state.
+        Serial and batched calls run the same kernel, so row ``j`` of
+        every output is bitwise equal to a serial call with member
+        ``j``'s state — the property the batched campaign's verdict
+        identity rests on.
+        """
+        return self._eval_junctions(X, limits, xp)
 
-        ``(nl_vals, nl_rhs_vals, limited, d_vlast', q_vbe', q_vbc')``
+    def _eval_junctions(self, X, limits, xp=np):
+        """The junction kernel: every device stamp at iterate(s) ``X``.
 
-        where the value arrays are ``(B, len(nl_rows))`` /
-        ``(B, len(nl_rhs_rows))`` stacks, ``limited`` is a per-member
-        bool vector, and the primed arrays are the updated limiting
-        state.  Every expression is the elementwise broadcast of the
-        serial method's, so row ``j`` of every output is bitwise equal
-        to a serial ``eval_nonlinear`` call with member ``j``'s state —
-        the property the batched campaign's verdict identity rests on.
+        Works over the last axis, so a 1-D iterate and each row of a
+        ``(B, n)`` stack perform the same floating-point operations in
+        the same order.  One gather, one limiting and one exponential
+        call cover the whole junction vector; the BJT stamps are one
+        ``(3, 3, mq)`` block (rows c, b, e; columns b, c, e).
         """
         n = self.structure.n_unknowns
-        B = X.shape[0]
-        X_ext = xp.empty((B, n + 1))
-        X_ext[:, :n] = X
-        X_ext[:, n] = 0.0  # ground slot, reached through index -1
+        lead = X.shape[:-1]
+        X_ext = xp.empty(lead + (n + 1,))
+        X_ext[..., :n] = X
+        X_ext[..., n] = 0.0  # ground slot, reached through index -1
+        terminals = X_ext.take(self._j_terminals, axis=-1)  # (p, n) nets
+        v, lim = pnjlim_vec(terminals[..., 0, :] - terminals[..., 1, :],
+                            limits, self._j_nvt, self._j_vcrit)
+        i, g = junction_current_vec(v, self._j_isat, self._j_nvt)
 
-        limited = xp.zeros(B, dtype=bool)
-        # Diodes -------------------------------------------------------
-        if self._diodes:
-            V_raw = X_ext[:, self._d_p] - X_ext[:, self._d_n]
-            v, lim = pnjlim_vec(V_raw, d_vlast, self._d_nvt,
-                                self._d_vcrit)
-            limited = limited | lim.any(axis=1)
-            d_vlast = v
-            i, g = junction_current_vec(v, self._d_isat, self._d_nvt)
-            d_mat = g[:, self._d_src] * self._d_sign
-            d_rhs = (g * v - i)[:, self._d_rhs_src] * self._d_rhs_sign
-        else:
-            d_mat = xp.zeros((B, 0))
-            d_rhs = xp.zeros((B, 0))
+        nd, mq = self._n_diodes, len(self._bjts)
+        vals = xp.empty(lead + (len(self.nl_rows),))
+        rhs = xp.empty(lead + (len(self.nl_rhs_rows),))
+        d_vals, d_rhs = len(self._d_src), len(self._d_rhs_src)
+        if nd:
+            vals[..., :d_vals] = g.take(self._d_src, axis=-1) * self._d_sign
+            rhs[..., :d_rhs] = ((g * v - i).take(self._d_rhs_src, axis=-1)
+                                * self._d_rhs_sign)
+        if mq:
+            pair = lead + (2, mq)
+            vj = v[..., nd:].reshape(pair)          # (vbe, vbc)
+            ij = i[..., nd:].reshape(pair)          # (ide, idc)
+            gj = g[..., nd:].reshape(pair)          # (gde, gdc)
+            ij_beta = ij / self._q_beta             # (ide/bf, idc/br)
+            gj_beta = gj / self._q_beta             # (gde/bf, gdc/br)
+            gde, gdc = gj[..., 0, :], gj[..., 1, :]
+            i_tran = ij[..., 0, :] - ij[..., 1, :]
 
-        # BJTs ---------------------------------------------------------
-        if self._bjts:
-            vb = X_ext[:, self._q_b]
-            vbe, lim_be = pnjlim_vec(vb - X_ext[:, self._q_e],
-                                     q_vbe_last, self._q_nvt,
-                                     self._q_vcrit)
-            vbc, lim_bc = pnjlim_vec(vb - X_ext[:, self._q_c],
-                                     q_vbc_last, self._q_nvt,
-                                     self._q_vcrit)
-            limited = (limited | lim_be.any(axis=1)
-                       | lim_bc.any(axis=1))
-            q_vbe_last = vbe
-            q_vbc_last = vbc
+            cur = xp.empty(lead + (3, mq))          # (ic, ib, ie)
+            if self._has_early:
+                k, dk = self._early_factor(vj[..., 1, :])
+                cur[..., 0, :] = i_tran * k - ij_beta[..., 1, :]
+                dic_dvbc = -gdc * k + i_tran * dk - gj_beta[..., 1, :]
+                gde_k = gde * k
+            else:  # k = 1, dk = 0 for every device: the factor drops out
+                cur[..., 0, :] = i_tran - ij_beta[..., 1, :]
+                dic_dvbc = -gdc - gj_beta[..., 1, :]
+                gde_k = gde
+            cur[..., 1, :] = ij_beta[..., 0, :] + ij_beta[..., 1, :]
+            cur[..., 2, :] = -(cur[..., 0, :] + cur[..., 1, :])
 
-            ide, gde = junction_current_vec(vbe, self._q_isat,
-                                            self._q_nvt)
-            idc, gdc = junction_current_vec(vbc, self._q_isat,
-                                            self._q_nvt)
+            stamp = xp.empty(lead + (3, 3, mq))
+            stamp[..., 0, 0, :] = gde_k + dic_dvbc           # (c, b)
+            stamp[..., 0, 1, :] = -dic_dvbc                  # (c, c)
+            stamp[..., 0, 2, :] = -gde_k                     # (c, e)
+            stamp[..., 1, 0, :] = (gj_beta[..., 0, :]        # (b, b)
+                                   + gj_beta[..., 1, :])
+            stamp[..., 1, 1:, :] = -gj_beta[..., ::-1, :]    # (b, c), (b, e)
+            stamp[..., 2, :, :] = -(stamp[..., 0, :, :]      # (e, .)
+                                    + stamp[..., 1, :, :])
+            vals[..., d_vals:] = stamp.reshape(lead + (9 * mq,)).take(
+                self._q_vsel, axis=-1)
 
-            vaf = self._q_vaf
-            has_early = vaf > 0
-            vaf_div = np.where(has_early, vaf, 1.0)
-            k_raw = 1.0 - vbc / vaf_div
-            kmin, kmax = 0.05, 10.0  # Bjt.EARLY_FACTOR_MIN / _MAX
-            k = xp.clip(k_raw, kmin, kmax)
-            dk = xp.where((k_raw >= kmin) & (k_raw <= kmax),
-                          -1.0 / vaf_div, 0.0)
-            k = xp.where(has_early, k, 1.0)
-            dk = xp.where(has_early, dk, 0.0)
+            # Node voltages (b, c, e) at the limited linearisation point.
+            vb = terminals[..., 0, nd:nd + mq]
+            node = xp.empty(lead + (3, mq))
+            node[..., 0, :] = vb
+            node[..., 1:, :] = vb[..., None, :] - vj[..., ::-1, :]
+            terms = stamp * node[..., None, :, :]
+            norton = (terms[..., :, 0, :] + terms[..., :, 1, :]
+                      + terms[..., :, 2, :] - cur)
+            rhs[..., d_rhs:] = norton.reshape(lead + (3 * mq,)).take(
+                self._q_rhs_vsel, axis=-1)
+        return vals, rhs, lim.any(axis=-1), v
 
-            bf, br = self._q_bf, self._q_br
-            ic = (ide - idc) * k - idc / br
-            ib = ide / bf + idc / br
-            ie = -(ic + ib)
-            dic_dvbc = -gdc * k + (ide - idc) * dk - gdc / br
-
-            b0 = gde * k + dic_dvbc              # (c, b)
-            b1 = -dic_dvbc                       # (c, c)
-            b2 = -gde * k                        # (c, e)
-            b3 = gde / bf + gdc / br             # (b, b)
-            b4 = -gdc / br                       # (b, c)
-            b5 = -gde / bf                       # (b, e)
-            b6 = -(b0 + b3)                      # (e, b)
-            b7 = -(b1 + b4)                      # (e, c)
-            b8 = -(b2 + b5)                      # (e, e)
-            buf = xp.stack([b0, b1, b2, b3, b4, b5, b6, b7, b8],
-                           axis=1)
-            q_mat = buf.reshape(B, -1)[:, self._q_vsel]
-
-            vc_op = vb - vbc
-            ve_op = vb - vbe
-            r0 = b0 * vb + b1 * vc_op + b2 * ve_op - ic
-            r1 = b3 * vb + b4 * vc_op + b5 * ve_op - ib
-            r2 = b6 * vb + b7 * vc_op + b8 * ve_op - ie
-            rbuf = xp.stack([r0, r1, r2], axis=1)
-            q_rhs = rbuf.reshape(B, -1)[:, self._q_rhs_vsel]
-        else:
-            q_mat = xp.zeros((B, 0))
-            q_rhs = xp.zeros((B, 0))
-
-        return (xp.concatenate([d_mat, q_mat], axis=1),
-                xp.concatenate([d_rhs, q_rhs], axis=1), limited,
-                d_vlast, q_vbe_last, q_vbc_last)
+    def _early_factor(self, vbc):
+        """Early factor ``k = 1 - vbc/vaf`` and its slope, clamped like
+        :meth:`repro.circuit.devices.Bjt.currents` (1 and 0 where
+        ``vaf`` is 0)."""
+        vaf = self._q_vaf
+        has_early = vaf > 0
+        vaf_div = np.where(has_early, vaf, 1.0)
+        k_raw = 1.0 - vbc / vaf_div
+        # The scalar rule keeps dk = -1/vaf on the closed interval.
+        kmin, kmax = Bjt.EARLY_FACTOR_MIN, Bjt.EARLY_FACTOR_MAX
+        k = np.minimum(np.maximum(k_raw, kmin), kmax)
+        dk = np.where((k_raw >= kmin) & (k_raw <= kmax), -1.0 / vaf_div, 0.0)
+        return np.where(has_early, k, 1.0), np.where(has_early, dk, 0.0)
 
     # ------------------------------------------------------------------
     # System assembly
@@ -882,7 +811,6 @@ class CompiledStamps:
         structure = self.structure
         n = structure.n_unknowns
         sparse = n >= options.sparse_threshold
-        self.refresh()
 
         rhs = np.zeros(n)
         seg_rows = [self._res_rows, self._gmin_rows, self._vs_rows]

@@ -34,7 +34,8 @@ import numpy as np
 from ..circuit.components import Capacitor
 from ..circuit.netlist import Circuit
 from ..telemetry import telemetry_for
-from .dc import ConvergenceError, DcSolution, NewtonStats, _newton_solve, operating_point
+from .dc import (ConvergenceError, DcSolution, NewtonStats, _device_run,
+                 _newton_solve, operating_point)
 from .mna import (CompanionSet, FactorCache, MnaStructure,
                   SingularMatrixError, structure_for)
 from .options import DEFAULT_OPTIONS, SimOptions
@@ -276,25 +277,35 @@ def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
         _initial_element_voltages(state, circuit, x, use_ic=False)
 
     stats = NewtonStats()
-    if cap_overrides:
-        by_component = {key.split(":", 1)[0]: i
-                        for i, key in enumerate(state.keys)}
-        for name, voltage in cap_overrides.items():
-            if name not in by_component:
-                raise KeyError(f"no dynamic element on component {name!r}")
-            state.voltage[by_component[name]] = float(voltage)
-        # Make the stored t=0 state consistent with the overridden
-        # capacitor voltages: one vanishingly short backward-Euler step
-        # lets the overridden caps act as voltage sources while every
-        # other node settles around them.
-        x = _advance(structure, state, options, x, 0.0, dt * 1e-6,
-                     trapezoidal=False, stats=stats,
-                     halvings_left=options.max_step_halvings)
+    # Device values and limiting state: read once, written back once.
+    with _device_run(structure, options):
+        if cap_overrides:
+            by_component = {key.split(":", 1)[0]: i
+                            for i, key in enumerate(state.keys)}
+            for name, voltage in cap_overrides.items():
+                if name not in by_component:
+                    raise KeyError(
+                        f"no dynamic element on component {name!r}")
+                state.voltage[by_component[name]] = float(voltage)
+            # Make the stored t=0 state consistent with the overridden
+            # capacitor voltages: one vanishingly short backward-Euler
+            # step lets the overridden caps act as voltage sources while
+            # every other node settles around them.
+            x = _advance(structure, state, options, x, 0.0, dt * 1e-6,
+                         trapezoidal=False, stats=stats,
+                         halvings_left=options.max_step_halvings)
+        if options.adaptive_step:
+            return _transient_adaptive(circuit, structure, state, options,
+                                       x, stats, t_stop, dt, tel)
+        return _transient_fixed(circuit, structure, state, options, x,
+                                stats, t_stop, dt)
 
-    if options.adaptive_step:
-        return _transient_adaptive(circuit, structure, state, options, x,
-                                   stats, t_stop, dt, tel)
 
+def _transient_fixed(circuit: Circuit, structure: MnaStructure,
+                     state: _CompanionState, options: SimOptions,
+                     x: np.ndarray, stats: NewtonStats, t_stop: float,
+                     dt: float) -> TransientResult:
+    """Fixed-grid integration from 0 to ``t_stop`` with base step ``dt``."""
     cache = (FactorCache()
              if options.use_compiled and options.reuse_enabled(False)
              else None)
