@@ -1,4 +1,4 @@
-"""Performance harness: compiled engine, adaptive stepping, delta solves.
+"""Performance harness: compiled engine, adaptive stepping, low-rank solves.
 
 Times the workloads the performance work targets and writes
 ``BENCH_sim.json`` at the repository root so future changes have a perf
@@ -8,17 +8,13 @@ trajectory to compare against:
   values) against the three-oracle setup on a 3-stage chain with a
   shared detector.  Baseline: legacy per-component stamping, cold
   starts.  Optimized: compiled stamping + fault-free warm starts.
-* **campaign_delta** — the same catalog, warm-started compiled campaign
-  as the baseline, against the low-rank fault-delta path (shared
-  fault-free factorization, no per-defect injection/compilation).  The
-  section also records that both campaigns return identical verdicts.
 * **campaign_batched** — the same catalog, warm-started compiled
-  campaign as the baseline, against the batched engine: all
-  batch-eligible defects solved together as a stacked Newton iteration
-  (one vectorised device evaluation and one multi-RHS solve per
-  iteration for the whole batch).  Also records that the verdicts are
-  identical to the warm campaign's and how many members fell back to
-  the serial per-defect ladder.
+  campaign as the baseline, against the low-rank engine: all low-rank
+  defects solved together on the shared fault-free system as a stacked
+  replay Newton iteration (one vectorised device evaluation and one
+  stacked solve per iteration for the whole batch).  Also records that
+  the verdicts are identical to the warm campaign's and how many
+  members fell back to the conventional path.
 * **transient** — an 8-stage buffer chain driven at 1 GHz for 2 ns.
   Baseline: legacy stamping.  Optimized: compiled stamping with the
   cached companion pattern.
@@ -111,7 +107,6 @@ FAMILY_WITNESSES = (
 
 #: Acceptance targets for the optimisation passes.
 CAMPAIGN_TARGET = 3.0
-CAMPAIGN_DELTA_TARGET = 1.5
 CAMPAIGN_BATCHED_TARGET = 3.0
 TRANSIENT_TARGET = 2.0
 TRANSIENT_ADAPTIVE_TARGET = 2.0
@@ -196,53 +191,24 @@ def bench_campaign() -> dict:
     }
 
 
-def bench_campaign_delta() -> dict:
-    """Warm-started campaign vs the low-rank fault-delta path."""
-    chain, oracles, defects = _campaign_bench()
-
-    baseline = _best_of(lambda: run_campaign(chain.circuit, defects, oracles))
-    optimized = _best_of(lambda: run_campaign(
-        chain.circuit, defects, oracles, delta=True))
-
-    warm = run_campaign(chain.circuit, defects, oracles)
-    delta = run_campaign(chain.circuit, defects, oracles, delta=True)
-    identical = all(
-        w.verdicts == d.verdicts and w.converged == d.converged
-        for w, d in zip(warm.records, delta.records))
-    return {
-        "defects": len(defects),
-        "baseline_s": round(baseline, 4),
-        "optimized_s": round(optimized, 4),
-        "speedup": round(baseline / optimized, 2),
-        "target_speedup": CAMPAIGN_DELTA_TARGET,
-        "verdicts_identical": identical,
-        "solver_counts": delta.solver_counts(),
-        "woodbury_fallbacks": delta.woodbury_fallbacks,
-        "n_factorizations": sum(r.n_factorizations for r in delta.records),
-        "n_factorizations_baseline": sum(
-            r.n_factorizations for r in warm.records),
-    }
-
-
 def bench_campaign_batched() -> dict:
-    """Warm-started campaign vs the batched multi-defect engine.
+    """Warm-started campaign vs the batched low-rank engine.
 
-    The batched engine stacks every batch-eligible defect into one
-    vectorised Newton iteration (``repro.sim.batch``), so the per-defect
-    Python dispatch the serial delta path still pays collapses into a
-    handful of array operations per iteration.  Verdicts must be
-    identical to the warm campaign's; any member that leaves the batch
-    is re-solved through the serial ladder and counted in
-    ``batch_fallbacks``.
+    The low-rank engine stacks every low-rank defect into one vectorised
+    replay Newton iteration (``repro.sim.batch``), so the per-defect
+    injection, compile and Python dispatch collapse into a handful of
+    array operations per iteration.  Verdicts must be identical to the
+    warm campaign's; any member the batch returns unsolved is re-solved
+    conventionally and counted in ``batch_fallbacks``.
     """
     chain, oracles, defects = _campaign_bench()
 
     baseline = _best_of(lambda: run_campaign(chain.circuit, defects, oracles))
     optimized = _best_of(lambda: run_campaign(
-        chain.circuit, defects, oracles, batched=True))
+        chain.circuit, defects, oracles, low_rank=True))
 
     warm = run_campaign(chain.circuit, defects, oracles)
-    batched = run_campaign(chain.circuit, defects, oracles, batched=True)
+    batched = run_campaign(chain.circuit, defects, oracles, low_rank=True)
     identical = all(
         w.verdicts == b.verdicts and w.converged == b.converged
         for w, b in zip(warm.records, batched.records))
@@ -914,8 +880,8 @@ def bench_defect_families() -> dict:
       severity-sweep artifact, ``BENCH_defect_families.json``);
     * ``delta_identity_ok`` / ``batched_identity_ok`` — campaign
       verdicts on `OxideBreakdown` + `WireLeak` defects under the
-      low-rank delta and batched engines match the cold conventional
-      solves vector-for-vector;
+      low-rank engine, in batches of one and at the default batch
+      size, match the cold conventional solves vector-for-vector;
     * ``witnesses_ok`` — the three committed corpus witnesses (soft
       breakdown escape, low-swing healing, ILA C-testability) replay
       with zero cross-engine disagreements.
@@ -928,8 +894,8 @@ def bench_defect_families() -> dict:
 
     sweep = severity_sweep(n_stages=3)
 
-    # Verdict identity: cold vs delta vs batched on a linked chain with
-    # both new families injected.
+    # Verdict identity: cold vs low-rank (batches of one and default
+    # batches) on a linked chain with both new families injected.
     chain = buffer_chain(NOMINAL, n_stages=3, frequency=100e6)
     link = attach_low_swing_link(chain.circuit, *chain.output_nets[-1],
                                  swing_factor=0.5)
@@ -941,9 +907,10 @@ def bench_defect_families() -> dict:
         wire_leak_resistances=(2e3, 20e3)))
     cold = run_campaign(chain.circuit, defects, oracles(),
                         warm_start=False)
-    delta = run_campaign(chain.circuit, defects, oracles(), delta=True)
+    delta = run_campaign(chain.circuit, defects, oracles(), low_rank=True,
+                         batch_size=1)
     batched = run_campaign(chain.circuit, defects, oracles(),
-                           batched=True)
+                           low_rank=True)
 
     def table(campaign):
         return {defect_key(r.defect): (tuple(sorted(r.verdicts.items())),
@@ -956,7 +923,7 @@ def bench_defect_families() -> dict:
     # Corpus witnesses, serial engine subset (same set CI replays).
     engines = [ENGINES_BY_NAME[name] for name in
                ("compiled-dense", "legacy-dense", "compiled-sparse",
-                "compiled-delta", "compiled-batched")]
+                "compiled-low-rank")]
     witnesses = {}
     witnesses_ok = True
     for path in FAMILY_WITNESSES:
@@ -1007,11 +974,10 @@ def main() -> int:
         "description": (
             "Simulation-core performance: compiled vectorised stamping, "
             "warm-started fault campaigns, LTE-controlled adaptive "
-            "transient stepping and low-rank (Woodbury/replay) fault-delta "
+            "transient stepping and batched low-rank (replay) fault "
             "solves.  Each section reports baseline vs optimized wall "
             "time, measured best-of-N in one process."),
         "campaign": bench_campaign(),
-        "campaign_delta": bench_campaign_delta(),
         "campaign_batched": bench_campaign_batched(),
         "transient": bench_transient(),
         "transient_adaptive": bench_transient_adaptive(),

@@ -118,7 +118,7 @@ def _cmd_campaign(args) -> int:
 
     started = time.time()
     result = run_campaign(chain.circuit, defects, oracles,
-                          options=options, delta=args.delta,
+                          options=options, low_rank=args.low_rank,
                           parallel=args.parallel, workers=args.workers,
                           chunk_size=args.chunk_size,
                           checkpoint=args.checkpoint, resume=args.resume,
@@ -403,9 +403,13 @@ def main(argv=None) -> int:
                           help="cap the number of defects")
     campaign.add_argument("--parallel", action="store_true")
     campaign.add_argument("--workers", type=int, default=None)
-    campaign.add_argument("--chunk-size", type=int, default=None)
-    campaign.add_argument("--delta", action="store_true",
-                          help="use the low-rank fault-delta fast path")
+    campaign.add_argument("--chunk-size", type=int, default=None,
+                          help="defects per parallel chunk (whole "
+                               "batches with --low-rank)")
+    campaign.add_argument("--low-rank", action="store_true",
+                          help="solve pipes, shorts and bridges in "
+                               "batches on the shared fault-free system "
+                               "instead of injecting each defect")
     campaign.add_argument("--checkpoint", default=None, metavar="JSONL",
                           help="append completed records to this JSONL "
                                "checkpoint as they finish")

@@ -25,10 +25,10 @@ import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..parallel import MapFailure, parallel_map
-from ..sim.batch import solve_batch
+from ..sim.batch import BatchMember, solve_batch
 from ..sim.dc import (ConvergenceError, DcSolution, DeltaContext, NewtonStats,
-                      _newton_span, delta_solve, operating_point)
-from ..sim.mna import CACHE_STATS, SingularMatrixError, structure_for
+                      operating_point)
+from ..sim.mna import CACHE_STATS, structure_for
 from ..sim.options import DEFAULT_OPTIONS, SimOptions
 from ..store import ResultStore, campaign_fingerprint, result_key
 from ..telemetry import (Telemetry, profiler_for, record_newton_stats,
@@ -129,16 +129,14 @@ class FaultRecord:
     #: spent on this defect either way.
     newton_iterations: int = 0
     #: How the operating point was obtained: ``"full"`` (conventional
-    #: inject-and-solve), ``"delta"`` (low-rank solve on the shared
-    #: fault-free compiled system: bitwise replay on dense, Woodbury
-    #: chord on sparse), ``"delta-fallback"`` (delta solve failed to
-    #: converge; re-solved conventionally), ``"full-retry"`` (the
-    #: conventional solve failed and the escalated cold retry rung
+    #: inject-and-solve), ``"batched"`` (low-rank replay on the shared
+    #: fault-free compiled system, see
+    #: :func:`repro.sim.batch.solve_batch`), ``"delta-fallback"`` (the
+    #: low-rank solve failed; re-solved conventionally), ``"full-retry"``
+    #: (the conventional solve failed and the escalated cold retry rung
     #: succeeded), or ``"none"`` (quarantined: no operating point).
     solver: str = "full"
-    #: Factorizations performed / reused for this defect's solve (the
-    #: delta path's headline economy: most defects need zero of their
-    #: own factorizations).
+    #: Factorizations performed / reused for this defect's solve.
     n_factorizations: int = 0
     n_reuses: int = 0
     #: Homotopy steps the solve needed (0 when plain Newton converged);
@@ -146,8 +144,8 @@ class FaultRecord:
     #: here instead of silently inflating the iteration count.
     gmin_steps: int = 0
     source_steps: int = 0
-    #: Quarantine state.  Set when the degradation ladder (delta → warm
-    #: full → cold retry) exhausted every solver rung for this defect,
+    #: Quarantine state.  Set when the degradation ladder (low-rank →
+    #: warm full → cold retry) exhausted every solver rung for this defect,
     #: or when the worker executing it crashed or hung; the reason is a
     #: human-readable account of what was tried and why it failed.
     #: Quarantined records keep ``converged=False`` and all-FAIL
@@ -166,7 +164,7 @@ class FaultRecord:
         """Fold one solve's :class:`NewtonStats` into this record.
 
         The single merge point for per-defect counters — the full path,
-        the delta path and the delta-fallback path (which merges both
+        the low-rank path and the delta-fallback path (which merges both
         the failed attempt's and the re-solve's stats) all go through
         here, so serial and parallel campaigns account work identically.
         """
@@ -187,12 +185,12 @@ class CampaignResult:
     #: Excluded from equality: a resumed result that reproduces the same
     #: records *is* the same result.
     n_resumed: int = field(default=0, compare=False)
-    #: Batched-engine observability, populated by ``batched=True`` runs
-    #: and excluded from equality (how the records were computed is not
-    #: part of the result).  ``n_batched_solves`` counts stacked linear
-    #: solves, ``batch_occupancy`` their summed member counts (mean
-    #: occupancy = occupancy / solves), ``batch_fallbacks`` the members
-    #: that left a batch and were re-solved per-defect.
+    #: Low-rank engine observability, populated by ``low_rank=True``
+    #: runs and excluded from equality (how the records were computed is
+    #: not part of the result).  ``n_batched_solves`` counts batched
+    #: replay iterations, ``batch_occupancy`` their summed member counts
+    #: (mean occupancy = occupancy / solves), ``batch_fallbacks`` the
+    #: members the batch returned unsolved, re-solved conventionally.
     n_batched_solves: int = field(default=0, compare=False)
     batch_occupancy: int = field(default=0, compare=False)
     batch_fallbacks: int = field(default=0, compare=False)
@@ -270,7 +268,7 @@ class CampaignResult:
         return [r for r in self.records if r.quarantined]
 
     def solver_counts(self) -> Dict[str, int]:
-        """Records per solver kind (``full``/``delta``/``delta-fallback``)."""
+        """Records per solver kind (see :attr:`FaultRecord.solver`)."""
         counts: Dict[str, int] = {}
         for record in self.records:
             counts[record.solver] = counts.get(record.solver, 0) + 1
@@ -301,7 +299,7 @@ class CampaignResult:
 
     @property
     def woodbury_fallbacks(self) -> int:
-        """Delta solves that had to fall back to a conventional solve."""
+        """Low-rank solves that had to fall back to a conventional solve."""
         return sum(1 for r in self.records if r.solver == "delta-fallback")
 
     def format(self) -> str:
@@ -388,40 +386,16 @@ def _guarded(defect: Defect, oracles: Sequence[Oracle],
             defect, oracles, f"{type(error).__name__}: {error}")
 
 
-def _solve_defect(defect: Defect, *, circuit: Circuit,
-                  oracles: Sequence[Oracle], options: SimOptions,
-                  warm: Optional[Tuple[Dict[str, float], Dict[str, float]]]
-                  ) -> FaultRecord:
-    """One campaign unit of work: inject, solve, judge.
-
-    Module-level (and driven through :func:`functools.partial`) so the
-    parallel executor can pickle it.  With telemetry enabled the work
-    runs inside a ``defect`` span; the nested ``analysis`` /
-    ``newton_solve`` spans come from :func:`operating_point` itself.
-    """
-    tel = telemetry_for(options)
-    if tel is None:
-        return _guarded(defect, oracles, lambda: _solve_defect_impl(
-            defect, circuit, oracles, options, warm))
-    with tel.span("defect", defect=defect.describe(),
-                  kind=defect.kind) as span:
-        record = _guarded(defect, oracles, lambda: _solve_defect_impl(
-            defect, circuit, oracles, options, warm))
-        _annotate_defect_span(span, record)
-        return record
-
-
 def _failed_stats(error: ConvergenceError) -> NewtonStats:
     """Work a failed solve spent (zeros when the solver predates it)."""
     stats = getattr(error, "stats", None)
     return stats if stats is not None else NewtonStats()
 
 
-def _solve_defect_impl(defect: Defect, circuit: Circuit,
-                       oracles: Sequence[Oracle], options: SimOptions,
-                       warm: Optional[Tuple[Dict[str, float],
-                                            Dict[str, float]]]
-                       ) -> FaultRecord:
+def _solve_defect(defect: Defect, circuit: Circuit,
+                  oracles: Sequence[Oracle], options: SimOptions,
+                  warm: Optional[Tuple[Dict[str, float], Dict[str, float]]]
+                  ) -> FaultRecord:
     """Conventional inject-and-solve with the degradation ladder's
     conventional rungs: (warm) full solve → escalated cold retry →
     quarantine.  Each rung charges its work to the defect's record."""
@@ -461,92 +435,141 @@ def _solve_defect_impl(defect: Defect, circuit: Circuit,
     return record
 
 
-def _solve_defect_delta(defect: Defect, *, circuit: Circuit,
-                        oracles: Sequence[Oracle], options: SimOptions,
-                        warm: Optional[Tuple[Dict[str, float],
-                                             Dict[str, float]]],
-                        x_ref: np.ndarray) -> FaultRecord:
-    """Campaign unit of work on the low-rank fast path.
+def _solve_low_rank(defect: Defect, circuit: Circuit,
+                    oracles: Sequence[Oracle], options: SimOptions,
+                    warm: Optional[Tuple[Dict[str, float],
+                                         Dict[str, float]]],
+                    context: DeltaContext, outcome: BatchMember
+                    ) -> FaultRecord:
+    """One batch member's record: judged on its replay solution, or
+    re-solved down the conventional rungs when the batch returned it
+    unsolved."""
+    if outcome.x is not None:
+        solution = DcSolution(context.structure, outcome.x, outcome.stats)
+        record = FaultRecord(defect=defect,
+                             verdicts={oracle.name: oracle.judge(solution)
+                                       for oracle in oracles},
+                             solver="batched")
+    else:
+        record = _solve_defect(defect, circuit, oracles, options, warm)
+        if record.quarantined:
+            # Keep the whole degradation trail in the quarantine reason:
+            # the low-rank rung failed first.
+            record.quarantine_reason = (
+                f"delta: {outcome.failure}; {record.quarantine_reason}")
+        else:
+            record.solver = "delta-fallback"
+    # The low-rank attempt's work belongs to this defect either way, so
+    # aggregate stats account every iteration identically on the serial
+    # and parallel paths.
+    record.merge_stats(outcome.stats)
+    return record
 
-    Defects expressible as added conductances between existing nets are
-    solved on the shared fault-free compiled system (bitwise replay on
-    dense, Woodbury chords on sparse); the rest — and any delta solve
-    that fails to converge — go through the conventional inject-and-solve
-    path.
-    """
+
+def _traced(defect: Defect, oracles: Sequence[Oracle], options: SimOptions,
+            solve: Callable[[], FaultRecord],
+            low_rank_stats: Optional[NewtonStats] = None) -> FaultRecord:
+    """One defect's work under its ``defect`` tracing span (telemetry
+    on), behind the quarantine guard.  The nested ``analysis`` /
+    ``newton_solve`` spans come from :func:`operating_point` itself;
+    ``low_rank_stats`` is the batch's work on the defect."""
     tel = telemetry_for(options)
     if tel is None:
-        return _guarded(defect, oracles, lambda: _solve_defect_delta_impl(
-            defect, circuit, oracles, options, warm, x_ref, None))
+        return _guarded(defect, oracles, solve)
     with tel.span("defect", defect=defect.describe(),
                   kind=defect.kind) as span:
-        record = _guarded(defect, oracles, lambda: _solve_defect_delta_impl(
-            defect, circuit, oracles, options, warm, x_ref, tel))
+        record = _guarded(defect, oracles, solve)
+        if low_rank_stats is not None:
+            tel.record_newton(low_rank_stats)
         _annotate_defect_span(span, record)
         return record
 
 
-def _solve_defect_delta_impl(defect: Defect, circuit: Circuit,
-                             oracles: Sequence[Oracle], options: SimOptions,
-                             warm: Optional[Tuple[Dict[str, float],
-                                                  Dict[str, float]]],
-                             x_ref: np.ndarray, tel) -> FaultRecord:
-    deltas = defect.delta_conductances(circuit)
-    if deltas is None:
-        return _solve_defect_impl(defect, circuit, oracles, options, warm)
-    context = DeltaContext.cached(circuit, options, x_ref)
-    index_pairs = [(context.structure.index(p), context.structure.index(n))
-                   for p, n, _ in deltas]
-    conductances = [g for _, _, g in deltas]
-    stats = NewtonStats(strategy="woodbury")
-    try:
-        if tel is None:
-            x = delta_solve(context, index_pairs, conductances, options,
-                            stats)
-        else:
+#: Default number of defects per low-rank batch.  Large enough that the
+#: vectorised device evaluation amortises the per-iteration Python
+#: overhead (wider batches keep winning well past this on the perf
+#: bench, but with shrinking returns), small enough that a parallel
+#: campaign still gets several batches to spread across workers and
+#: that late-converging members do not ride along as dead batch rows
+#: for many iterations.
+DEFAULT_BATCH_SIZE = 64
+
+#: Batch counters every unit of work reports (zeros off the low-rank path).
+_BATCH_COUNTER_KEYS = ("n_batched_solves", "batch_occupancy",
+                       "batch_fallbacks")
+
+
+def _solve_unit(unit: Sequence[Defect], *, circuit: Circuit,
+                oracles: Sequence[Oracle], options: SimOptions,
+                warm: Optional[Tuple[Dict[str, float], Dict[str, float]]],
+                x_ref: Optional[np.ndarray]
+                ) -> Tuple[List[FaultRecord], Dict[str, int]]:
+    """One campaign unit of work: inject or batch, solve, judge.
+
+    Without ``x_ref`` every defect takes the conventional path.  With
+    the fault-free solution ``x_ref``, the unit's low-rank defects
+    (added conductances between existing nets) are solved as one batch
+    on the shared fault-free system (:func:`repro.sim.batch.solve_batch`);
+    opens, defects whose low-rank view cannot be formed, and members
+    the batch returns unsolved take the conventional path.
+    Module-level so the parallel executor can pickle it.  Returns the
+    records in unit order plus the batch counters.
+    """
+    counters = dict.fromkeys(_BATCH_COUNTER_KEYS, 0)
+    batched: Dict[int, BatchMember] = {}
+    if x_ref is not None:
+        context = DeltaContext.cached(circuit, options, x_ref)
+        positions: List[int] = []
+        specs: List[Tuple[List[Tuple[int, int]], List[float]]] = []
+        for position, defect in enumerate(unit):
             try:
-                with tel.span("analysis", kind="dc") as span:
-                    with _newton_span(tel, stats, "woodbury"):
-                        x = delta_solve(context, index_pairs, conductances,
-                                        options, stats)
-                    span.set(strategy=stats.strategy,
-                             iterations=stats.iterations)
-            finally:
-                tel.record_newton(stats)
-    except (ConvergenceError, SingularMatrixError) as delta_error:
-        record = _solve_defect_impl(defect, circuit, oracles, options, warm)
-        if not record.quarantined:
-            record.solver = "delta-fallback"
+                deltas = defect.delta_conductances(circuit)
+                if deltas is None:
+                    continue
+                pairs = [(context.structure.index(p),
+                          context.structure.index(n))
+                         for p, n, _ in deltas]
+            except Exception:
+                continue  # the conventional path reproduces (and records) this
+            positions.append(position)
+            specs.append((pairs, [g for _, _, g in deltas]))
+        outcomes, batch_counters = solve_batch(context, specs, options)
+        batched = dict(zip(positions, outcomes))
+        for key in _BATCH_COUNTER_KEYS:
+            counters[key] = getattr(batch_counters, key)
+        tel = telemetry_for(options)
+        if tel is not None:
+            # Batch-level counters are recorded once here (the members'
+            # own solve stats flow through their records/defect spans);
+            # bypasses the per-solve histogram, which would otherwise
+            # see a phantom zero-iteration solve.
+            record_newton_stats(
+                tel.metrics, NewtonStats(strategy="batched", **counters))
+    records: List[FaultRecord] = []
+    for position, defect in enumerate(unit):
+        outcome = batched.get(position)
+        if outcome is None:
+            records.append(_traced(defect, oracles, options, functools.partial(
+                _solve_defect, defect, circuit, oracles, options, warm)))
         else:
-            # Keep the whole degradation trail in the quarantine reason:
-            # the delta rung failed first.
-            record.quarantine_reason = (
-                f"delta: {delta_error}; {record.quarantine_reason}")
-        # The failed low-rank attempt's work belongs to this defect:
-        # merge its counters too, so aggregate stats account every
-        # iteration identically on the serial and parallel paths.
-        record.merge_stats(stats)
-        return record
-    solution = DcSolution(context.structure, x, stats)
-    verdicts = {oracle.name: oracle.judge(solution) for oracle in oracles}
-    record = FaultRecord(defect=defect, verdicts=verdicts, solver="delta")
-    record.merge_stats(stats)
-    return record
+            records.append(_traced(defect, oracles, options, functools.partial(
+                _solve_low_rank, defect, circuit, oracles, options, warm,
+                context, outcome), outcome.stats))
+    return records, counters
 
 
 @dataclass
 class _WorkerResult:
-    """One parallel work unit's payload, shipped back to the parent.
+    """One parallel unit's payload, shipped back to the parent.
 
-    ``value`` is the unit's own result (a :class:`FaultRecord`, or the
-    batched path's ``(records, counters)`` pair).  ``pid`` lets the
-    parent tell a genuine worker process from an in-process degraded
-    run — when ``parallel_map`` falls back to serial execution the
-    wrapper runs in the parent, whose process-global
+    ``value`` is the unit's own ``(records, counters)`` result.  ``pid``
+    lets the parent tell a genuine worker process from an in-process
+    degraded run — when ``parallel_map`` falls back to serial execution
+    the wrapper runs in the parent, whose process-global
     :data:`~repro.sim.mna.CACHE_STATS` delta already includes this
     unit's activity, so the parent must not add ``cache_delta`` again.
     ``events``/``metrics`` carry captured telemetry when tracing is on
-    (see the capture/merge contract on :func:`_solve_defect_shipped`).
+    (see the capture/merge contract on :func:`_solve_unit_shipped`).
     """
 
     value: Any
@@ -556,13 +579,13 @@ class _WorkerResult:
     metrics: Optional[Dict[str, Any]] = None
 
 
-def _solve_defect_shipped(defect: Defect, *, solver, kwargs: Dict,
-                          capture: bool,
-                          trace_context=None) -> _WorkerResult:
-    """Worker-process wrapper: solve one defect, ship stats (+telemetry).
+def _solve_unit_shipped(unit: Sequence[Defect], *, kwargs: Dict,
+                        capture: bool,
+                        trace_context=None) -> _WorkerResult:
+    """Worker-process wrapper: solve one unit, ship stats (+telemetry).
 
     Used by every parallel campaign.  The worker's MNA structure-cache
-    delta for this unit rides back with the record so the parent can
+    delta for this unit rides back with the records so the parent can
     aggregate campaign-wide cache activity across processes.  With
     ``capture`` (tracing on) the worker additionally records into a
     fresh in-memory Telemetry — the parent cannot ship its tracer (open
@@ -580,139 +603,7 @@ def _solve_defect_shipped(defect: Defect, *, solver, kwargs: Dict,
         kwargs = dict(kwargs,
                       options=replace(kwargs["options"], telemetry=telemetry))
     cache_before = dict(CACHE_STATS)
-    record = solver(defect, **kwargs)
-    delta = {key: CACHE_STATS[key] - cache_before[key]
-             for key in cache_before}
-    return _WorkerResult(
-        record, os.getpid(), delta,
-        telemetry.events() if capture else None,
-        telemetry.metrics.snapshot() if capture else None)
-
-
-#: Default number of defects per stacked solve.  Large enough that the
-#: vectorised device evaluation amortises the per-iteration Python
-#: overhead (wider batches keep winning well past this on the perf
-#: bench, but with shrinking returns), small enough that a parallel
-#: campaign still gets several batches to spread across workers and
-#: that late-converging members do not ride along as dead batch rows
-#: for many iterations.
-DEFAULT_BATCH_SIZE = 64
-
-#: Zeroed batch-counter dict (the shape `_solve_defect_batch` returns).
-_BATCH_COUNTER_KEYS = ("n_batched_solves", "batch_occupancy",
-                       "batch_fallbacks")
-
-
-def _judge_batched(defect: Defect, oracles: Sequence[Oracle],
-                   context: DeltaContext, outcome, options: SimOptions
-                   ) -> FaultRecord:
-    """Turn one batch-converged member into a FaultRecord.
-
-    The operating point is bit-identical to what the serial delta path
-    would have produced (the batched engine's core guarantee), so the
-    oracles see exactly the solution they would have judged serially;
-    only the ``solver`` tag records that a batch did the work.
-    """
-    tel = telemetry_for(options)
-
-    def build() -> FaultRecord:
-        solution = DcSolution(context.structure, outcome.x, outcome.stats)
-        verdicts = {oracle.name: oracle.judge(solution)
-                    for oracle in oracles}
-        record = FaultRecord(defect=defect, verdicts=verdicts,
-                             solver="batched")
-        record.merge_stats(outcome.stats)
-        return record
-
-    if tel is None:
-        return _guarded(defect, oracles, build)
-    with tel.span("defect", defect=defect.describe(),
-                  kind=defect.kind) as span:
-        record = _guarded(defect, oracles, build)
-        tel.record_newton(outcome.stats)
-        _annotate_defect_span(span, record)
-        return record
-
-
-def _solve_defect_batch(batch: Sequence[Defect], *, circuit: Circuit,
-                        oracles: Sequence[Oracle], options: SimOptions,
-                        warm: Optional[Tuple[Dict[str, float],
-                                             Dict[str, float]]],
-                        x_ref: np.ndarray
-                        ) -> Tuple[List[FaultRecord], Dict[str, int]]:
-    """Campaign unit of work on the batched fast path.
-
-    Low-rank defects are solved as one stacked batch
-    (:func:`repro.sim.batch.solve_batch`); everything else — opens,
-    defects whose eligibility scan fails, and any member that diverges
-    or trips the deadline inside the batch — re-enters the serial
-    per-defect ladder (delta → warm full → cold retry), so its record is
-    bit-identical to a serial campaign's.  Module-level so the parallel
-    executor can pickle it.  Returns the records in batch order plus the
-    batch counters.
-    """
-    tel = telemetry_for(options)
-    records: List[Optional[FaultRecord]] = [None] * len(batch)
-    counters = dict.fromkeys(_BATCH_COUNTER_KEYS, 0)
-    try:
-        context = DeltaContext.cached(circuit, options, x_ref)
-    except Exception:
-        # The serial path rebuilds (and per-defect quarantines on) the
-        # same failure, so nothing is lost by degrading the whole batch.
-        context = None
-    if context is not None:
-        eligible: List[int] = []
-        specs: List[Tuple[List[Tuple[int, int]], List[float]]] = []
-        for position, defect in enumerate(batch):
-            try:
-                deltas = defect.delta_conductances(circuit)
-                if deltas is None:
-                    continue
-                pairs = [(context.structure.index(p),
-                          context.structure.index(n))
-                         for p, n, _ in deltas]
-            except Exception:
-                continue  # serial path reproduces (and records) this
-            eligible.append(position)
-            specs.append((pairs, [g for _, _, g in deltas]))
-        outcomes, batch_counters = solve_batch(context, specs, options)
-        for key in _BATCH_COUNTER_KEYS:
-            counters[key] += getattr(batch_counters, key)
-        if tel is not None:
-            # Batch-level counters are recorded once here (the members'
-            # own solve stats flow through their records/defect spans);
-            # bypasses the per-solve histogram, which would otherwise
-            # see a phantom zero-iteration solve.
-            record_newton_stats(
-                tel.metrics,
-                NewtonStats(strategy="batched", **counters))
-        for position, outcome in zip(eligible, outcomes):
-            if outcome.x is not None:
-                records[position] = _judge_batched(batch[position], oracles,
-                                                   context, outcome, options)
-    result: List[FaultRecord] = []
-    for position, defect in enumerate(batch):
-        record = records[position]
-        if record is None:
-            record = _solve_defect_delta(defect, circuit=circuit,
-                                         oracles=oracles, options=options,
-                                         warm=warm, x_ref=x_ref)
-        result.append(record)
-    return result, counters
-
-
-def _solve_batch_shipped(batch: Sequence[Defect], *, kwargs: Dict,
-                         capture: bool,
-                         trace_context=None) -> _WorkerResult:
-    """Worker-process wrapper for one batch (see
-    :func:`_solve_defect_shipped` for the shipping/merge contract)."""
-    telemetry = (Telemetry.capturing(context=trace_context)
-                 if capture else None)
-    if capture:
-        kwargs = dict(kwargs,
-                      options=replace(kwargs["options"], telemetry=telemetry))
-    cache_before = dict(CACHE_STATS)
-    value = _solve_defect_batch(batch, **kwargs)
+    value = _solve_unit(unit, **kwargs)
     delta = {key: CACHE_STATS[key] - cache_before[key]
              for key in cache_before}
     return _WorkerResult(
@@ -721,21 +612,23 @@ def _solve_batch_shipped(batch: Sequence[Defect], *, kwargs: Dict,
         telemetry.metrics.snapshot() if capture else None)
 
 
-def _batch_value_to_records(batch: Sequence[Defect],
-                            oracles: Sequence[Oracle], value: Any
-                            ) -> Tuple[List[FaultRecord], Dict[str, int]]:
-    """Normalize one batch result slot (records or a worker failure).
+def _unit_records(unit: Sequence[Defect], oracles: Sequence[Oracle],
+                  value: Any) -> Tuple[List[FaultRecord], Dict[str, int]]:
+    """Normalize one ``parallel_map`` result slot into records.
 
-    ``value`` is ``(records, counters)`` from :func:`_solve_defect_batch`
-    — the caller unwraps capture tuples first — or a
-    :class:`~repro.parallel.MapFailure`, which quarantines every defect
-    of the batch with the worker reason.
+    ``value`` is the unit's ``(records, counters)`` (serial path), a
+    :class:`_WorkerResult` envelope around it (parallel — the
+    cache/telemetry payloads are merged separately by the caller), or a
+    :class:`~repro.parallel.MapFailure` when the worker executing the
+    unit crashed or hung, which quarantines every defect of the unit.
     """
+    if isinstance(value, _WorkerResult):
+        value = value.value
     if isinstance(value, MapFailure):
         reason = (f"worker {value.stage} failure after {value.attempts} "
                   f"attempt(s): {value.error_type}: {value.error}")
         return ([_quarantine_record(defect, oracles, reason)
-                 for defect in batch], dict.fromkeys(_BATCH_COUNTER_KEYS, 0))
+                 for defect in unit], dict.fromkeys(_BATCH_COUNTER_KEYS, 0))
     records, counters = value
     return list(records), dict(counters)
 
@@ -915,32 +808,11 @@ class _CheckpointWriter:
         self._handle.close()
 
 
-def _value_to_record(defect: Defect, oracles: Sequence[Oracle],
-                     value: Any) -> FaultRecord:
-    """Normalize one ``parallel_map`` result slot into a FaultRecord.
-
-    ``value`` is a plain record (serial path), a :class:`_WorkerResult`
-    envelope (parallel — the cache/telemetry payloads are merged
-    separately by the caller), or a
-    :class:`~repro.parallel.MapFailure` when the worker executing the
-    defect crashed or hung, which quarantines the defect.
-    """
-    if isinstance(value, _WorkerResult):
-        value = value.value
-    if isinstance(value, MapFailure):
-        return _quarantine_record(
-            defect, oracles,
-            f"worker {value.stage} failure after {value.attempts} "
-            f"attempt(s): {value.error_type}: {value.error}")
-    return value
-
-
 def run_campaign(circuit: Circuit, defects: Sequence[Defect],
                  oracles: Sequence[Oracle], *,
                  options: SimOptions = DEFAULT_OPTIONS,
                  warm_start: bool = True,
-                 delta: bool = False,
-                 batched: bool = False,
+                 low_rank: bool = False,
                  batch_size: Optional[int] = None,
                  parallel: bool = False,
                  workers: Optional[int] = None,
@@ -955,8 +827,8 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
 
     ``circuit`` must already contain whatever the oracles read (monitor
     flags, supply sources).  Defects whose operating point cannot be
-    solved run down a degradation ladder — low-rank delta (when
-    ``delta=True``) → warm full solve → escalated cold retry — and are
+    solved run down a degradation ladder — low-rank batch (when
+    ``low_rank=True``) → warm full solve → escalated cold retry — and are
     *quarantined* when every rung fails: recorded as non-converged
     (trivially detectable, the paper-faithful reading) with the reason
     on :attr:`FaultRecord.quarantine_reason` and broken out by
@@ -995,39 +867,37 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
     ``warm_start`` seeds every faulty solve from the fault-free
     operating point (mapped by net name, see :func:`_warm_start_vector`),
     which typically halves the Newton iteration count per defect.
-    ``delta=True`` additionally routes every low-rank defect (added
-    resistors between existing nets: pipes, shorts, bridges) through the
-    fault-delta fast path — the shared fault-free compiled system instead
-    of per-defect injection and compilation (see
-    :func:`repro.sim.dc.delta_solve`: bitwise replay on dense systems,
-    Sherman-Morrison-Woodbury chords on sparse); topology-changing
-    defects (opens) and non-converging delta solves fall back to the
-    conventional path, counted in :attr:`CampaignResult.woodbury_fallbacks`.
-
-    ``batched=True`` goes one step further: defects are partitioned into
-    batches of ``batch_size`` (default :data:`DEFAULT_BATCH_SIZE`) and
-    each batch's low-rank members are solved as *one stacked Newton
-    iteration* — vectorised device evaluation over ``(n_defects,
-    n_devices)`` arrays and a multi-RHS linear solve per iteration (see
-    :func:`repro.sim.batch.solve_batch`), with per-defect convergence
-    masking.  Verdicts are bit-identical to the serial engines; any
-    member that diverges or trips the deadline inside the batch falls
-    back to the serial per-defect ladder (counted in
-    :attr:`CampaignResult.batch_fallbacks`), and ineligible defects
-    (opens, fallback devices) take the serial path directly.  Batch
-    work is observable via :attr:`CampaignResult.n_batched_solves` /
+    ``low_rank=True`` solves every low-rank defect (added resistors
+    between existing nets: pipes, shorts, bridges) on the shared
+    fault-free compiled system instead of per-defect injection and
+    compilation: defects are partitioned into batches of ``batch_size``
+    (default :data:`DEFAULT_BATCH_SIZE`) and each batch's low-rank
+    members run one stacked replay Newton (see
+    :func:`repro.sim.batch.solve_batch`: vectorised device evaluation
+    over ``(n_defects, n_devices)`` arrays, one stacked dense solve or
+    one sparse solve per member per iteration, per-defect convergence
+    masking).  Verdicts are bit-identical to the conventional path on
+    dense systems and equal to solver tolerance on sparse ones.
+    Topology-changing defects (opens) take the conventional path;
+    members the batch returns unsolved are re-solved conventionally
+    (tagged ``delta-fallback``, counted in
+    :attr:`CampaignResult.batch_fallbacks` and
+    :attr:`CampaignResult.woodbury_fallbacks`).  Batch work is
+    observable via :attr:`CampaignResult.n_batched_solves` /
     ``batch_occupancy`` / ``batch_fallbacks`` and the matching
-    ``campaign.*`` telemetry counters.
+    ``campaign.*`` telemetry counters.  ``batch_size`` must be at least
+    1 and is only accepted with ``low_rank=True``.
 
-    ``parallel=True`` fans the per-defect solves out over a process pool
-    (``workers`` processes, work split into ``chunk_size`` pieces — see
+    ``parallel=True`` fans the units of work — single defects, or
+    batches with ``low_rank=True`` — out over a process pool
+    (``workers`` processes, ``chunk_size`` defects per chunk, rounded up
+    to whole batches with ``low_rank=True`` — see
     :func:`repro.parallel.parallel_map`); results are returned in defect
     order and are identical to the serial path's.
 
     ``progress`` (when given) is called from the parent process as
-    ``progress(defects_done, defects_total, elapsed_seconds)`` — after
-    every defect on the serial path, after every completed chunk on the
-    parallel path.
+    ``progress(defects_done, defects_total, elapsed_seconds)`` after
+    every finished unit of work.
 
     With telemetry enabled (``options.telemetry`` or ``REPRO_TRACE``)
     the run traces the full ``campaign → defect → analysis →
@@ -1035,25 +905,31 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
     parent trace, and flushes a campaign-wide metrics snapshot at the
     end; render it with :class:`repro.telemetry.RunReport`.
     """
+    if batch_size is not None:
+        if not low_rank:
+            raise ValueError("batch_size applies only with low_rank=True")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, "
+                             f"got {batch_size}")
     tel = telemetry_for(options)
     defects = list(defects)
     if tel is None:
         return _run_campaign_impl(circuit, defects, oracles, options,
-                                  warm_start, delta, batched, batch_size,
+                                  warm_start, low_rank, batch_size,
                                   parallel, workers,
                                   chunk_size, progress, checkpoint, resume,
                                   store, store_namespace, None, None)
     profiler = profiler_for(options)
     with tel.span("campaign", n_defects=len(defects),
                   oracles=[oracle.name for oracle in oracles],
-                  warm_start=warm_start, delta=delta, batched=batched,
+                  warm_start=warm_start, low_rank=low_rank,
                   parallel=parallel) as span:
         if profiler is not None:
             profiler.start()
         try:
             result = _run_campaign_impl(circuit, defects, oracles, options,
-                                        warm_start, delta, batched,
-                                        batch_size, parallel, workers,
+                                        warm_start, low_rank, batch_size,
+                                        parallel, workers,
                                         chunk_size, progress, checkpoint,
                                         resume, store, store_namespace,
                                         tel, span)
@@ -1065,7 +941,7 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
                     span_id=span.span_id, trace_id=tel.tracer.trace_id))
                 span.set(profile_samples=profiler.n_samples)
         aggregate = result.aggregate_stats()
-        if batched:
+        if low_rank:
             span.set(n_batched_solves=result.n_batched_solves,
                      batch_occupancy=result.batch_occupancy,
                      batch_fallbacks=result.batch_fallbacks)
@@ -1119,7 +995,7 @@ def _valid_record_entry(entry: Any) -> bool:
 
 def _run_campaign_impl(circuit: Circuit, defects: List[Defect],
                        oracles: Sequence[Oracle], options: SimOptions,
-                       warm_start: bool, delta: bool, batched: bool,
+                       warm_start: bool, low_rank: bool,
                        batch_size: Optional[int], parallel: bool,
                        workers: Optional[int], chunk_size: Optional[int],
                        progress: Optional[Callable[[int, int, float], None]],
@@ -1185,7 +1061,7 @@ def _run_campaign_impl(circuit: Circuit, defects: List[Defect],
             writer.write(record)
     try:
         records_todo, batch_totals, worker_cache = _solve_todo(
-            circuit, todo, oracles, options, warm_start, delta, batched,
+            circuit, todo, oracles, options, warm_start, low_rank,
             batch_size, parallel, workers, chunk_size, progress, writer,
             tel, span)
     finally:
@@ -1221,7 +1097,7 @@ def _run_campaign_impl(circuit: Circuit, defects: List[Defect],
 
 def _solve_todo(circuit: Circuit, todo: List[Defect],
                 oracles: Sequence[Oracle], options: SimOptions,
-                warm_start: bool, delta: bool, batched: bool,
+                warm_start: bool, low_rank: bool,
                 batch_size: Optional[int], parallel: bool,
                 workers: Optional[int], chunk_size: Optional[int],
                 progress: Optional[Callable[[int, int, float], None]],
@@ -1229,10 +1105,14 @@ def _solve_todo(circuit: Circuit, todo: List[Defect],
                 ) -> Tuple[List[FaultRecord], Dict[str, int], Dict[str, int]]:
     """Solve the not-yet-checkpointed defects.
 
-    Returns the fresh records in ``todo`` order, the accumulated batch
-    counters (zeros for the per-defect engines), and the summed
-    MNA-cache deltas shipped back from genuine worker processes (the
-    parent's own delta is accounted by the caller)."""
+    The unit of work handed to :func:`repro.parallel.parallel_map` is a
+    list of defects — one defect each on the conventional path, one
+    batch each with ``low_rank`` — so every unit keeps the same
+    fault-tolerance properties: chunk salvage, hung-worker quarantine,
+    checkpoint streaming.  Returns the fresh records in ``todo`` order,
+    the accumulated batch counters (zeros off the low-rank path), and
+    the summed MNA-cache deltas shipped back from genuine worker
+    processes (the parent's own delta is accounted by the caller)."""
     batch_totals = dict.fromkeys(_BATCH_COUNTER_KEYS, 0)
     worker_cache = dict.fromkeys(CACHE_STATS, 0)
     if not todo:
@@ -1253,128 +1133,47 @@ def _solve_todo(circuit: Circuit, todo: List[Defect],
                 {name: reference.branch_current(name)
                  for name in reference.structure.branch_index})
 
+    size = (batch_size or DEFAULT_BATCH_SIZE) if low_rank else 1
+    units = [todo[i:i + size] for i in range(0, len(todo), size)]
+    # ``chunk_size`` counts defects; a chunk holds whole units.
+    if chunk_size is not None:
+        chunk_size = -(-chunk_size // size)
     # Worker processes must not receive the parent's telemetry (sinks
     # hold open file handles and would not merge anyway); with tracing
     # on they get a capturing wrapper instead, and their traces are
     # grafted back into the parent trace below.
-    solve_options = replace(options, telemetry=None) if parallel else options
-    if batched:
-        return _solve_todo_batched(circuit, todo, oracles, options,
-                                   solve_options, warm, reference,
-                                   batch_size, parallel, workers,
-                                   chunk_size, progress, writer, tel, span,
-                                   batch_totals, worker_cache)
-    kwargs: Dict = dict(circuit=circuit, oracles=tuple(oracles),
-                        options=solve_options, warm=warm)
-    solver = _solve_defect
-    if delta:
-        solver = _solve_defect_delta
-        kwargs["x_ref"] = reference.x.copy()
+    kwargs: Dict = dict(
+        circuit=circuit, oracles=tuple(oracles),
+        options=replace(options, telemetry=None) if parallel else options,
+        warm=warm, x_ref=reference.x.copy() if low_rank else None)
     capture = parallel and tel is not None
     if parallel:
         # Workers join the campaign's trace: spans they create carry the
         # root trace_id and parent under the campaign span from birth.
         trace_context = tel.tracer.context(span) if capture else None
-        solve = functools.partial(_solve_defect_shipped, solver=solver,
-                                  kwargs=kwargs, capture=capture,
-                                  trace_context=trace_context)
-    else:
-        solve = functools.partial(solver, **kwargs)
-
-    callback = None
-    if progress is not None:
-        start = time.perf_counter()
-
-        def callback(done: int, total: int) -> None:
-            progress(done, total, time.perf_counter() - start)
-
-    on_result = None
-    if writer is not None:
-        def on_result(index: int, value) -> None:
-            # Stream every finalized record to the checkpoint the moment
-            # the parent sees it — including quarantined ones, so a
-            # resume does not re-run a defect that already cost a hang.
-            writer.write(_value_to_record(todo[index], oracles, value))
-
-    raw = parallel_map(solve, todo, workers=workers,
-                       chunk_size=chunk_size, serial=not parallel,
-                       progress=callback, on_result=on_result,
-                       chunk_timeout=(options.chunk_timeout_s
-                                      if options.chunk_timeout_s > 0
-                                      else None),
-                       max_chunk_retries=options.max_chunk_retries,
-                       retry_backoff=options.chunk_retry_backoff_s,
-                       on_error="return",
-                       metrics=tel.metrics if tel is not None else None)
-    records: List[FaultRecord] = []
-    parent_id = span.span_id if span is not None else None
-    parent_pid = os.getpid()
-    for defect, value in zip(todo, raw):
-        records.append(_value_to_record(defect, oracles, value))
-        if isinstance(value, _WorkerResult):
-            if value.pid != parent_pid:
-                for key, amount in value.cache_delta.items():
-                    worker_cache[key] = worker_cache.get(key, 0) + amount
-            if capture and value.events is not None:
-                tel.tracer.ingest(value.events, parent_id=parent_id)
-                tel.metrics.merge(value.metrics)
-    return records, batch_totals, worker_cache
-
-
-def _solve_todo_batched(circuit: Circuit, todo: List[Defect],
-                        oracles: Sequence[Oracle], options: SimOptions,
-                        solve_options: SimOptions, warm,
-                        reference: DcSolution, batch_size: Optional[int],
-                        parallel: bool, workers: Optional[int],
-                        chunk_size: Optional[int],
-                        progress: Optional[Callable[[int, int, float],
-                                                    None]],
-                        writer, tel, span, batch_totals: Dict[str, int],
-                        worker_cache: Dict[str, int]
-                        ) -> Tuple[List[FaultRecord], Dict[str, int],
-                                   Dict[str, int]]:
-    """Batched counterpart of the per-defect solve loop.
-
-    The unit of work handed to :func:`repro.parallel.parallel_map` is a
-    whole *batch* of defects (one stacked solve plus its per-defect
-    fallbacks), so parallel batched campaigns keep every fault-tolerance
-    property of the per-defect path — chunk salvage, hung-worker
-    quarantine, checkpoint streaming — at batch granularity.
-    """
-    size = batch_size if batch_size and batch_size > 0 else DEFAULT_BATCH_SIZE
-    batches = [todo[i:i + size] for i in range(0, len(todo), size)]
-    kwargs: Dict = dict(circuit=circuit, oracles=tuple(oracles),
-                        options=solve_options, warm=warm,
-                        x_ref=reference.x.copy())
-    capture = parallel and tel is not None
-    if parallel:
-        trace_context = tel.tracer.context(span) if capture else None
-        solve = functools.partial(_solve_batch_shipped, kwargs=kwargs,
+        solve = functools.partial(_solve_unit_shipped, kwargs=kwargs,
                                   capture=capture,
                                   trace_context=trace_context)
     else:
-        solve = functools.partial(_solve_defect_batch, **kwargs)
-
-    def unwrap(value):
-        return value.value if isinstance(value, _WorkerResult) else value
+        solve = functools.partial(_solve_unit, **kwargs)
 
     start = time.perf_counter()
-    defects_done = [0]
+    defects_done = 0
 
     def on_result(index: int, value) -> None:
-        # parallel_map's own progress callback counts *batches*; defect
-        # counts (and the checkpoint stream) come from here instead.
-        batch_records, _ = _batch_value_to_records(batches[index], oracles,
-                                                   unwrap(value))
+        nonlocal defects_done
+        unit_records, _ = _unit_records(units[index], oracles, value)
         if writer is not None:
-            for record in batch_records:
+            # Stream every finalized record to the checkpoint the moment
+            # the parent sees it — including quarantined ones, so a
+            # resume does not re-run a defect that already cost a hang.
+            for record in unit_records:
                 writer.write(record)
         if progress is not None:
-            defects_done[0] += len(batch_records)
-            progress(defects_done[0], len(todo),
-                     time.perf_counter() - start)
+            defects_done += len(unit_records)
+            progress(defects_done, len(todo), time.perf_counter() - start)
 
-    raw = parallel_map(solve, batches, workers=workers,
+    raw = parallel_map(solve, units, workers=workers,
                        chunk_size=chunk_size, serial=not parallel,
                        on_result=on_result,
                        chunk_timeout=(options.chunk_timeout_s
@@ -1387,7 +1186,7 @@ def _solve_todo_batched(circuit: Circuit, todo: List[Defect],
     records: List[FaultRecord] = []
     parent_id = span.span_id if span is not None else None
     parent_pid = os.getpid()
-    for batch, value in zip(batches, raw):
+    for unit, value in zip(units, raw):
         if isinstance(value, _WorkerResult):
             if value.pid != parent_pid:
                 for key, amount in value.cache_delta.items():
@@ -1395,9 +1194,8 @@ def _solve_todo_batched(circuit: Circuit, todo: List[Defect],
             if capture and value.events is not None:
                 tel.tracer.ingest(value.events, parent_id=parent_id)
                 tel.metrics.merge(value.metrics)
-        batch_records, counters = _batch_value_to_records(batch, oracles,
-                                                          unwrap(value))
-        records.extend(batch_records)
+        unit_records, counters = _unit_records(unit, oracles, value)
+        records.extend(unit_records)
         for key in _BATCH_COUNTER_KEYS:
-            batch_totals[key] += counters.get(key, 0)
+            batch_totals[key] += counters[key]
     return records, batch_totals, worker_cache

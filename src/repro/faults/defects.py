@@ -67,8 +67,8 @@ class Defect:
         A defect that only *adds* resistors between nets that already
         exist is a rank-k update ``U diag(g) U^T`` of the fault-free MNA
         matrix; this returns its ``(net_p, net_n, g)`` terms so the
-        campaign can solve it through the Sherman-Morrison-Woodbury
-        identity without re-compiling the topology.  Defects that split
+        campaign can solve it on the shared fault-free compiled system
+        without re-compiling the topology.  Defects that split
         nets or remove elements return ``None`` (the campaign injects and
         solves them conventionally).  Implementations perform the same
         validation as :meth:`apply` and raise the same errors.
@@ -298,8 +298,8 @@ class OxideBreakdown(Defect):
     amplitude detectors' thresholds decide detection.
 
     Being a pure added conductance between existing nets, it carries a
-    :meth:`delta_conductances` view, so the delta and batched campaign
-    engines solve it without recompiling the topology.
+    :meth:`delta_conductances` view, so the low-rank campaign engine
+    solves it without recompiling the topology.
     """
 
     transistor: str

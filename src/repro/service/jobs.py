@@ -42,8 +42,7 @@ class JobSpec:
     limit: Optional[int] = None
     include_monitor_sites: bool = False
     # Engine knobs (mirror ``run_campaign``'s signature).
-    delta: bool = False
-    batched: bool = False
+    low_rank: bool = False
     parallel: bool = False
     workers: Optional[int] = None
     chunk_size: Optional[int] = None

@@ -176,7 +176,7 @@ class CampaignService:
                         len(defects), job.spec.workers or self.workers)
                 result = run_campaign(
                     circuit, defects, oracles, options=options,
-                    delta=job.spec.delta, batched=job.spec.batched,
+                    low_rank=job.spec.low_rank,
                     parallel=job.spec.parallel,
                     workers=job.spec.workers or self.workers,
                     chunk_size=chunk_size, progress=progress,

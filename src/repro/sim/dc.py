@@ -13,15 +13,14 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..telemetry import telemetry_for
-from .mna import (FactorCache, FaultedSystem, LowRankSolver, MnaStamper,
-                  MnaStructure, SingularMatrixError, build_base,
-                  stamp_nonlinear, structure_for)
+from .mna import (FactorCache, MnaStamper, MnaStructure, SingularMatrixError,
+                  build_base, stamp_nonlinear, structure_for)
 from .options import DEFAULT_OPTIONS, SimOptions
 
 
@@ -85,13 +84,13 @@ class NewtonStats:
     #: Adaptive-transient steps rejected by the LTE controller (or by a
     #: Newton failure forcing a step cut) and retried at a smaller step.
     n_rejected_steps: int = 0
-    #: Fault-campaign delta solves that fell back to a full solve.
+    #: Low-rank campaign solves that fell back to a conventional solve.
     woodbury_fallbacks: int = 0
-    #: Batched-campaign counters (see :mod:`repro.sim.batch`): stacked /
-    #: multi-RHS linear solves performed, the summed number of
-    #: still-active batch members across those solves (mean occupancy =
-    #: ``batch_occupancy / n_batched_solves``), and members that left
-    #: their batch for the per-defect fallback ladder.
+    #: Low-rank batch counters (see :mod:`repro.sim.batch`): batched
+    #: replay iterations performed, the summed number of still-active
+    #: batch members across those iterations (mean occupancy =
+    #: ``batch_occupancy / n_batched_solves``), and members the batch
+    #: returned unsolved for the conventional rungs.
     n_batched_solves: int = 0
     batch_occupancy: int = 0
     batch_fallbacks: int = 0
@@ -328,23 +327,22 @@ def _modified_newton(system, options: SimOptions, x: np.ndarray, n_nets: int,
 
 
 class DeltaContext:
-    """Shared fault-free state for a campaign's low-rank delta solves.
+    """Shared fault-free state for a campaign's low-rank solves.
 
     Built once per (circuit, options, reference solution): the compiled
-    fault-free system, one factorization of its Jacobian at the reference
-    operating point, and a snapshot of the junction-limiting state so
-    every defect's solve replays from an identical starting point
-    regardless of what was solved before it (serial/parallel identity).
+    fault-free system and the junction-limiting state a freshly compiled
+    injected circuit starts from, so every defect's solve
+    (:func:`repro.sim.batch.solve_batch`) replays from an identical
+    starting point regardless of what was solved before it
+    (serial/parallel identity).
     """
 
-    def __init__(self, structure: MnaStructure, system, cache: FactorCache,
-                 x_ref: np.ndarray, reset_limits, reference_limits):
+    def __init__(self, structure: MnaStructure, system, x_ref: np.ndarray,
+                 reset_limits: np.ndarray):
         self.structure = structure
         self.system = system
-        self.cache = cache
         self.x_ref = x_ref
-        self._reset_limits = reset_limits
-        self._reference_limits = reference_limits
+        self.reset_limits = reset_limits
 
     @classmethod
     def build(cls, circuit: Circuit, options: SimOptions,
@@ -354,21 +352,11 @@ class DeltaContext:
         stamps = structure.compiled()
         stamps.refresh()
         system = stamps.build_system(options)
-        # Two limiting-state snapshots.  The *reset* snapshot is taken
-        # before any assembly: it is exactly the state a freshly compiled
-        # injected circuit starts from (operating_point resets device
-        # states before plain Newton), so the replay solver can reproduce
-        # the conventional path's trajectory bit for bit.  The *reference*
-        # snapshot is taken after two assembly passes settle the junction
-        # memory at x_ref — that matrix is the chord operator every
-        # defect's Woodbury solve shares.
-        reset_limits = stamps.snapshot_limits()
-        system.assemble(x_ref)
-        matrix, _, _ = system.assemble(x_ref)
-        cache = FactorCache()
-        cache.factorize(matrix, system.factor_token, system.sparse)
-        return cls(structure, system, cache, x_ref.copy(),
-                   reset_limits, stamps.snapshot_limits())
+        # The limiting state before any assembly is exactly the state a
+        # freshly compiled injected circuit starts from (operating_point
+        # resets device states before plain Newton), so the replay can
+        # reproduce the conventional path's trajectory bit for bit.
+        return cls(structure, system, x_ref.copy(), stamps.snapshot_limits())
 
     @classmethod
     def cached(cls, circuit: Circuit, options: SimOptions,
@@ -390,191 +378,6 @@ class DeltaContext:
         context = cls.build(circuit, options, x_ref)
         structure.delta_context = (options, context)
         return context
-
-    def restore_reset(self) -> None:
-        """Restore the pristine (pre-assembly) junction-limiting state."""
-        self.system.stamps.restore_limits(self._reset_limits)
-
-    def restore_reference(self) -> None:
-        """Restore the settled-at-``x_ref`` junction-limiting state."""
-        self.system.stamps.restore_limits(self._reference_limits)
-
-
-#: Chord-phase pathology guards: a per-step update this large (in the
-#: MNA unit system: volts / amperes, circuit scale ~2) means the iterate
-#: left any physically meaningful region, and this many local
-#: refactorizations means the reference operator is not going to carry
-#: the solve home.  Both escalate to the plain-Newton phase.
-_DELTA_STEP_BLOWUP = 1e3
-_DELTA_MAX_LOCAL_FACTORIZATIONS = 8
-
-
-def delta_solve(context: DeltaContext,
-                index_pairs: Sequence[Tuple[int, int]],
-                conductances: Sequence[float], options: SimOptions,
-                stats: Optional[NewtonStats] = None) -> np.ndarray:
-    """Solve one low-rank-faulted operating point without re-compiling.
-
-    Both strategies work on the :class:`~repro.sim.mna.FaultedSystem`
-    view of the *base* circuit (the faulty Jacobian is the fault-free one
-    plus ``U diag(g) U^T``), so no per-defect injection, topology rebuild
-    or restamping-table compilation ever happens:
-
-    * **Replay Newton** (dense default) — plain Newton from the reference
-      point with a fresh factorization every iteration.  On small dense
-      systems factorization is far cheaper than device evaluation, so
-      chord iterations do not pay (the same finding that gates transient
-      LU reuse to the sparse path); the win here is eliminating the
-      per-defect deepcopy/inject/compile overhead.  The replay is
-      engineered to be *bit-for-bit identical* to the conventional
-      inject-and-solve trajectory — same starting state, same matrix
-      accumulation order, same linear solver — so campaign verdicts
-      cannot drift even on bistable faulty circuits.
-    * **Woodbury chord** (sparse path, or ``newton_reuse="always"``) —
-      Newton steps through the shared reference factorization with a
-      Sherman-Morrison-Woodbury correction; zero per-defect
-      factorizations while it converges.  A stalled residual
-      refactorizes the true faulty Jacobian locally; pathological chords
-      (step blow-up, repeated stalls) escalate to the replay solver.
-
-    Raises :class:`ConvergenceError` / :class:`SingularMatrixError` when
-    everything fails; the campaign then falls back to a conventional
-    inject-and-solve (which brings the gmin/source-stepping homotopies).
-
-    ``options.delta_residual_tol > 0`` adds a hard KCL-residual
-    acceptance gate (amperes), which tests use to pin the chord solution
-    near the full solve.
-    """
-    faulted = FaultedSystem(context.system, index_pairs, conductances)
-    deadline = _deadline_for(options)
-    use_chord = options.newton_reuse != "never" and (
-        context.system.sparse or options.newton_reuse == "always")
-    if use_chord:
-        try:
-            return _delta_chord(context, faulted, index_pairs, conductances,
-                                options, stats, deadline)
-        except SolveDeadlineExceeded:
-            raise
-        except (ConvergenceError, SingularMatrixError):
-            pass
-    return _delta_replay(context, faulted, options, stats, deadline)
-
-
-def _delta_residual(faulted: FaultedSystem, matrix, rhs: np.ndarray,
-                    x: np.ndarray) -> Tuple[np.ndarray, float]:
-    residual = rhs - (matrix.dot(x) if faulted.sparse else matrix @ x)
-    rnorm = float(np.max(np.abs(residual))) if residual.size else 0.0
-    return residual, rnorm
-
-
-def _delta_chord(context: DeltaContext, faulted: FaultedSystem,
-                 index_pairs: Sequence[Tuple[int, int]],
-                 conductances: Sequence[float], options: SimOptions,
-                 stats: Optional[NewtonStats],
-                 deadline: Optional[float] = None) -> np.ndarray:
-    """Woodbury chords through the shared reference factorization."""
-    context.restore_reference()
-    solver = LowRankSolver(context.cache, faulted.n, index_pairs,
-                           conductances)
-    n_nets = context.structure.n_nets
-    res_tol = options.delta_residual_tol
-    x = context.x_ref.copy()
-    operator: Optional[FactorCache] = None
-    local_factorizations = 0
-    prev_rnorm: Optional[float] = None
-    pending = False
-    for iteration in range(options.delta_max_iterations):
-        _check_deadline(deadline, iteration, "delta chord solve")
-        matrix, rhs, limited = faulted.assemble(x)
-        residual, rnorm = _delta_residual(faulted, matrix, rhs, x)
-        if pending and rnorm <= res_tol:
-            return x
-        if not np.isfinite(rnorm):
-            raise SingularMatrixError("residual contains non-finite values")
-        if (prev_rnorm is not None
-                and rnorm > options.reuse_stall_ratio * prev_rnorm):
-            # Stalled: refactorize the true faulty Jacobian at the
-            # current iterate and continue chording through it.
-            if local_factorizations >= _DELTA_MAX_LOCAL_FACTORIZATIONS:
-                raise ConvergenceError("chord phase keeps stalling")
-            if operator is None:
-                operator = FactorCache()
-            operator.factorize(matrix, faulted.factor_token, faulted.sparse)
-            local_factorizations += 1
-            if stats is not None:
-                stats.n_factorizations += 1
-        elif stats is not None:
-            stats.n_reuses += 1
-        prev_rnorm = rnorm
-        dx = (solver if operator is None else operator).solve(residual)
-        if options.max_voltage_step > 0:
-            np.clip(dx[:n_nets], -options.max_voltage_step,
-                    options.max_voltage_step, out=dx[:n_nets])
-        x_new = x + dx
-        if not np.all(np.isfinite(x_new)):
-            raise SingularMatrixError("solution contains non-finite values")
-        if float(np.max(np.abs(dx))) > _DELTA_STEP_BLOWUP:
-            raise ConvergenceError("chord step blow-up")
-        if stats is not None:
-            stats.iterations += 1
-        pending = (not limited
-                   and _converged(x, x_new, n_nets, options,
-                                  options.delta_accept_factor))
-        if pending and res_tol <= 0:
-            return x_new
-        x = x_new
-    raise ConvergenceError(
-        f"delta chord did not converge in {options.delta_max_iterations} "
-        "iterations"
-    )
-
-
-def _delta_replay(context: DeltaContext, faulted: FaultedSystem,
-                  options: SimOptions,
-                  stats: Optional[NewtonStats],
-                  deadline: Optional[float] = None) -> np.ndarray:
-    """Plain Newton on the faulted view — a bitwise conventional replay.
-
-    Every ingredient matches the full inject-and-solve path's first
-    strategy exactly: the junction-limiting state starts from the reset
-    snapshot (``operating_point`` resets device states), the faulted
-    matrix accumulates in the same element order a compiled injected
-    circuit would use, and each step is the same direct
-    ``solve_assembled`` call.  Identical floating-point inputs through
-    identical operations give identical iterates — so the verdicts of a
-    delta campaign provably match the conventional campaign's, including
-    on bistable faulty circuits where solvers with merely
-    tolerance-level agreement can land in different operating points.
-    """
-    context.restore_reset()
-    n_nets = context.structure.n_nets
-    res_tol = options.delta_residual_tol
-    x = context.x_ref.copy()
-    pending = False
-    for iteration in range(options.max_nr_iterations):
-        _check_deadline(deadline, iteration, "delta replay solve")
-        matrix, rhs, limited = faulted.assemble(x)
-        if pending:
-            _, rnorm = _delta_residual(faulted, matrix, rhs, x)
-            if rnorm <= res_tol:
-                return x
-        x_new = faulted.solve_assembled(matrix, rhs)
-        if options.max_voltage_step > 0:
-            delta = x_new[:n_nets] - x[:n_nets]
-            np.clip(delta, -options.max_voltage_step,
-                    options.max_voltage_step, out=delta)
-            x_new[:n_nets] = x[:n_nets] + delta
-        if stats is not None:
-            stats.iterations += 1
-            stats.n_factorizations += 1
-        pending = not limited and _converged(x, x_new, n_nets, options)
-        if pending and res_tol <= 0:
-            return x_new
-        x = x_new
-    raise ConvergenceError(
-        f"delta replay Newton did not converge in "
-        f"{options.max_nr_iterations} iterations"
-    )
 
 
 def _converged(x_old: np.ndarray, x_new: np.ndarray, n_nets: int,

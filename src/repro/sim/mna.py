@@ -545,7 +545,7 @@ class CompiledStamps:
         # --- linear patterns -----------------------------------------
         res_a = _index_array(structure, [r.net("p") for r in self._resistors])
         res_b = _index_array(structure, [r.net("n") for r in self._resistors])
-        # Kept for FaultedSystem, which rebuilds this segment with fault
+        # Kept for faulted_dense_base, which rebuilds this segment with fault
         # conductances appended in the exact order an injected circuit
         # (fault resistor added last) would stamp them.
         self._res_net_a, self._res_net_b = res_a, res_b
@@ -642,16 +642,11 @@ class CompiledStamps:
     def snapshot_limits(self) -> np.ndarray:
         """A copy of the junction-limiting state (junction-vector order).
 
-        Paired with :meth:`restore_limits` so a caller replaying many
-        solves from one reference point (the fault-delta campaign) can
-        start every solve from an identical, history-independent state —
-        a requirement for serial/parallel result identity.
+        The low-rank campaign engine starts every defect's solve from
+        the snapshot taken at reset, an identical, history-independent
+        state — a requirement for serial/parallel result identity.
         """
         return self._limits.copy()
-
-    def restore_limits(self, saved: np.ndarray) -> None:
-        """Restore a :meth:`snapshot_limits` state."""
-        self._limits = saved.copy()
 
     def store_states(self) -> None:
         """Write limiting state back to the devices.
@@ -688,12 +683,12 @@ class CompiledStamps:
         """True when every nonlinear device has a compiled pattern.
 
         Fallback devices stamp through a per-component Python callback
-        and cannot be evaluated as a stacked batch; the batched campaign
-        driver routes such topologies to the serial engines instead.
+        and cannot be evaluated as a stacked batch; the low-rank campaign
+        engine leaves such topologies to the conventional path.
         """
         return not self._nonlinear_fallback
 
-    def eval_nonlinear_batch(self, X, limits, xp=np):
+    def eval_nonlinear_batch(self, X, limits):
         """Batched :meth:`eval_nonlinear` over a ``(B, n)`` iterate stack.
 
         ``X`` holds one Newton iterate per batch member (one member per
@@ -704,12 +699,12 @@ class CompiledStamps:
         value stacks, a per-member limited vector and the updated state.
         Serial and batched calls run the same kernel, so row ``j`` of
         every output is bitwise equal to a serial call with member
-        ``j``'s state — the property the batched campaign's verdict
+        ``j``'s state — the property the low-rank campaign's verdict
         identity rests on.
         """
-        return self._eval_junctions(X, limits, xp)
+        return self._eval_junctions(X, limits)
 
-    def _eval_junctions(self, X, limits, xp=np):
+    def _eval_junctions(self, X, limits):
         """The junction kernel: every device stamp at iterate(s) ``X``.
 
         Works over the last axis, so a 1-D iterate and each row of a
@@ -720,7 +715,7 @@ class CompiledStamps:
         """
         n = self.structure.n_unknowns
         lead = X.shape[:-1]
-        X_ext = xp.empty(lead + (n + 1,))
+        X_ext = np.empty(lead + (n + 1,))
         X_ext[..., :n] = X
         X_ext[..., n] = 0.0  # ground slot, reached through index -1
         terminals = X_ext.take(self._j_terminals, axis=-1)  # (p, n) nets
@@ -729,8 +724,8 @@ class CompiledStamps:
         i, g = junction_current_vec(v, self._j_isat, self._j_nvt)
 
         nd, mq = self._n_diodes, len(self._bjts)
-        vals = xp.empty(lead + (len(self.nl_rows),))
-        rhs = xp.empty(lead + (len(self.nl_rhs_rows),))
+        vals = np.empty(lead + (len(self.nl_rows),))
+        rhs = np.empty(lead + (len(self.nl_rhs_rows),))
         d_vals, d_rhs = len(self._d_src), len(self._d_rhs_src)
         if nd:
             vals[..., :d_vals] = g.take(self._d_src, axis=-1) * self._d_sign
@@ -746,7 +741,7 @@ class CompiledStamps:
             gde, gdc = gj[..., 0, :], gj[..., 1, :]
             i_tran = ij[..., 0, :] - ij[..., 1, :]
 
-            cur = xp.empty(lead + (3, mq))          # (ic, ib, ie)
+            cur = np.empty(lead + (3, mq))          # (ic, ib, ie)
             if self._has_early:
                 k, dk = self._early_factor(vj[..., 1, :])
                 cur[..., 0, :] = i_tran * k - ij_beta[..., 1, :]
@@ -759,7 +754,7 @@ class CompiledStamps:
             cur[..., 1, :] = ij_beta[..., 0, :] + ij_beta[..., 1, :]
             cur[..., 2, :] = -(cur[..., 0, :] + cur[..., 1, :])
 
-            stamp = xp.empty(lead + (3, 3, mq))
+            stamp = np.empty(lead + (3, 3, mq))
             stamp[..., 0, 0, :] = gde_k + dic_dvbc           # (c, b)
             stamp[..., 0, 1, :] = -dic_dvbc                  # (c, c)
             stamp[..., 0, 2, :] = -gde_k                     # (c, e)
@@ -773,7 +768,7 @@ class CompiledStamps:
 
             # Node voltages (b, c, e) at the limited linearisation point.
             vb = terminals[..., 0, nd:nd + mq]
-            node = xp.empty(lead + (3, mq))
+            node = np.empty(lead + (3, mq))
             node[..., 0, :] = vb
             node[..., 1:, :] = vb[..., None, :] - vj[..., ::-1, :]
             terms = stamp * node[..., None, :, :]
@@ -875,7 +870,7 @@ class CompiledStamps:
                 companions)
         system = CompiledSystem(self, sparse, static_rows, static_cols,
                                 static_vals, rhs, pattern)
-        # FaultedSystem replays this build with extra fault conductances
+        # faulted_dense_base replays this build with extra fault conductances
         # spliced into the resistor segment: it needs the per-solve
         # resistor values and the non-resistor static segments verbatim so
         # its base matrix accumulates in the same order (hence bitwise
@@ -947,16 +942,12 @@ class CompiledSystem:
             return ("sparse", self.n, id(self.pattern))
         return ("dense", self.n, id(self.stamps))
 
-    def assemble(self, x: np.ndarray, base_override: Optional[np.ndarray] = None):
+    def assemble(self, x: np.ndarray):
         """Assemble the system linearised at iterate ``x``.
 
         Returns ``(matrix, rhs, limited)`` where ``matrix`` is a fresh
         dense ndarray or CSC matrix (safe for the caller to mutate) and
         ``limited`` reports junction limiting at this iterate.
-
-        ``base_override`` (dense path only) substitutes a different static
-        base matrix — :class:`FaultedSystem` passes its fault-overlaid
-        base so the nonlinear restamping stays byte-for-byte the same.
         """
         stamps = self.stamps
         nl_vals, nl_rhs_vals, limited = stamps.eval_nonlinear(x)
@@ -968,7 +959,19 @@ class CompiledSystem:
             for component in stamps._nonlinear_fallback:
                 component.stamp_nonlinear(fb, voltages)
             limited = limited or fb.limited
+        matrix, rhs = self.stamp(nl_vals, nl_rhs_vals, fb)
+        return matrix, rhs, limited
 
+    def stamp(self, nl_vals: np.ndarray, nl_rhs_vals: np.ndarray,
+              fb: Optional[_FallbackCollector] = None):
+        """``(matrix, rhs)`` from evaluated device stamp values.
+
+        ``nl_vals``/``nl_rhs_vals`` are aligned with the compiled
+        nonlinear pattern (one :meth:`CompiledStamps.eval_nonlinear`
+        result, or one row of a batched evaluation); ``fb`` carries the
+        fallback devices' stamps.
+        """
+        stamps = self.stamps
         rhs = self.rhs_base.copy()
         np.add.at(rhs, stamps.nl_rhs_rows, nl_rhs_vals)
         if fb is not None:
@@ -986,13 +989,12 @@ class CompiledSystem:
                 matrix = matrix + coo_matrix(
                     (vals, (rows, cols)), shape=(self.n, self.n)).tocsc()
         else:
-            base = self.base_dense if base_override is None else base_override
-            matrix = base.copy()
+            matrix = self.base_dense.copy()
             np.add.at(matrix, (stamps.nl_rows, stamps.nl_cols), nl_vals)
             if fb is not None:
                 rows, cols, vals = fb.matrix_arrays()
                 np.add.at(matrix, (rows, cols), vals)
-        return matrix, rhs, limited
+        return matrix, rhs
 
     def solve_assembled(self, matrix, rhs: np.ndarray) -> np.ndarray:
         """Direct solve of an assembled system (one factorization)."""
@@ -1063,121 +1065,60 @@ class FactorCache:
         return self._solve(rhs)
 
 
-class LowRankSolver:
-    """Sherman–Morrison–Woodbury solve of ``(A0 + U diag(g) U^T) y = r``.
+def faulted_dense_base(system: CompiledSystem,
+                       index_pairs: Sequence[Tuple[int, int]],
+                       conductances: Sequence[float]) -> np.ndarray:
+    """Dense static base of ``system`` with fault conductances added.
 
-    ``base`` is a :class:`FactorCache` holding a factorization of the
-    fault-free matrix ``A0``; each column of ``U`` is ``e_p - e_n`` for a
-    fault conductance ``g`` stamped between two existing nets (ground
-    rows dropped).  Used by the fault campaign to solve every defect's
-    Newton iterations through one shared factorization.
+    Adds ``g_j`` between the net index pairs of a low-rank defect,
+    bitwise equal to the base of a compiled build of the injected
+    circuit.  A fault resistor added to the circuit lands at the end of
+    the resistor list, so that build stamps its conductance *inside* the
+    resistor segment, before the gmin and source segments.  Re-running
+    the same slot-major pattern over the extended resistor arrays — then
+    replaying the stored non-resistor segments verbatim — reproduces
+    that accumulation order exactly, which keeps every floating-point
+    sum (and therefore every Newton iterate of the replay solver)
+    identical to the conventional inject-and-solve path.
     """
-
-    def __init__(self, base: FactorCache, n: int,
-                 index_pairs: Sequence[Tuple[int, int]],
-                 conductances: Sequence[float]):
-        self.base = base
-        self.pairs = list(index_pairs)
-        g = np.asarray(conductances, dtype=float)
-        k = len(self.pairs)
-        u = np.zeros((n, k))
-        for j, (p, q) in enumerate(self.pairs):
-            if p >= 0:
-                u[p, j] += 1.0
-            if q >= 0:
-                u[q, j] -= 1.0
-        self.u = u
-        z = base.solve(u)
-        self.z = z if z.ndim == 2 else z.reshape(n, k)
-        self.capacitance = np.diag(1.0 / g) + u.T @ self.z
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        y = self.base.solve(r)
-        try:
-            w = np.linalg.solve(self.capacitance, self.u.T @ y)
-        except np.linalg.LinAlgError as error:
-            raise SingularMatrixError(str(error)) from None
-        return y - self.z @ w
+    stamps = system.stamps
+    fault_a = np.asarray([p for p, _ in index_pairs], dtype=np.intp)
+    fault_b = np.asarray([q for _, q in index_pairs], dtype=np.intp)
+    idx_a = np.concatenate([stamps._res_net_a, fault_a])
+    idx_b = np.concatenate([stamps._res_net_b, fault_b])
+    rows, cols, src, sign = _conductance_pattern(idx_a, idx_b)
+    g_all = np.concatenate([system.res_g,
+                            np.asarray(conductances, dtype=float)])
+    base = np.zeros((system.n, system.n))
+    np.add.at(base, (rows, cols), g_all[src] * sign)
+    for seg_r, seg_c, seg_v in zip(*system.static_tail):
+        np.add.at(base, (seg_r, seg_c), seg_v)
+    return base
 
 
-class FaultedSystem:
-    """A :class:`CompiledSystem` view with fault conductances overlaid.
+def fault_overlay(system: CompiledSystem,
+                  index_pairs: Sequence[Tuple[int, int]],
+                  conductances: Sequence[float]) -> csc_matrix:
+    """Sparse stamps of fault conductances ``g_j`` between net index pairs.
 
-    Wraps the fault-free compiled system of the *base* circuit and adds
-    ``g_j`` between the net index pairs of each low-rank defect at
-    assembly time, so Newton residuals evaluated through it are exact for
-    the faulty circuit without ever re-compiling a faulty topology.
-    Exposes the same ``assemble``/``factor_token``/``sparse`` surface the
-    modified-Newton loop consumes.
+    Added to a fault-free assembly (:meth:`CompiledSystem.stamp`), it
+    gives the faulty system's matrix to solver tolerance of an injected
+    circuit's.
     """
-
-    def __init__(self, system: CompiledSystem,
-                 index_pairs: Sequence[Tuple[int, int]],
-                 conductances: Sequence[float]):
-        self.system = system
-        self.sparse = system.sparse
-        self.n = system.n
-        self.pairs = list(index_pairs)
-        self.conductances = [float(g) for g in conductances]
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        for (p, q), g in zip(self.pairs, self.conductances):
-            for i, j, v in ((p, p, g), (q, q, g), (p, q, -g), (q, p, -g)):
-                if i >= 0 and j >= 0:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(v)
-        self._rows = np.asarray(rows, dtype=np.intp)
-        self._cols = np.asarray(cols, dtype=np.intp)
-        self._vals = np.asarray(vals)
-        self._base_faulted = None if self.sparse else self._exact_dense_base()
-
-    def _exact_dense_base(self) -> np.ndarray:
-        """Dense static base, bitwise equal to an injected circuit's.
-
-        A fault resistor added to the circuit lands at the end of the
-        resistor list, so a compiled build of the injected circuit stamps
-        its conductance *inside* the resistor segment, before the gmin and
-        source segments.  Re-running the same slot-major pattern over the
-        extended resistor arrays — then replaying the stored non-resistor
-        segments verbatim — reproduces that accumulation order exactly,
-        which keeps every floating-point sum (and therefore every Newton
-        iterate of the replay solver) identical to the conventional
-        inject-and-solve path.
-        """
-        system = self.system
-        stamps = system.stamps
-        fault_a = np.asarray([p for p, _ in self.pairs], dtype=np.intp)
-        fault_b = np.asarray([q for _, q in self.pairs], dtype=np.intp)
-        idx_a = np.concatenate([stamps._res_net_a, fault_a])
-        idx_b = np.concatenate([stamps._res_net_b, fault_b])
-        rows, cols, src, sign = _conductance_pattern(idx_a, idx_b)
-        g_all = np.concatenate([system.res_g, np.asarray(self.conductances)])
-        base = np.zeros((self.n, self.n))
-        np.add.at(base, (rows, cols), g_all[src] * sign)
-        for seg_r, seg_c, seg_v in zip(*system.static_tail):
-            np.add.at(base, (seg_r, seg_c), seg_v)
-        return base
-
-    @property
-    def factor_token(self) -> Tuple:
-        return (("faulted", tuple(self.pairs), tuple(self.conductances))
-                + self.system.factor_token)
-
-    def assemble(self, x: np.ndarray):
-        """Assemble the *faulty* system linearised at ``x``."""
-        if self._base_faulted is not None:
-            return self.system.assemble(x, base_override=self._base_faulted)
-        matrix, rhs, limited = self.system.assemble(x)
-        matrix = matrix + coo_matrix(
-            (self._vals, (self._rows, self._cols)),
-            shape=(self.n, self.n)).tocsc()
-        return matrix, rhs, limited
-
-    def solve_assembled(self, matrix, rhs: np.ndarray) -> np.ndarray:
-        """Direct solve, same routine the full path's iterate uses."""
-        return self.system.solve_assembled(matrix, rhs)
+    rows: List[int] = []
+    cols: List[int] = []
+    vals: List[float] = []
+    for (p, q), g in zip(index_pairs, conductances):
+        g = float(g)
+        for i, j, v in ((p, p, g), (q, q, g), (p, q, -g), (q, p, -g)):
+            if i >= 0 and j >= 0:
+                rows.append(i)
+                cols.append(j)
+                vals.append(v)
+    return coo_matrix(
+        (np.asarray(vals), (np.asarray(rows, dtype=np.intp),
+                            np.asarray(cols, dtype=np.intp))),
+        shape=(system.n, system.n)).tocsc()
 
 
 def build_base(structure: MnaStructure, options, t: Optional[float],

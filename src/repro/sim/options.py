@@ -50,15 +50,16 @@ class SimOptions:
     # -- modified-Newton factorization reuse -----------------------------
     #: Reuse the last LU factorization across Newton iterations (and
     #: across transient steps), refactorizing only when the residual
-    #: reduction stalls.  ``"auto"`` enables reuse on the second-generation
-    #: solver paths only (adaptive transient, fault-delta campaigns) where
-    #: no step-for-step trajectory equivalence with the legacy engine is
-    #: pinned — and there only on the *sparse* solver path, where
-    #: factorization actually dominates the iteration cost (on small dense
-    #: systems device evaluation dominates and the extra chord iterations
-    #: cost more than the factorizations they save).  ``"always"`` forces
-    #: reuse on every compiled solve including dense ones, ``"never"``
-    #: disables it everywhere.
+    #: reduction stalls.  ``"auto"`` enables reuse on the adaptive
+    #: transient only, the one solver path with no pinned step-for-step
+    #: trajectory equivalence with the legacy engine; on dense systems it
+    #: refreshes the factorization at each step's first iteration, since
+    #: device evaluation dominates there and chord iterations carried
+    #: across steps cost more than the factorizations they save.
+    #: ``"always"`` forces reuse on every compiled solve including dense
+    #: ones, ``"never"`` disables it everywhere.  Fault campaigns' low-rank
+    #: solves (:func:`repro.sim.batch.solve_batch`) always run plain
+    #: Newton and ignore this knob.
     newton_reuse: str = "auto"
     #: Residual-reduction ratio above which a stale factorization is
     #: considered stalled and the Jacobian is refactorized.
@@ -95,19 +96,6 @@ class SimOptions:
     #: (first-order), so the restart step must be shorter than the
     #: trapezoidal steps for its local error not to dominate the trace.
     step_restart_fraction: float = 0.25
-
-    # -- fault-delta (Sherman-Morrison-Woodbury) campaign solves ---------
-    #: Iteration budget for the low-rank delta solve before the campaign
-    #: falls back to a full operating-point solve for that defect.
-    delta_max_iterations: int = 60
-    #: Convergence-tolerance tightening for delta-solve acceptance (the
-    #: Woodbury iteration converges linearly, so it is held to a tighter
-    #: update test than quadratic full-Newton steps).
-    delta_accept_factor: float = 0.1
-    #: Optional extra acceptance gate on the KCL residual (amperes) of a
-    #: delta solve; 0 disables it.  Tests tighten this to pin the chord
-    #: solution near the full solve.
-    delta_residual_tol: float = 0.0
 
     # -- fault-tolerant campaign execution -------------------------------
     #: Wall-clock budget for one operating-point solve, in seconds,
@@ -162,9 +150,8 @@ class SimOptions:
     def reuse_enabled(self, new_path: bool) -> bool:
         """Resolve :attr:`newton_reuse` for a solve.
 
-        ``new_path`` is True for the second-generation solver paths
-        (adaptive transient, fault-delta campaign) that have no pinned
-        step-for-step twin in the legacy engine.
+        ``new_path`` is True for the adaptive transient, the solver path
+        that has no pinned step-for-step twin in the legacy engine.
         """
         if self.newton_reuse == "always":
             return True

@@ -150,7 +150,7 @@ class RunReport:
         """Defect spans the campaign quarantined (with their reasons).
 
         These defects never produced a converged solve: the solver's
-        degradation ladder (delta → warm full → escalated cold retry) ran
+        degradation ladder (low-rank → warm full → escalated cold retry) ran
         dry, the worker crashed, or it hung past the liveness timeout.
         """
         return [span for span in self.named("defect")

@@ -69,7 +69,7 @@ class GeneratorConfig:
     #: 3 = the shared monitor + comparator (adds the flag oracle).
     detector_variants: Tuple[int, ...] = (0, 1, 2, 3)
     #: Defect kinds the generator samples sites from.  Includes ``open``
-    #: so the delta engine's conventional-fallback path is fuzzed too.
+    #: so the low-rank engine's conventional path is fuzzed too.
     defect_kinds: Tuple[str, ...] = ("pipe", "terminal-short",
                                      "resistor-short", "bridge", "open")
     pipe_resistances: Tuple[float, ...] = (1e3, 2e3, 4e3, 8e3)

@@ -2,14 +2,14 @@
 
 The simulator grew several semantically-equivalent execution paths
 (compiled vs. legacy stamping, dense vs. sparse linear algebra,
-low-rank fault-delta vs. conventional inject-and-solve, serial vs.
+low-rank batched vs. conventional inject-and-solve, serial vs.
 process-parallel campaigns, fixed vs. LTE-adaptive transient stepping).
 PRs 1–4 promise they agree; this module *checks* it, scenario by
 scenario:
 
 * **operating points** — node voltages vs. the baseline engine;
 * **fault verdicts** — campaign verdict tables must be bit-identical
-  across engines (the strongest promise: delta and parallel solves
+  across engines (the strongest promise: low-rank and parallel solves
   replay the conventional results exactly on the dense path);
 * **waveforms** — fixed-grid transients sample-identical across
   stamping paths, adaptive runs within an LTE-derived envelope;
@@ -61,8 +61,7 @@ class EngineConfig:
     use_compiled: bool = True
     #: True → force sparse, False → force dense, None → heuristic.
     sparse: Optional[bool] = False
-    delta: bool = False
-    batched: bool = False
+    low_rank: bool = False
     parallel: bool = False
     workers: int = 2
     adaptive: bool = False
@@ -83,8 +82,7 @@ DEFAULT_ENGINES: Tuple[EngineConfig, ...] = (
     EngineConfig("compiled-dense"),
     EngineConfig("legacy-dense", use_compiled=False),
     EngineConfig("compiled-sparse", sparse=True),
-    EngineConfig("compiled-delta", delta=True),
-    EngineConfig("compiled-batched", batched=True),
+    EngineConfig("compiled-low-rank", low_rank=True),
     EngineConfig("compiled-parallel", parallel=True),
 )
 
@@ -351,8 +349,8 @@ def _campaign_check(scenario: Scenario, engines: Sequence[EngineConfig],
     namespace: replaying a corpus witness (or re-fuzzing a seed) serves
     every engine's records from cache, while the namespaces keep the
     engines' records separate — a cached cross-check still compares
-    six independently-computed verdict tables, never one engine's
-    cache against itself.
+    independently-computed verdict tables, never one engine's cache
+    against itself.
     """
     tables: Dict[str, Dict[str, Tuple[Dict[str, str], bool]]] = {}
     for engine in engines:
@@ -361,8 +359,7 @@ def _campaign_check(scenario: Scenario, engines: Sequence[EngineConfig],
         try:
             campaign = run_campaign(
                 built.circuit, built.defects, _fresh_oracles(built),
-                options=options, delta=engine.delta,
-                batched=engine.batched,
+                options=options, low_rank=engine.low_rank,
                 parallel=engine.parallel, workers=engine.workers,
                 store=store, store_namespace=f"verify:{engine.name}")
         except Exception as error:
@@ -414,7 +411,7 @@ def _transient_check(scenario: Scenario, engines: Sequence[EngineConfig],
     probes: List[str] = []
     waves: Dict[str, dict] = {}
     fixed = [e for e in engines if not e.adaptive and not e.parallel
-             and not e.delta and not e.batched]
+             and not e.low_rank]
     adaptive = [e for e in engines if e.adaptive]
     for engine in fixed + adaptive:
         built = build_scenario(scenario, transient_stimulus=True)

@@ -1,12 +1,13 @@
-"""Tests for the batched multi-defect campaign engine.
+"""Tests for the batched low-rank campaign engine.
 
-The batched engine stacks many low-rank fault systems into one
-vectorised Newton iteration (``repro.sim.batch``).  Its contract is the
-strongest the repo makes: per-member operating points, solver stats and
-campaign verdicts are *bit-identical* to the serial delta engine's, any
-member that leaves the batch is re-solved through the serial per-defect
-ladder (so fallback records match a serial campaign field for field),
-and the batch counters surface through CampaignResult and telemetry.
+The low-rank engine stacks many fault systems into one vectorised
+replay Newton iteration (``repro.sim.batch``).  Batching never changes
+a member's arithmetic: a batch of N and N batches of one give bitwise
+equal operating points and solver stats (the serial low-rank path *is*
+a batch of one), members the batch returns unsolved are re-solved
+conventionally with the same record at any batch size, and the batch
+counters surface through CampaignResult and telemetry.  The numpy facts
+that identity rests on are pinned at the end of the file.
 """
 
 import os
@@ -25,9 +26,7 @@ from repro.faults import (
 )
 from repro.faults.campaign import DEFAULT_BATCH_SIZE
 from repro.sim.batch import solve_batch
-from repro.sim.dc import (ConvergenceError, DeltaContext, NewtonStats,
-                          delta_solve, operating_point)
-from repro.sim.mna import SingularMatrixError
+from repro.sim.dc import DeltaContext, operating_point
 from repro.sim.options import SimOptions
 from repro.telemetry import Telemetry
 from repro.verify import cross_check, load_scenario
@@ -60,7 +59,7 @@ def bench():
 
 
 def _member_specs(circuit, defects, context):
-    specs, kept = [], []
+    specs = []
     for defect in defects:
         deltas = defect.delta_conductances(circuit)
         if deltas is None:
@@ -68,79 +67,74 @@ def _member_specs(circuit, defects, context):
         pairs = [(context.structure.index(p), context.structure.index(n))
                  for p, n, _ in deltas]
         specs.append((pairs, [g for _, _, g in deltas]))
-        kept.append(defect)
-    return kept, specs
+    return specs
 
 
 def _record_core(record):
-    """Everything checkpointable about a record except the solver tag
-    (a batch-converged member is tagged ``batched`` instead of
-    ``delta`` by design)."""
+    """Everything checkpointable about a record."""
     return (dict(record.verdicts), record.converged,
             record.newton_iterations, record.n_factorizations,
             record.n_reuses, record.gmin_steps, record.source_steps,
-            record.quarantined, record.quarantine_reason)
+            record.quarantined, record.quarantine_reason, record.solver)
+
+
+def _unsolvable(specs):
+    """A member the replay cannot solve: a conductance so large that
+    the dense iterate turns non-finite after a few iterations and the
+    sparse one never settles."""
+    pairs, _ = specs[0]
+    return (pairs, [1e308])
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 def test_solve_batch_bitwise_identical_to_serial(bench, sparse):
-    """Batch-converged members land on bit-identical operating points
-    with identical solver stats; members that leave the batch are
-    exactly those the serial chord abandons."""
+    """One batch of N members and N batches of one land on bitwise
+    equal operating points with identical solver stats — including a
+    member that fails mid-batch, which fails identically alone."""
     circuit, defects, _ = bench
     options = SimOptions(sparse_threshold=1) if sparse else SimOptions()
     reference = operating_point(circuit, options)
     context = DeltaContext.build(circuit, options, reference.x.copy())
     assert context.system.sparse is sparse
-    kept, specs = _member_specs(circuit, defects, context)
+    specs = _member_specs(circuit, defects, context)
     assert len(specs) > 50
+    specs.insert(len(specs) // 2, _unsolvable(specs))
 
     outcomes, counters = solve_batch(context, specs, options)
     assert counters.n_batched_solves > 0
     assert counters.batch_occupancy >= counters.n_batched_solves
     assert counters.batch_fallbacks == sum(
         1 for outcome in outcomes if outcome.x is None)
+    assert counters.batch_fallbacks >= 1
 
-    n_bitwise = 0
-    for (pairs, gs), outcome in zip(specs, outcomes):
-        stats = NewtonStats(strategy="woodbury")
-        try:
-            x_serial = delta_solve(context, pairs, gs, options, stats)
-        except (ConvergenceError, SingularMatrixError):
-            x_serial = None
+    for spec, outcome in zip(specs, outcomes):
+        [alone], _ = solve_batch(context, [spec], options)
         if outcome.x is None:
-            # A batch dropout must never be a member the serial *chord*
-            # solves: on dense the trajectories are identical, and on
-            # sparse the only extra exits (blow-up, repeated stalls)
-            # are ones serial chording also escalates — delta_solve may
-            # still save it via the replay rung, which is exactly the
-            # ladder the campaign fallback re-runs.
-            continue
-        assert x_serial is not None
-        assert np.array_equal(outcome.x, x_serial)
+            assert alone.x is None
+            assert alone.failure == outcome.failure
+        else:
+            assert np.array_equal(outcome.x, alone.x)
         assert (outcome.stats.iterations, outcome.stats.n_factorizations,
                 outcome.stats.n_reuses) == (
-            stats.iterations, stats.n_factorizations, stats.n_reuses)
-        n_bitwise += 1
-    assert n_bitwise > 30
+            alone.stats.iterations, alone.stats.n_factorizations,
+            alone.stats.n_reuses)
 
 
 def test_batched_campaign_records_match_serial_delta(bench):
-    """run_campaign(batched=True) reproduces the serial delta campaign
-    record for record: identical verdicts everywhere, identical stats on
-    batch-solved members, and *field-identical* fallback records."""
+    """The default batch size reproduces the serial low-rank path (a
+    batch of one) record for record, solver tag included, and its
+    verdicts equal the conventional campaign's."""
     circuit, defects, _ = bench
     # oracles hold prepared state — build a fresh set per campaign
-    serial = run_campaign(circuit, defects, _bench()[2], delta=True)
-    batched = run_campaign(circuit, defects, _bench()[2], batched=True)
+    serial = run_campaign(circuit, defects, _bench()[2], low_rank=True,
+                          batch_size=1)
+    batched = run_campaign(circuit, defects, _bench()[2], low_rank=True)
+    conventional = run_campaign(circuit, defects, _bench()[2])
 
-    assert len(serial.records) == len(batched.records)
-    for a, b in zip(serial.records, batched.records):
-        assert _record_core(a) == _record_core(b)
-        if b.solver == "batched":
-            assert a.solver == "delta"
-        else:
-            assert b.solver == a.solver
+    assert [_record_core(a) for a in serial.records] == \
+           [_record_core(b) for b in batched.records]
+    assert [(r.verdicts, r.converged) for r in conventional.records] == \
+           [(r.verdicts, r.converged) for r in batched.records]
 
     counts = batched.solver_counts()
     assert counts.get("batched", 0) > 50
@@ -155,11 +149,11 @@ def test_batched_campaign_records_match_serial_delta(bench):
 def test_batched_campaign_parallel_matches_serial_batched(bench):
     circuit, defects, _ = bench
     subset = defects[:40]
-    serial = run_campaign(circuit, subset, _bench()[2], batched=True)
-    parallel = run_campaign(circuit, subset, _bench()[2], batched=True,
+    serial = run_campaign(circuit, subset, _bench()[2], low_rank=True)
+    parallel = run_campaign(circuit, subset, _bench()[2], low_rank=True,
                             parallel=True, workers=2)
-    assert [(_record_core(a), a.solver) for a in serial.records] == \
-           [(_record_core(b), b.solver) for b in parallel.records]
+    assert [_record_core(a) for a in serial.records] == \
+           [_record_core(b) for b in parallel.records]
     assert (parallel.n_batched_solves, parallel.batch_occupancy,
             parallel.batch_fallbacks) == (
         serial.n_batched_solves, serial.batch_occupancy,
@@ -167,41 +161,38 @@ def test_batched_campaign_parallel_matches_serial_batched(bench):
 
 
 def test_batched_campaign_batch_size_one(bench):
-    """Degenerate batches (one member each) still reproduce verdicts."""
+    """Degenerate batches (one member each) still reproduce records."""
     circuit, defects, _ = bench
     subset = defects[:12]
-    full = run_campaign(circuit, subset, _bench()[2], batched=True)
-    tiny = run_campaign(circuit, subset, _bench()[2], batched=True,
+    full = run_campaign(circuit, subset, _bench()[2], low_rank=True)
+    tiny = run_campaign(circuit, subset, _bench()[2], low_rank=True,
                         batch_size=1)
     assert [_record_core(r) for r in full.records] == \
            [_record_core(r) for r in tiny.records]
     assert tiny.n_batched_solves >= full.n_batched_solves
 
 
-def test_batched_campaign_residual_tol_falls_back_serial(bench):
-    """Residual-gated acceptance is a serial-only control flow: every
-    member must fall back, and the records must equal the serial delta
-    campaign's under the same options."""
-    circuit, defects, _ = bench
-    subset = defects[:10]
-    options = SimOptions(delta_residual_tol=1e-6)
-    serial = run_campaign(circuit, subset, _bench()[2], delta=True,
-                          options=options)
-    batched = run_campaign(circuit, subset, _bench()[2], batched=True,
-                           options=options)
-    assert batched.n_batched_solves == 0
-    assert batched.batch_fallbacks > 0
-    assert [(_record_core(a), a.solver) for a in serial.records] == \
-           [(_record_core(b), b.solver) for b in batched.records]
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_batch_size_below_one_is_rejected(bench, batch_size):
+    circuit, defects, oracles = bench
+    with pytest.raises(ValueError, match="at least 1"):
+        run_campaign(circuit, defects[:2], oracles, low_rank=True,
+                     batch_size=batch_size)
+
+
+def test_batch_size_without_low_rank_is_rejected(bench):
+    circuit, defects, oracles = bench
+    with pytest.raises(ValueError, match="low_rank"):
+        run_campaign(circuit, defects[:2], oracles, batch_size=8)
 
 
 def test_batched_campaign_checkpoint_resume(bench, tmp_path):
     circuit, defects, _ = bench
     subset = defects[:20]
     path = tmp_path / "batched.ckpt.jsonl"
-    first = run_campaign(circuit, subset, _bench()[2], batched=True,
+    first = run_campaign(circuit, subset, _bench()[2], low_rank=True,
                          checkpoint=path)
-    resumed = run_campaign(circuit, subset, _bench()[2], batched=True,
+    resumed = run_campaign(circuit, subset, _bench()[2], low_rank=True,
                            checkpoint=path, resume=True)
     assert resumed.n_resumed == len(subset)
     assert [_record_core(r) for r in first.records] == \
@@ -215,7 +206,7 @@ def test_batched_campaign_telemetry_counters(bench):
     subset = defects[:20]
     telemetry = Telemetry.capturing()
     options = SimOptions(telemetry=telemetry)
-    result = run_campaign(circuit, subset, _bench()[2], batched=True,
+    result = run_campaign(circuit, subset, _bench()[2], low_rank=True,
                           options=options)
     counters = telemetry.metrics.snapshot()["counters"]
     assert counters.get("campaign.batched_solves") == result.n_batched_solves
@@ -223,47 +214,113 @@ def test_batched_campaign_telemetry_counters(bench):
     assert result.n_batched_solves > 0
     spans = [e for e in telemetry.events()
              if e.get("type") == "span" and e.get("name") == "campaign"]
-    assert spans and spans[0]["attrs"]["batched"] is True
+    assert spans and spans[0]["attrs"]["low_rank"] is True
     assert spans[0]["attrs"]["n_batched_solves"] == result.n_batched_solves
 
 
 def test_corpus_witness_has_midbatch_divergence():
     """The committed witness scenario batches a converging member and a
-    diverging member together: the diverger's fallback record must be
-    field-identical to the serial delta campaign's (same quarantine
-    trail, same stats, same solver tag), while the surviving member
-    stays batch-solved."""
+    diverging member together: the diverger's conventional re-solve
+    gives a field-identical record (same quarantine trail, same stats,
+    same solver tag) at the default batch size and alone in a batch of
+    one, while the surviving member stays batch-solved."""
     scenario = load_scenario(CORPUS_WITNESS)
-    engine = ENGINES_BY_NAME["compiled-batched"]
+    engine = ENGINES_BY_NAME["compiled-low-rank"]
     options = engine.options(VERIFY_OPTIONS)
 
-    built = build_scenario(scenario)
-    batched = run_campaign(built.circuit, built.defects,
-                           _fresh_oracles(built), options=options,
-                           batched=True)
+    def campaign(**kwargs):
+        built = build_scenario(scenario)
+        return built, run_campaign(built.circuit, built.defects,
+                                   _fresh_oracles(built), options=options,
+                                   low_rank=True, **kwargs)
+
+    built, batched = campaign()
     assert len(built.defects) <= DEFAULT_BATCH_SIZE  # one batch
     assert batched.batch_fallbacks > 0
+    assert batched.woodbury_fallbacks > 0
     counts = batched.solver_counts()
     assert counts.get("batched", 0) > 0
 
-    built2 = build_scenario(scenario)
-    serial = run_campaign(built2.circuit, built2.defects,
-                          _fresh_oracles(built2), options=options,
-                          delta=True)
-    assert serial.woodbury_fallbacks > 0
-    for a, b in zip(serial.records, batched.records):
-        assert _record_core(a) == _record_core(b)
-        if b.solver != "batched":
-            # fallback and conventional records replay the serial
-            # engine's exactly, solver tag included
-            assert b.solver == a.solver
+    _, serial = campaign(batch_size=1)
+    assert [_record_core(a) for a in serial.records] == \
+           [_record_core(b) for b in batched.records]
 
 
 def test_corpus_witness_cross_checks_clean():
     scenario = load_scenario(CORPUS_WITNESS)
-    engines = tuple(e for e in
-                    (ENGINES_BY_NAME["compiled-dense"],
-                     ENGINES_BY_NAME["compiled-delta"],
-                     ENGINES_BY_NAME["compiled-batched"]))
+    engines = (ENGINES_BY_NAME["compiled-dense"],
+               ENGINES_BY_NAME["compiled-low-rank"])
     result = cross_check(scenario, engines)
     assert result.ok, result.format()
+
+
+# ----------------------------------------------------------------------
+# The numpy facts the engine's bitwise identities rest on
+# ----------------------------------------------------------------------
+@pytest.fixture
+def rng():
+    return np.random.default_rng(1234)
+
+
+def _well_conditioned(rng, batch, n):
+    mats = rng.standard_normal((batch, n, n))
+    mats += n * np.eye(n)[None, :, :]
+    return mats
+
+
+def test_stacked_solve_matches_per_member_solves_bitwise(rng):
+    """A stacked dense solve is bitwise the per-member 1-D solves: a
+    member's replay iterate does not depend on its batch."""
+    batch, n = 6, 8
+    mats = _well_conditioned(rng, batch, n)
+    rhs = rng.standard_normal((batch, n))
+    stacked = np.linalg.solve(mats, rhs[..., None])[..., 0]
+    for b in range(batch):
+        assert np.array_equal(stacked[b], np.linalg.solve(mats[b], rhs[b]))
+
+
+def test_stacked_solve_raises_on_singular_member(rng):
+    """One singular member makes the whole stacked solve raise, which is
+    why the engine isolates members with per-member solves."""
+    mats = _well_conditioned(rng, 3, 4)
+    mats[1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(mats, rng.standard_normal((3, 4))[..., None])
+
+
+def test_broadcast_add_at_accumulates_duplicates_once_each():
+    target = np.zeros(3)
+    np.add.at(target, (np.array([0, 1, 1, 2, 1]),),
+              np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+    assert np.array_equal(target, np.array([1.0, 10.0, 4.0]))
+
+
+def test_broadcast_add_at_rhs_form_matches_per_member_bitwise(rng):
+    """``(member, row)`` scatter over a stacked RHS equals the per-member
+    ``np.add.at`` a single assembly performs."""
+    n, k, batch = 7, 12, 5
+    rows = rng.integers(0, n, size=k)
+    vals = rng.standard_normal((batch, k))
+    base = rng.standard_normal(n)
+    expected = np.stack([base.copy() for _ in range(batch)])
+    for b in range(batch):
+        np.add.at(expected[b], rows, vals[b])
+    target = np.repeat(base[None, :], batch, axis=0)
+    np.add.at(target, (np.arange(batch)[:, None], rows), vals)
+    assert np.array_equal(target, expected)
+
+
+def test_broadcast_add_at_matrix_form_matches_per_member_bitwise(rng):
+    """``(member, nl_rows, nl_cols)`` scatter with duplicate (row, col)
+    pairs equals the per-member matrix stamping."""
+    n, k, batch = 5, 9, 4
+    rows = rng.integers(0, n, size=k)
+    cols = rng.integers(0, n, size=k)
+    vals = rng.standard_normal((batch, k))
+    base = rng.standard_normal((n, n))
+    expected = np.stack([base.copy() for _ in range(batch)])
+    for b in range(batch):
+        np.add.at(expected[b], (rows, cols), vals[b])
+    target = np.repeat(base[None, :, :], batch, axis=0)
+    np.add.at(target, (np.arange(batch)[:, None], rows, cols), vals)
+    assert np.array_equal(target, expected)

@@ -134,10 +134,13 @@ class TestCampaignTracing:
 
 
 class TestSerialParallelEquality:
-    @pytest.mark.parametrize("delta", [False, True])
-    def test_aggregates_and_metrics_match(self, campaign_setup, delta):
-        serial, tel_s = _traced_campaign(campaign_setup, delta=delta)
-        parallel, tel_p = _traced_campaign(campaign_setup, delta=delta,
+    @pytest.mark.parametrize("low_rank", [False, True])
+    def test_aggregates_and_metrics_match(self, campaign_setup, low_rank):
+        # Batches of two make three low-rank units, so with two defects
+        # per chunk three chunks reach the worker pool either way.
+        engine = dict(low_rank=True, batch_size=2) if low_rank else {}
+        serial, tel_s = _traced_campaign(campaign_setup, **engine)
+        parallel, tel_p = _traced_campaign(campaign_setup, **engine,
                                            parallel=True, workers=2,
                                            chunk_size=2)
         assert serial.aggregate_stats() == parallel.aggregate_stats()
@@ -145,6 +148,10 @@ class TestSerialParallelEquality:
             assert a.verdicts == b.verdicts
             assert a.solver == b.solver
             assert a.newton_iterations == b.newton_iterations
+        for counter in ("n_batched_solves", "batch_occupancy",
+                        "batch_fallbacks"):
+            assert getattr(serial, counter) == getattr(parallel, counter)
+        assert (serial.n_batched_solves > 0) == low_rank
         assert tel_s.metrics.snapshot() == tel_p.metrics.snapshot()
 
     def test_aggregates_match_untraced(self, campaign_setup):

@@ -233,8 +233,8 @@ def test_delta_and_batched_match_cold_solves():
                 for r in result.records]
 
     cold = verdicts(warm_start=False)
-    assert verdicts(delta=True) == cold
-    assert verdicts(batched=True) == cold
+    assert verdicts(low_rank=True, batch_size=1) == cold
+    assert verdicts(low_rank=True) == cold
 
 
 # ----------------------------------------------------------------------

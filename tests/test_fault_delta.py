@@ -1,11 +1,13 @@
-"""Tests for the low-rank (Woodbury / replay) fault-delta solver.
+"""Tests for the low-rank fault engine against the conventional path.
 
-The delta path solves added-conductance defects on a shared fault-free
-compiled system, skipping per-defect injection and compilation.  Its
-contract is strict: the dense replay solver reproduces the conventional
-inject-and-solve trajectory *bit for bit*, campaign verdicts are
-identical to the warm-started campaign's, opens fall back to the full
-solver, and serial/parallel runs return the same records.
+The low-rank engine (:func:`repro.sim.batch.solve_batch`) solves
+added-conductance defects on a shared fault-free compiled system,
+skipping per-defect injection and compilation.  Its contract is pinned
+to the conventional inject-and-solve path: on dense systems the replay
+reproduces the conventional trajectory *bit for bit*, on sparse systems
+it lands within the verify matrix's operating-point tolerance with the
+same verdicts, opens take the conventional path, and serial/parallel
+runs return the same records.
 """
 
 import numpy as np
@@ -25,9 +27,11 @@ from repro.faults import (
 from repro.faults.campaign import _warm_start_vector
 from repro.faults.defects import ResistorShort
 from repro.faults.injector import inject
-from repro.sim.dc import DeltaContext, NewtonStats, delta_solve, operating_point
+from repro.sim.batch import solve_batch
+from repro.sim.dc import DeltaContext, operating_point
 from repro.sim.mna import structure_for
 from repro.sim.options import SimOptions
+from repro.verify.oracle import Tolerances
 
 TECH = NOMINAL
 
@@ -58,64 +62,107 @@ def _full_solution(circuit, defect, options, reference):
     return operating_point(faulty, options, initial=initial).x
 
 
-def test_delta_solutions_bitwise_match_full_path(bench):
-    """Every low-rank defect's delta solve equals the conventional
-    inject-and-solve solution exactly (not within tolerance: bitwise)."""
-    circuit, defects, _ = bench
-    options = SimOptions()
+def _batch_vs_full(circuit, defects, options):
+    """(defect, low-rank x, conventional x) for every low-rank defect,
+    all solved as one batch."""
     reference = operating_point(circuit, options)
     context = DeltaContext.build(circuit, options, reference.x)
-    checked = 0
+    kept, specs = [], []
     for defect in defects:
         deltas = defect.delta_conductances(circuit)
         if deltas is None:
             continue
-        pairs = [(context.structure.index(p), context.structure.index(n))
-                 for p, n, _ in deltas]
-        conductances = [g for _, _, g in deltas]
-        x_delta = delta_solve(context, pairs, conductances, options,
-                              NewtonStats())
-        x_full = _full_solution(circuit, defect, options, reference)
-        assert np.array_equal(x_delta, x_full), defect.describe()
-        checked += 1
-    assert checked > 100  # the catalog is dominated by low-rank defects
+        specs.append(([(context.structure.index(p),
+                        context.structure.index(n)) for p, n, _ in deltas],
+                      [g for _, _, g in deltas]))
+        kept.append(defect)
+    outcomes, _ = solve_batch(context, specs, options)
+    return [(defect, outcome.x,
+             _full_solution(circuit, defect, options, reference))
+            for defect, outcome in zip(kept, outcomes)]
 
 
-def test_woodbury_chord_matches_full_path_closely(bench):
-    """With reuse forced on, mild faults go through the Woodbury chord
-    and land close to the full solution.
+def test_delta_solutions_bitwise_match_full_path(bench):
+    """Every low-rank defect's batched solve equals the conventional
+    inject-and-solve solution exactly (not within tolerance: bitwise)."""
+    circuit, defects, _ = bench
+    solved = _batch_vs_full(circuit, defects, SimOptions())
+    for defect, x_low_rank, x_full in solved:
+        assert x_low_rank is not None, defect.describe()
+        assert np.array_equal(x_low_rank, x_full), defect.describe()
+    assert len(solved) > 100  # the catalog is dominated by low-rank defects
 
-    The chord's gate is the KCL residual (amps), not voltage: on a node
-    held only by gmin-scale conductance a 1e-12 A residual still allows
-    tens of microvolts of slack, so the bound here is 1e-4 V rather
-    than solver tolerance.
-    """
-    circuit, _, _ = bench
-    options = SimOptions(newton_reuse="always", delta_residual_tol=1e-12)
-    reference = operating_point(circuit, SimOptions())
-    context = DeltaContext.build(circuit, options, reference.x)
-    for defect in (Pipe("X1.Q3", 4e3), Pipe("X2.Q3", 2e3),
-                   ResistorShort("X1.R1")):
-        deltas = defect.delta_conductances(circuit)
-        pairs = [(context.structure.index(p), context.structure.index(n))
-                 for p, n, _ in deltas]
-        conductances = [g for _, _, g in deltas]
-        stats = NewtonStats()
-        x_delta = delta_solve(context, pairs, conductances, options, stats)
-        x_full = _full_solution(circuit, defect, SimOptions(), reference)
-        assert np.max(np.abs(x_delta - x_full)) < 1e-4, defect.describe()
-        assert stats.n_reuses > 0, "chord iterations should reuse the LU"
+
+def test_sparse_solutions_match_full_path_closely(bench):
+    """Forced sparse, the fault stamps join the matrix after the
+    fault-free assembly, so the replay agrees with the conventional
+    solve to the verify matrix's operating-point tolerance rather than
+    bitwise, and every verdict matches."""
+    circuit, defects, oracles = bench
+    options = SimOptions(sparse_threshold=1)
+    solved = _batch_vs_full(circuit, defects, options)
+    assert len(solved) > 100
+    op_abs = Tolerances().op_abs
+    for defect, x_low_rank, x_full in solved:
+        assert x_low_rank is not None, defect.describe()
+        assert np.max(np.abs(x_low_rank - x_full)) <= op_abs, \
+            defect.describe()
+
+    def table(**kwargs):
+        result = run_campaign(circuit, defects, oracles, options=options,
+                              **kwargs)
+        return [(r.verdicts, r.converged) for r in result.records]
+
+    assert table(low_rank=True) == table()
+
+
+def test_sparse_ila_campaign_verdicts_match_conventional():
+    """The sparse replay on a circuit that is sparse at the default
+    threshold (the 8-cell AND-EXOR array): every sampled low-rank
+    defect is solved in the batch and judged as the conventional path
+    judges it."""
+    from repro.circuit.components import VoltageSource
+    from repro.testgen.circuits import ila_and_exor
+    from repro.testgen.synthesis import synthesize
+
+    network = ila_and_exor(8)
+    design = synthesize(network, TECH)
+    for signal in network.primary_inputs:
+        net_p, net_n = design.pair(signal)
+        design.circuit.add(VoltageSource(f"V_{signal}", net_p, "0",
+                                         TECH.vhigh))
+        design.circuit.add(VoltageSource(f"V_{signal}b", net_n, "0",
+                                         TECH.vlow))
+    circuit = design.circuit
+    assert structure_for(circuit).n_unknowns >= SimOptions().sparse_threshold
+    defects = list(enumerate_defects(
+        circuit, kinds=("pipe", "terminal-short", "resistor-short",
+                        "oxide-breakdown"),
+        oxide_resistances=(1e3, 1e5)))[::8]
+    oracles = [LogicOracle(design.gate_output_pairs()),
+               IddqOracle(supply_source="VGND")]
+    low_rank = run_campaign(circuit, defects, oracles, low_rank=True)
+    conventional = run_campaign(circuit, defects, oracles)
+    assert low_rank.solver_counts() == {"batched": len(defects)}
+    assert low_rank.batch_fallbacks == 0
+    table = [(r.verdicts, r.converged) for r in low_rank.records]
+    assert table == [(r.verdicts, r.converged)
+                     for r in conventional.records]
+    # The sample exercises both oracles both ways.
+    assert {tuple(sorted(v.items())) for v, _ in table} == {
+        (("iddq", a), ("logic", b))
+        for a in ("pass", "fail") for b in ("pass", "fail")}
 
 
 def test_delta_campaign_verdicts_identical_to_warm(bench):
     circuit, defects, oracles = bench
     warm = run_campaign(circuit, defects, oracles)
-    delta = run_campaign(circuit, defects, oracles, delta=True)
+    delta = run_campaign(circuit, defects, oracles, low_rank=True)
     for w, d in zip(warm.records, delta.records):
         assert w.verdicts == d.verdicts, d.defect.describe()
         assert w.converged == d.converged, d.defect.describe()
     counts = delta.solver_counts()
-    assert counts.get("delta", 0) > len(defects) // 2
+    assert counts.get("batched", 0) > len(defects) // 2
     assert delta.woodbury_fallbacks == 0
     assert delta.coverage_matrix() == warm.coverage_matrix()
 
@@ -123,7 +170,7 @@ def test_delta_campaign_verdicts_identical_to_warm(bench):
 def test_opens_fall_back_to_the_full_solver(bench):
     """Topology-changing defects carry no low-rank view: solver='full'."""
     circuit, defects, oracles = bench
-    delta = run_campaign(circuit, defects, oracles, delta=True)
+    delta = run_campaign(circuit, defects, oracles, low_rank=True)
     open_records = [r for r in delta.records
                     if r.defect.kind in ("open", "resistor-open")]
     assert open_records
@@ -132,14 +179,15 @@ def test_opens_fall_back_to_the_full_solver(bench):
     low_rank = [r for r in delta.records
                 if r.defect.kind in ("pipe", "terminal-short",
                                      "resistor-short")]
-    assert all(r.solver in ("delta", "delta-fallback") for r in low_rank)
+    assert all(r.solver in ("batched", "delta-fallback") for r in low_rank)
 
 
 def test_parallel_delta_campaign_identical_to_serial(bench):
     circuit, defects, oracles = bench
-    serial = run_campaign(circuit, defects, oracles, delta=True)
-    parallel = run_campaign(circuit, defects, oracles, delta=True,
-                            parallel=True, workers=2)
+    serial = run_campaign(circuit, defects, oracles, low_rank=True,
+                          batch_size=16)
+    parallel = run_campaign(circuit, defects, oracles, low_rank=True,
+                            batch_size=16, parallel=True, workers=2)
     assert parallel.records == serial.records
 
 
@@ -169,8 +217,8 @@ def test_delta_conductances_values_and_validation(bench):
 
 def test_delta_records_surface_solver_counters(bench):
     circuit, defects, oracles = bench
-    delta = run_campaign(circuit, defects, oracles, delta=True)
-    solved = [r for r in delta.records if r.solver == "delta"]
+    delta = run_campaign(circuit, defects, oracles, low_rank=True)
+    solved = [r for r in delta.records if r.solver == "batched"]
     assert solved
     assert all(r.newton_iterations > 0 for r in solved)
     assert sum(r.n_factorizations for r in solved) > 0

@@ -284,7 +284,7 @@ def test_cases_reach_both_early_factor_clamps():
 def test_serial_kernel_bitwise_equals_reference(kernel_case):
     name, stamps, reference, cases = kernel_case
     for label, x, limits in cases:
-        stamps.restore_limits(limits)
+        stamps._limits = limits.copy()
         mat, rhs, limited = stamps.eval_nonlinear(x)
         ref_mat, ref_rhs, ref_limited, ref_limits = reference.eval(x, limits)
         where = f"{name}/{label}"
@@ -313,7 +313,7 @@ def test_batched_kernel_rows_bitwise_equal_reference(kernel_case):
 def test_batch_of_one_matches_serial(kernel_case):
     _, stamps, _, cases = kernel_case
     _, x, limits = cases[-1]
-    stamps.restore_limits(limits)
+    stamps._limits = limits.copy()
     mat, rhs, limited = stamps.eval_nonlinear(x)
     b_mat, b_rhs, b_limited, b_limits = stamps.eval_nonlinear_batch(
         x[None, :], limits[None, :])

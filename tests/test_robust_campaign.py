@@ -141,7 +141,8 @@ class TestSolverDeadline:
 
     def test_delta_path_records_delta_rung(self, setup):
         chain, oracles, defects, _ = setup
-        result = run_campaign(chain.circuit, defects, oracles, delta=True,
+        result = run_campaign(chain.circuit, defects, oracles,
+                              low_rank=True,
                               options=SimOptions(solve_deadline_s=1e-9))
         assert len(result.quarantined()) == len(defects)
         assert result.records[0].quarantine_reason.startswith("delta:")

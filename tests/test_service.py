@@ -11,6 +11,8 @@ import asyncio
 
 import pytest
 
+from repro.faults import campaign as campaign_module
+from repro.faults.campaign import DEFAULT_BATCH_SIZE
 from repro.parallel import balanced_chunk_size
 from repro.service import (
     CampaignService,
@@ -139,6 +141,32 @@ class TestInProcessService:
                  if e.get("type") == "span" and e["name"] == "service.job"]
         assert len(spans) == 1
         assert spans[0]["attrs"]["n_defects"] == 4
+
+    def test_parallel_low_rank_job_spreads_over_chunks(self, monkeypatch):
+        # The balanced chunk size counts defects; a low-rank job's units
+        # are whole batches, so its chunks must still split the batches
+        # across the pool instead of handing every batch to one worker.
+        maps = []
+        real_map = campaign_module.parallel_map
+
+        def spy(func, items, **kwargs):
+            maps.append((len(items), kwargs["chunk_size"]))
+            return real_map(func, items, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "parallel_map", spy)
+        spec = JobSpec(stages=6, low_rank=True, parallel=True, workers=2)
+
+        async def scenario():
+            return await CampaignService().run(spec)
+
+        result = asyncio.run(scenario())
+        circuit, defects, oracles, options = build_campaign_job(spec)
+        [(n_units, chunk_size)] = maps
+        assert n_units == -(-len(defects) // DEFAULT_BATCH_SIZE) > 1
+        assert -(-n_units // chunk_size) > 1
+        serial = campaign_module.run_campaign(circuit, defects, oracles,
+                                              options=options, low_rank=True)
+        assert result.records == serial.records
 
 
 class TestTCPFrontEnd:

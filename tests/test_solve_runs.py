@@ -162,6 +162,8 @@ def test_solved_circuit_is_freed():
 
 @pytest.mark.parametrize("engine", ["delta", "batched"])
 def test_low_rank_campaign_circuit_is_freed(engine):
+    """Per-defect ("delta": batches of one) and batched low-rank
+    campaigns both leave nothing alive once their circuit is dropped."""
     def solve():
         chain = buffer_chain(NOMINAL, n_stages=2, frequency=100e6)
         monitor = build_shared_monitor(chain.circuit, chain.output_nets,
@@ -172,9 +174,9 @@ def test_low_rank_campaign_circuit_is_freed(engine):
         defects = list(enumerate_defects(chain.circuit, kinds=("pipe",),
                                          pipe_resistances=(2e3,)))
         result = run_campaign(chain.circuit, defects, oracles,
-                              delta=True, batched=(engine == "batched"))
-        assert result.solver_counts().get(
-            "batched" if engine == "batched" else "delta")
+                              low_rank=True,
+                              batch_size=None if engine == "batched" else 1)
+        assert result.solver_counts().get("batched")
         structure = structure_for(chain.circuit)
         assert structure.delta_context is not None
         return [weakref.ref(chain.circuit), weakref.ref(structure),

@@ -24,7 +24,7 @@ def test_engine_matrix_covers_required_axes():
     names = {e.name for e in DEFAULT_ENGINES}
     assert "compiled-dense" in names            # baseline
     assert "legacy-dense" in names              # compiled vs legacy
-    assert any(e.delta for e in DEFAULT_ENGINES)     # delta vs full
+    assert any(e.low_rank for e in DEFAULT_ENGINES)  # low-rank vs full
     assert any(e.parallel for e in DEFAULT_ENGINES)  # serial vs parallel
 
 
