@@ -14,10 +14,41 @@ an *open* rewires a single terminal onto a fresh net (see
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from .sources import Waveform
+
 GROUND = "0"
+
+
+#: Types of names, parameters and counters: :func:`structural_copy`
+#: shares them without further checks.
+_IMMUTABLE = frozenset({str, int, float, bool, type(None)})
+
+
+def structural_copy(obj):
+    """A new instance of ``obj``'s class with its own attribute dict.
+
+    Dicts and lists (a terminal map,
+    :class:`~repro.circuit.devices.MultiEmitterBjt`'s per-emitter
+    limiting state, a PWL point list, a circuit's ``injected_defects``)
+    are copied one level deep, which owns them because their items are
+    immutable; waveforms are copied structurally.  Names, floats,
+    counters and any other object (frozen defects) are shared, so the
+    copy computes bitwise like ``obj``.  No ``__init__`` runs, so
+    nothing is re-parsed or re-derived.  This is the circuit layer's one
+    way to copy a component.
+    """
+    clone = object.__new__(type(obj))
+    clone.__dict__ = state = obj.__dict__.copy()
+    for key, value in state.items():
+        if type(value) in _IMMUTABLE:
+            continue
+        if isinstance(value, (dict, list)):
+            state[key] = value.copy()
+        elif isinstance(value, Waveform):
+            state[key] = structural_copy(value)
+    return clone
 
 
 class Component:
@@ -133,6 +164,12 @@ class Circuit:
         state["_solver_cache"] = None
         return state
 
+    def __copy__(self) -> "Circuit":
+        # A shallow copy would share the component dict: adding to the
+        # clone would add to this circuit without bumping its topology
+        # version, leaving its cached MNA structure stale.
+        return self.copy()
+
     @property
     def topology_version(self) -> int:
         """Monotonic counter of topology mutations (see engine caching)."""
@@ -231,8 +268,23 @@ class Circuit:
         self._topology_version += 1
 
     def copy(self) -> "Circuit":
-        """Deep copy; fault injection always works on a copy."""
-        return copy.deepcopy(self)
+        """Structural copy; fault injection always works on a copy.
+
+        The copy has this circuit's title, split counter, topology
+        version and component order, and a :func:`structural_copy` of
+        each component.  Rewiring or splitting a terminal, adding or
+        removing a component, changing a parameter or a waveform, and the
+        limiting state a solve writes back to the devices all stay on
+        the copy.  Names, floats and counters are taken verbatim, so the
+        copy numbers its MNA unknowns, names its ``#openN`` nets and
+        solves bitwise like a ``copy.deepcopy``.  Solver state is left
+        behind and rebuilt on demand.
+        """
+        clone = structural_copy(self)
+        clone._components = {name: structural_copy(component)
+                             for name, component in self._components.items()}
+        clone._solver_cache = None
+        return clone
 
     # ------------------------------------------------------------------
     # Diagnostics

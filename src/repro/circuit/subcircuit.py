@@ -14,10 +14,9 @@ addressable from the top level, which is what the fault catalog in
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Dict, List, Optional
 
-from .netlist import GROUND, Circuit, Component
+from .netlist import GROUND, Circuit, Component, structural_copy
 
 #: Nets that pass through hierarchy unprefixed (global rails).
 GLOBAL_NETS = frozenset({GROUND})
@@ -81,7 +80,7 @@ class SubCircuit:
 
         added = []
         for template in self.circuit:
-            component = copy.deepcopy(template)
+            component = structural_copy(template)
             component.name = f"{instance}.{template.name}"
             for terminal, net in template.terminals.items():
                 component.terminals[terminal] = map_net(net)

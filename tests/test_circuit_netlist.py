@@ -1,5 +1,7 @@
 """Tests for the flat netlist container and topology operations."""
 
+import copy
+
 import pytest
 
 from repro.circuit import (
@@ -11,6 +13,8 @@ from repro.circuit import (
     VoltageSource,
     instantiate,
 )
+from repro.cml import NOMINAL, buffer_chain
+from repro.sim import operating_point
 
 
 def simple_divider() -> Circuit:
@@ -118,6 +122,24 @@ class TestValidation:
         clone = circuit.copy()
         clone["R1"].rewire("n", "elsewhere")
         assert circuit["R1"].net("n") == "mid"
+
+    def test_shallow_copy_does_not_share_components(self):
+        # copy.copy used to share the component dict: adding to the
+        # clone added to the original without bumping its topology
+        # version, so the original kept solving its stale cached
+        # structure (3.05 V where the loaded circuit reads about 1 V).
+        chain = buffer_chain(NOMINAL, n_stages=2)
+        circuit = chain.circuit
+        net = chain.output_nets[-1][0]
+        before = operating_point(circuit).voltage(net)
+        version = circuit.topology_version
+        clone = copy.copy(circuit)
+        clone.add(Resistor("RLEAK", net, "0", 10))
+        assert "RLEAK" not in circuit
+        assert len(clone) == len(circuit) + 1
+        assert circuit.topology_version == version
+        assert operating_point(circuit).voltage(net) == before
+        assert operating_point(clone).voltage(net) < before - 1.0
 
 
 class TestComponentValidation:

@@ -1,10 +1,13 @@
 """Tests for the defect models, injector and fault catalog."""
 
+import copy
+
 import pytest
 
-from repro.circuit import Capacitor, Resistor
-from repro.cml import NOMINAL, buffer_chain
+from repro.circuit import Capacitor, Resistor, Waveform
+from repro.cml import NOMINAL, attach_low_swing_link, buffer_chain
 from repro.faults import (
+    ALL_KINDS,
     Bridge,
     Pipe,
     ResistorOpen,
@@ -20,6 +23,7 @@ from repro.faults import (
     transistor_sites,
 )
 from repro.sim import operating_point, run_cycles
+from repro.sim.mna import structure_for
 
 TECH = NOMINAL
 
@@ -210,12 +214,29 @@ class TestCatalog:
         assert "FAULT" not in " ".join(resistor_sites(faulty))
 
     def test_every_enumerated_defect_injects(self, chain):
-        count = 0
-        for defect in enumerate_defects(chain.circuit,
-                                        kinds=("pipe", "terminal-short",
-                                               "open", "resistor-short",
-                                               "resistor-open")):
-            faulty = inject(chain.circuit, defect)
+        # The link gives the wire-leak kind its sites.
+        attach_low_swing_link(chain.circuit, *chain.output_nets[-1])
+        circuit = chain.circuit
+        structure = structure_for(circuit)
+        version = circuit.topology_version
+        before = _component_states(circuit)
+        kinds = []
+        for defect in enumerate_defects(circuit, kinds=ALL_KINDS):
+            faulty = inject(circuit, defect)
             assert injected_names(faulty)
-            count += 1
-        assert count > 100
+            kinds.append(defect.kind)
+        assert set(kinds) == set(ALL_KINDS)
+        assert len(kinds) > 100
+        assert _component_states(circuit) == before
+        assert circuit.topology_version == version
+        assert structure_for(circuit) is structure
+
+
+def _component_states(circuit):
+    """Each component's class, name, terminals and parameters, by value
+    (a waveform by its attributes), detached from the circuit."""
+    return copy.deepcopy([
+        (type(component), {key: vars(value) if isinstance(value, Waveform)
+                           else value
+                           for key, value in vars(component).items()})
+        for component in circuit])
