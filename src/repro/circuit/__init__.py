@@ -19,7 +19,7 @@ from .devices import (
     junction_current,
     pnjlim,
 )
-from .netlist import GROUND, Circuit, Component
+from .netlist import GROUND, Circuit, Component, SplitTerminal
 from .sources import Dc, Prbs, Pulse, Pwl, Sine, Waveform
 from .spice import to_spice, write_spice
 from .spice_reader import SpiceParseError, from_spice, read_spice
@@ -29,6 +29,7 @@ __all__ = [
     "GROUND",
     "Circuit",
     "Component",
+    "SplitTerminal",
     "Resistor",
     "Capacitor",
     "VoltageSource",

@@ -14,11 +14,25 @@ an *open* rewires a single terminal onto a fresh net (see
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .sources import Waveform
 
 GROUND = "0"
+
+
+class SplitTerminal(NamedTuple):
+    """The fresh net :meth:`Circuit.split_terminal` would move a terminal to.
+
+    Stands for that net, before any split happens, as an endpoint in a
+    defect's DC view (see
+    :meth:`repro.faults.defects.Defect.delta_conductances`): an open's
+    view is its rejoining conductance between the terminal's old net and
+    ``SplitTerminal(component, terminal)``.
+    """
+
+    component: str
+    terminal: str
 
 
 #: Types of names, parameters and counters: :func:`structural_copy`

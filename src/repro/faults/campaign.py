@@ -129,10 +129,10 @@ class FaultRecord:
     #: spent on this defect either way.
     newton_iterations: int = 0
     #: How the operating point was obtained: ``"full"`` (conventional
-    #: inject-and-solve), ``"batched"`` (low-rank replay on the shared
-    #: fault-free compiled system, see
+    #: inject-and-solve), ``"batched"`` (replay on a system derived from
+    #: the fault-free compile, see
     #: :func:`repro.sim.batch.solve_batch`), ``"delta-fallback"`` (the
-    #: low-rank solve failed; re-solved conventionally), ``"full-retry"``
+    #: batched solve failed; re-solved conventionally), ``"full-retry"``
     #: (the conventional solve failed and the escalated cold retry rung
     #: succeeded), or ``"none"`` (quarantined: no operating point).
     solver: str = "full"
@@ -291,16 +291,10 @@ class CampaignResult:
             stats.n_reuses += record.n_reuses
             stats.gmin_steps += record.gmin_steps
             stats.source_steps += record.source_steps
-        stats.woodbury_fallbacks = self.woodbury_fallbacks
         stats.n_batched_solves = self.n_batched_solves
         stats.batch_occupancy = self.batch_occupancy
         stats.batch_fallbacks = self.batch_fallbacks
         return stats
-
-    @property
-    def woodbury_fallbacks(self) -> int:
-        """Low-rank solves that had to fall back to a conventional solve."""
-        return sum(1 for r in self.records if r.solver == "delta-fallback")
 
     def format(self) -> str:
         from ..analysis.reporting import format_table
@@ -422,6 +416,7 @@ def _solve_defect(defect: Defect, circuit: Circuit,
             failures.append(f"cold-retry: {retry_error}")
             record.verdicts = {o.name: FAIL for o in oracles}
             record.converged = False
+            record.solver = "none"
             record.quarantined = True
             record.quarantine_reason = "; ".join(failures)
             return record
@@ -504,36 +499,34 @@ def _solve_unit(unit: Sequence[Defect], *, circuit: Circuit,
                 warm: Optional[Tuple[Dict[str, float], Dict[str, float]]],
                 x_ref: Optional[np.ndarray]
                 ) -> Tuple[List[FaultRecord], Dict[str, int]]:
-    """One campaign unit of work: inject or batch, solve, judge.
+    """One campaign unit of work: batch or inject, solve, judge.
 
     Without ``x_ref`` every defect takes the conventional path.  With
-    the fault-free solution ``x_ref``, the unit's low-rank defects
-    (added conductances between existing nets) are solved as one batch
-    on the shared fault-free system (:func:`repro.sim.batch.solve_batch`);
-    opens, defects whose low-rank view cannot be formed, and members
-    the batch returns unsolved take the conventional path.
-    Module-level so the parallel executor can pickle it.  Returns the
-    records in unit order plus the batch counters.
+    the fault-free solution ``x_ref``, every defect with a DC view
+    (:meth:`~repro.faults.defects.Defect.delta_conductances`: added
+    conductances, and opens) is a member of one batch solved on systems
+    derived from the shared fault-free compile
+    (:func:`repro.sim.batch.solve_batch`), with no injection or compile;
+    defects without a view, and members the batch returns unsolved,
+    take the conventional path.  Module-level so the parallel executor
+    can pickle it.  Returns the records in unit order plus the batch
+    counters.
     """
     counters = dict.fromkeys(_BATCH_COUNTER_KEYS, 0)
     batched: Dict[int, BatchMember] = {}
     if x_ref is not None:
         context = DeltaContext.cached(circuit, options, x_ref)
         positions: List[int] = []
-        specs: List[Tuple[List[Tuple[int, int]], List[float]]] = []
+        views = []
         for position, defect in enumerate(unit):
             try:
-                deltas = defect.delta_conductances(circuit)
-                if deltas is None:
-                    continue
-                pairs = [(context.structure.index(p),
-                          context.structure.index(n))
-                         for p, n, _ in deltas]
+                view = defect.delta_conductances(circuit)
             except Exception:
                 continue  # the conventional path reproduces (and records) this
-            positions.append(position)
-            specs.append((pairs, [g for _, _, g in deltas]))
-        outcomes, batch_counters = solve_batch(context, specs, options)
+            if view is not None:
+                positions.append(position)
+                views.append(view)
+        outcomes, batch_counters = solve_batch(context, views, options)
         batched = dict(zip(positions, outcomes))
         for key in _BATCH_COUNTER_KEYS:
             counters[key] = getattr(batch_counters, key)
@@ -867,26 +860,25 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
     ``warm_start`` seeds every faulty solve from the fault-free
     operating point (mapped by net name, see :func:`_warm_start_vector`),
     which typically halves the Newton iteration count per defect.
-    ``low_rank=True`` solves every low-rank defect (added resistors
-    between existing nets: pipes, shorts, bridges) on the shared
-    fault-free compiled system instead of per-defect injection and
-    compilation: defects are partitioned into batches of ``batch_size``
-    (default :data:`DEFAULT_BATCH_SIZE`) and each batch's low-rank
-    members run one stacked replay Newton (see
-    :func:`repro.sim.batch.solve_batch`: vectorised device evaluation
-    over ``(n_defects, n_devices)`` arrays, one stacked dense solve or
-    one sparse solve per member per iteration, per-defect convergence
-    masking).  Verdicts are bit-identical to the conventional path on
-    dense systems and equal to solver tolerance on sparse ones.
-    Topology-changing defects (opens) take the conventional path;
-    members the batch returns unsolved are re-solved conventionally
-    (tagged ``delta-fallback``, counted in
-    :attr:`CampaignResult.batch_fallbacks` and
-    :attr:`CampaignResult.woodbury_fallbacks`).  Batch work is
-    observable via :attr:`CampaignResult.n_batched_solves` /
-    ``batch_occupancy`` / ``batch_fallbacks`` and the matching
-    ``campaign.*`` telemetry counters.  ``batch_size`` must be at least
-    1 and is only accepted with ``low_rank=True``.
+    ``low_rank=True`` solves every defect with a DC view — added
+    resistors between existing nets (pipes, shorts, bridges) and opens
+    — on compiled systems derived from the fault-free compile instead
+    of per-defect injection and compilation: defects are partitioned
+    into batches of ``batch_size`` (default :data:`DEFAULT_BATCH_SIZE`)
+    and each batch runs one stacked replay Newton from the fault-free
+    operating point (see :func:`repro.sim.batch.solve_batch`: vectorised
+    device evaluation over ``(n_defects, n_devices)`` arrays, one
+    stacked dense solve per system size or one sparse solve per member
+    per iteration, per-defect convergence masking).  Each member's
+    operating point is bitwise the warm-started conventional solve's, on
+    dense and sparse systems.  Defects without a view take the
+    conventional path; members the batch returns unsolved are re-solved
+    conventionally (tagged ``delta-fallback``, counted in
+    :attr:`CampaignResult.batch_fallbacks`).  Batch work is observable
+    via :attr:`CampaignResult.n_batched_solves` / ``batch_occupancy`` /
+    ``batch_fallbacks`` and the matching ``campaign.*`` telemetry
+    counters.  ``batch_size`` must be at least 1 and is only accepted
+    with ``low_rank=True``.
 
     ``parallel=True`` fans the units of work — single defects, or
     batches with ``low_rank=True`` — out over a process pool
@@ -947,7 +939,6 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
                      batch_fallbacks=result.batch_fallbacks)
         span.set(n_converged=sum(1 for r in result.records if r.converged),
                  solver_counts=result.solver_counts(),
-                 woodbury_fallbacks=result.woodbury_fallbacks,
                  newton_iterations=aggregate.iterations,
                  n_solver_failed=len(result.solver_failed()),
                  n_quarantined=len(result.quarantined()),
@@ -970,9 +961,6 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
         tel.metrics.counter("campaign.defects").add(len(result.records))
         for solver_kind, count in result.solver_counts().items():
             tel.metrics.counter(f"campaign.solves.{solver_kind}").add(count)
-        if result.woodbury_fallbacks:
-            tel.metrics.counter("campaign.woodbury_fallbacks").add(
-                result.woodbury_fallbacks)
         if result.solver_failed():
             tel.metrics.counter("campaign.solver_failed").add(
                 len(result.solver_failed()))

@@ -20,11 +20,14 @@ can identify and strip them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple, Union
 
 from ..circuit.components import Capacitor, Resistor
 from ..circuit.devices import Bjt, MultiEmitterBjt
-from ..circuit.netlist import Circuit
+from ..circuit.netlist import Circuit, SplitTerminal
+
+#: A DC-view endpoint: a net name, or the fresh net of a split terminal.
+Endpoint = Union[str, SplitTerminal]
 
 #: Canonical model values from section 3 of the paper.
 SHORT_RESISTANCE = 1.0
@@ -61,17 +64,24 @@ class Defect:
         raise NotImplementedError
 
     def delta_conductances(self, circuit: Circuit
-                           ) -> Optional[List[Tuple[str, str, float]]]:
-        """Low-rank view of this defect on ``circuit``, if one exists.
+                           ) -> Optional[List[Tuple[Endpoint, Endpoint,
+                                                    float]]]:
+        """DC view of this defect on ``circuit``, if one exists.
 
-        A defect that only *adds* resistors between nets that already
-        exist is a rank-k update ``U diag(g) U^T`` of the fault-free MNA
-        matrix; this returns its ``(net_p, net_n, g)`` terms so the
-        campaign can solve it on the shared fault-free compiled system
-        without re-compiling the topology.  Defects that split
-        nets or remove elements return ``None`` (the campaign injects and
-        solves them conventionally).  Implementations perform the same
-        validation as :meth:`apply` and raise the same errors.
+        The ``(net_p, net_n, g)`` conductances :meth:`apply` appends to
+        the circuit's resistors, in the order it appends them.  A defect
+        that only *adds* resistors between existing nets (pipes, shorts,
+        bridges) is a rank-k update of the fault-free MNA matrix.  An
+        open also moves one terminal onto a fresh net, which its view
+        names as the endpoint ``SplitTerminal(component, terminal)``;
+        the open model's capacitor is open at DC and not in the view.
+        The campaign derives each view's compiled system from the
+        fault-free compile (:meth:`repro.sim.mna.CompiledStamps.derive`)
+        instead of injecting and compiling the circuit.  Defects that
+        remove elements, or change the circuit some other way, return
+        ``None`` and are injected and solved conventionally.
+        Implementations perform the same validation as :meth:`apply` and
+        raise the same errors.
         """
         return None
 
@@ -234,6 +244,13 @@ class TerminalOpen(Defect):
         circuit.add(Capacitor(_unique_name(circuit, f"{stem}_C"),
                               old_net, new_net, self.capacitance))
 
+    def delta_conductances(self, circuit: Circuit
+                           ) -> Optional[List[Tuple[Endpoint, Endpoint,
+                                                    float]]]:
+        old_net = circuit[self.component].net(self.terminal)
+        return [(old_net, SplitTerminal(self.component, self.terminal),
+                 1.0 / self.resistance)]
+
     def describe(self) -> str:
         return f"open at {self.component}.{self.terminal}"
 
@@ -280,6 +297,14 @@ class ResistorOpen(Defect):
         if not isinstance(component, Resistor):
             raise TypeError(f"{self.resistor} is not a resistor")
         TerminalOpen(self.resistor, "p").apply(circuit)
+
+    def delta_conductances(self, circuit: Circuit
+                           ) -> Optional[List[Tuple[Endpoint, Endpoint,
+                                                    float]]]:
+        component = circuit[self.resistor]
+        if not isinstance(component, Resistor):
+            raise TypeError(f"{self.resistor} is not a resistor")
+        return TerminalOpen(self.resistor, "p").delta_conductances(circuit)
 
     def describe(self) -> str:
         return f"open resistor {self.resistor}"

@@ -1,36 +1,46 @@
-"""Batched low-rank fault solves: the campaign's low-rank engine.
+"""Batched fault solves: the campaign's low-rank engine.
 
-One fault campaign solves hundreds of operating points that differ from
-the fault-free circuit by a rank-1/2 conductance update (pipes, shorts,
-bridges).  :func:`solve_batch` solves a batch of them together on the
-shared fault-free compiled system — no per-defect injection, topology
-rebuild or restamping-table compile — by *replay Newton* on each
-member's faulted system (the fault-free system with the member's fault
-conductances added): plain Newton from the fault-free operating point,
-starting from the junction-limiting state a freshly compiled injected
-circuit starts from.  Each iteration makes
+One fault campaign solves hundreds of operating points of circuits that
+differ from the fault-free one by a single defect.  :func:`solve_batch`
+solves a batch of them together without injecting, copying or compiling
+any circuit: every member is the compiled faulted system derived from
+the fault-free compile (:meth:`CompiledStamps.derive`).  Added
+conductances (pipes, shorts, bridges) keep the fault-free numbering;
+an open moves its terminal onto a fresh net and renumbers the unknowns
+as the injected circuit would.  Each member's tables come from the one
+pattern builder the compile uses, and each member is dense or sparse by
+its own size.
 
-* one vectorised device evaluation over ``(n_members, n_junctions)``
-  arrays (:meth:`CompiledStamps.eval_nonlinear_batch`), then
-* one stacked ``np.linalg.solve`` on dense systems, or one
-  :meth:`CompiledSystem.solve_assembled` per member on sparse ones,
+Members are solved by *replay Newton*: plain Newton from the fault-free
+operating point (in the member's numbering, the fresh net of an open at
+its old net's voltage, as the campaign's warm start maps it), starting
+from the junction-limiting state a freshly compiled injected circuit
+starts from.  Each iteration makes
+
+* one vectorised device evaluation over every member
+  (:meth:`CompiledStamps.eval_nonlinear_batch`), each member gathering
+  its own junction terminals, then
+* one stacked ``np.linalg.solve`` per system size over the dense
+  members, and one ``splu`` per sparse member on its own CSC pattern,
 
 and drops converged members from the batch without touching the
 arithmetic of the others, so a member's iterates never depend on what it
 is batched with: a batch of N and N batches of one give bitwise-equal
 results.
 
-On dense systems the replay is the conventional inject-and-solve
-trajectory bit for bit: same starting state, same matrix accumulation
-order (``np.add.at`` broadcast semantics), and stacked solves whose
-slices are bitwise the per-member 1-D solves.  Campaign verdicts
-therefore cannot drift even on bistable faulty circuits.  On sparse
-systems the fault stamps are added after the fault-free assembly, so
-the replay agrees with the conventional solve to solver tolerance.
+The replay is the conventional inject-and-solve trajectory bit for bit,
+on dense and sparse systems alike: the same tables and starting state,
+the same accumulation order (a member scatters the device values through
+its own indices, its ground slots into one discarded extra slot), and
+stacked solves whose slices are bitwise the per-member 1-D solves.
+Campaign verdicts therefore cannot drift even on bistable faulty
+circuits.  A converged solution is gathered back into the fault-free
+numbering, the only one the campaign's oracles read.
 
-A member that fails — singular or non-finite iterate, no convergence
-within ``options.max_nr_iterations``, the solve deadline — carries the
-reason, and the campaign re-solves it conventionally.
+A member that fails — no derivable system, singular or non-finite
+iterate, no convergence within ``options.max_nr_iterations``, the solve
+deadline — carries the reason, and the campaign re-solves it
+conventionally.
 """
 
 from __future__ import annotations
@@ -39,23 +49,26 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csc_matrix
 
 from .dc import (DeltaContext, NewtonStats, SolveDeadlineExceeded,
                  _check_deadline, _deadline_for)
-from .mna import SingularMatrixError, fault_overlay, faulted_dense_base
+from .mna import SingularMatrixError, solve_direct
 from .options import SimOptions
 
-#: One batch member's fault view: (net-index pairs, added conductances).
-MemberSpec = Tuple[Sequence[Tuple[int, int]], Sequence[float]]
+#: One batch member's defect, as its DC view: the ``(net_p, net_n, g)``
+#: conductances of :meth:`repro.faults.defects.Defect.delta_conductances`.
+MemberView = Sequence[Tuple[object, object, float]]
 
 
 @dataclass
 class BatchMember:
     """Outcome of one member of a batched solve.
 
-    ``x`` is the converged operating point, or ``None`` when the member
-    failed; ``failure`` then says why.  ``stats`` counts the work the
-    batch spent on this member: one factorization per replay iteration.
+    ``x`` is the converged operating point in the fault-free numbering,
+    or ``None`` when the member failed; ``failure`` then says why.
+    ``stats`` counts the work the batch spent on this member: one
+    factorization per replay iteration.
     """
 
     stats: NewtonStats = field(
@@ -73,23 +86,78 @@ class BatchCounters:
     batch_fallbacks: int = 0
 
 
-def solve_batch(context: DeltaContext, members: Sequence[MemberSpec],
+class _Member:
+    """What the replay reads of one member's derived faulted system.
+
+    ``base``/``rhs_base`` are its Newton-invariant matrix (flat dense
+    cells, or CSC data) and RHS, each with one extra slot at the end;
+    ``cells``/``rhs_cells`` send every device stamp slot of the batch
+    evaluation to a matrix cell and an RHS row, ground slots to the
+    extra slot, which the solve never reads.  The derived tables
+    themselves are not kept.
+    """
+
+    def __init__(self, context: DeltaContext, view: MemberView,
+                 options: SimOptions):
+        stamps = context.system.stamps.derive(view)
+        system = stamps.build_system(options)
+        n = self.n = stamps.n
+        self.n_nets = stamps.n_nets
+        self.sparse = system.sparse
+        self.renumber = stamps.renumber
+        self.x0 = (context.x_ref if stamps.origin is None
+                   else np.append(context.x_ref, 0.0)[stamps.origin])
+        self.terminals = stamps._j_terminals
+        rows, cols = stamps.device_rows, stamps.device_cols
+        keep = (rows >= 0) & (cols >= 0)
+        if system.sparse:
+            pattern = system.pattern
+            self.indices, self.indptr = pattern.indices, pattern.indptr
+            self.cells = np.full(len(rows), pattern.nnz)
+            self.cells[keep] = pattern.nl_pos
+            self.base = np.append(system.base_data, 0.0)
+        else:
+            self.cells = np.where(keep, rows * n + cols, n * n)
+            self.base = np.append(system.base_dense.ravel(), 0.0)
+        self.rhs_cells = np.where(stamps.device_rhs_rows >= 0,
+                                  stamps.device_rhs_rows, n)
+        self.rhs_base = np.append(system.rhs_base, 0.0)
+
+    def solution(self, x: np.ndarray) -> np.ndarray:
+        """A converged iterate in the fault-free numbering."""
+        if self.renumber is None:
+            return x[:self.n].copy()
+        return x[self.renumber]
+
+
+def solve_batch(context: DeltaContext, views: Sequence[MemberView],
                 options: SimOptions
                 ) -> Tuple[List[BatchMember], BatchCounters]:
-    """Solve a batch of low-rank fault systems by stacked replay Newton.
+    """Solve a batch of fault systems by stacked replay Newton.
 
-    Every member shares ``context`` (the fault-free compiled system and
-    its reset limiting state).  Returns one :class:`BatchMember` per
-    spec, in order, plus the batch counters.  Never raises for a
-    member-level failure: failed members carry ``x=None`` and count in
-    ``batch_fallbacks``.
+    Every member is derived from ``context`` (the fault-free compiled
+    system and its reset limiting state) and the defect's DC view.
+    Returns one :class:`BatchMember` per view, in order, plus the batch
+    counters.  Never raises for a member-level failure: failed members
+    carry ``x=None`` and count in ``batch_fallbacks``.
     """
-    results = [BatchMember() for _ in members]
+    results = [BatchMember() for _ in views]
     counters = BatchCounters()
-    if not members:
+    if not views:
         return results, counters
     if context.system.stamps.supports_batch:
-        _replay(context, members, options, counters, results)
+        members: List[_Member] = []
+        solved: List[BatchMember] = []
+        for view, result in zip(views, results):
+            try:
+                members.append(_Member(context, view, options))
+            except Exception as error:  # the conventional rung records it
+                result.failure = (f"no derived system: "
+                                  f"{type(error).__name__}: {error}")
+                continue
+            solved.append(result)
+        if members:
+            _replay(context, members, options, counters, solved)
     else:
         # Fallback devices stamp through per-component callbacks, which
         # have no stacked evaluation.
@@ -100,21 +168,59 @@ def solve_batch(context: DeltaContext, members: Sequence[MemberSpec],
     return results, counters
 
 
-def _replay(context: DeltaContext, members: Sequence[MemberSpec],
+class _DenseStack:
+    """The dense members of one system size, stacked for one solve."""
+
+    def __init__(self, members: Sequence[_Member]):
+        self.n = members[0].n
+        self.bases = np.stack([m.base for m in members])
+        self.cells = np.stack([m.cells for m in members])
+        self.rhs_bases = np.stack([m.rhs_base for m in members])
+        self.rhs_cells = np.stack([m.rhs_cells for m in members])
+
+    def assemble(self, slots: np.ndarray, vals: np.ndarray,
+                 rhs_vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(matrices, rhs)`` of the members at ``slots``, from their
+        device values (one row each)."""
+        n, count = self.n, len(slots)
+        matrices = self.bases[slots]
+        offsets = np.arange(count)[:, None] * matrices.shape[1]
+        np.add.at(matrices.reshape(-1),
+                  (self.cells[slots] + offsets).ravel(), vals.ravel())
+        rhs = self.rhs_bases[slots]
+        offsets = np.arange(count)[:, None] * rhs.shape[1]
+        np.add.at(rhs.reshape(-1),
+                  (self.rhs_cells[slots] + offsets).ravel(), rhs_vals.ravel())
+        return matrices[:, :n * n].reshape(count, n, n), rhs[:, :n]
+
+
+def _replay(context: DeltaContext, members: Sequence[_Member],
             options: SimOptions, counters: BatchCounters,
             results: List[BatchMember]) -> None:
     """Stacked plain Newton on every member's faulted system."""
-    system = context.system
-    stamps = system.stamps
-    n_nets = context.structure.n_nets
+    stamps = context.system.stamps  # the devices every member shares
     count = len(members)
-    if system.sparse:
-        overlays = [fault_overlay(system, pairs, gs) for pairs, gs in members]
-    else:
-        bases = np.stack([faulted_dense_base(system, pairs, gs)
-                          for pairs, gs in members])
+    width = max(member.n for member in members)
+    x_stack = np.zeros((count, width))
+    for j, member in enumerate(members):
+        x_stack[j, :member.n] = member.x0
+    is_net = np.arange(width) < np.array(
+        [member.n_nets for member in members])[:, None]
+    terminals = np.stack([member.terminals for member in members])
     limits = np.repeat(context.reset_limits[None, :], count, axis=0)
-    x_stack = np.repeat(context.x_ref[None, :], count, axis=0)
+
+    # Dense members solve stacked, one stack per system size; ``group``
+    # is a member's stack (-1: sparse) and ``slot`` its row there.
+    sizes = sorted({m.n for m in members if not m.sparse})
+    group = np.full(count, -1)
+    slot = np.zeros(count, dtype=np.intp)
+    stacks = []
+    for g, n in enumerate(sizes):
+        rows = [j for j, m in enumerate(members)
+                if not m.sparse and m.n == n]
+        group[rows] = g
+        slot[rows] = np.arange(len(rows))
+        stacks.append(_DenseStack([members[j] for j in rows]))
 
     active = np.arange(count)
     deadline = _deadline_for(options)
@@ -129,53 +235,65 @@ def _replay(context: DeltaContext, members: Sequence[MemberSpec],
                 results[j].failure = str(error)
             return
         x_active = x_stack[active]
-        nl_vals, nl_rhs_vals, limited, limits[active] = (
-            stamps.eval_nonlinear_batch(x_active, limits[active]))
+        vals, rhs_vals, limited, limits[active] = (
+            stamps.eval_nonlinear_batch(x_active, limits[active],
+                                        terminals[active]))
         counters.n_batched_solves += 1
         counters.batch_occupancy += int(active.size)
 
-        x_next = None
-        if system.sparse:
-            assembled = []
-            for row, j in enumerate(active):
-                matrix, member_rhs = system.stamp(nl_vals[row],
-                                                  nl_rhs_vals[row])
-                assembled.append((matrix + overlays[j], member_rhs))
-        else:
-            rows = np.arange(active.size)[:, None]
-            matrices = bases[active]
-            np.add.at(matrices, (rows, stamps.nl_rows, stamps.nl_cols),
-                      nl_vals)
-            rhs = np.repeat(system.rhs_base[None, :], active.size, axis=0)
-            np.add.at(rhs, (rows, stamps.nl_rhs_rows), nl_rhs_vals)
-            try:
-                x_next = np.linalg.solve(matrices, rhs[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                # One singular member poisons the stacked solve; isolate
-                # it with per-member solves (bitwise the stacked slices).
-                assembled = zip(matrices, rhs)
+        x_next = np.zeros_like(x_active)
         failed = np.zeros(active.size, dtype=bool)
-        if x_next is None:
-            x_next = np.zeros_like(x_active)
-            for row, (matrix, member_rhs) in enumerate(assembled):
-                try:
-                    x_next[row] = system.solve_assembled(matrix, member_rhs)
-                except SingularMatrixError as error:
-                    failed[row] = True
-                    results[active[row]].failure = str(error)
-        finite = np.isfinite(x_next).all(axis=1)
-        for row in np.nonzero(~finite & ~failed)[0]:
-            results[active[row]].failure = (
-                "solution contains non-finite values")
-        failed |= ~finite
 
+        def fail(row: int, reason: str) -> None:
+            failed[row] = True
+            results[active[row]].failure = reason
+
+        active_group = group[active]
+        for g, stack in enumerate(stacks):
+            rows = np.flatnonzero(active_group == g)
+            if rows.size == 0:
+                continue
+            matrices, rhs = stack.assemble(slot[active[rows]], vals[rows],
+                                           rhs_vals[rows])
+            try:
+                x_next[rows, :stack.n] = np.linalg.solve(
+                    matrices, rhs[..., None])[..., 0]
+                continue
+            except np.linalg.LinAlgError:
+                pass
+            # One singular member poisons the stacked solve; isolate it
+            # with per-member solves (bitwise the stacked slices).
+            for row, matrix, member_rhs in zip(rows, matrices, rhs):
+                try:
+                    x_next[row, :stack.n] = solve_direct(matrix, member_rhs,
+                                                         sparse=False)
+                except SingularMatrixError as error:
+                    fail(row, str(error))
+        for row in np.flatnonzero(active_group < 0):
+            member = members[active[row]]
+            data = member.base.copy()
+            np.add.at(data, member.cells, vals[row])
+            rhs = member.rhs_base.copy()
+            np.add.at(rhs, member.rhs_cells, rhs_vals[row])
+            matrix = csc_matrix((data[:-1], member.indices, member.indptr),
+                                shape=(member.n, member.n))
+            try:
+                x_next[row, :member.n] = solve_direct(matrix, rhs[:-1],
+                                                      sparse=True)
+            except SingularMatrixError as error:
+                fail(row, str(error))
+        finite = np.isfinite(x_next).all(axis=1)
+        for row in np.flatnonzero(~finite & ~failed):
+            fail(row, "solution contains non-finite values")
+
+        net = is_net[active]
         if mvs > 0:
-            step = x_next[:, :n_nets] - x_active[:, :n_nets]
+            step = x_next - x_active
             np.clip(step, -mvs, mvs, out=step)
-            x_next[:, :n_nets] = x_active[:, :n_nets] + step
+            x_next = np.where(net, x_active + step, x_next)
 
         survivors = ~failed
-        for row in np.nonzero(survivors)[0]:
+        for row in np.flatnonzero(survivors):
             stats = results[active[row]].stats
             stats.iterations += 1
             stats.n_factorizations += 1
@@ -183,11 +301,11 @@ def _replay(context: DeltaContext, members: Sequence[MemberSpec],
         # Elementwise broadcast of :func:`repro.sim.dc._converged`.
         delta = np.abs(x_next - x_active)
         tol = options.reltol * np.maximum(np.abs(x_next), np.abs(x_active))
-        tol[:, :n_nets] += options.vntol
-        tol[:, n_nets:] += options.abstol
+        tol += np.where(net, options.vntol, options.abstol)
         done = survivors & ~limited & (delta <= tol).all(axis=1)
-        for row in np.nonzero(done)[0]:
-            results[active[row]].x = x_next[row].copy()
+        for row in np.flatnonzero(done):
+            results[active[row]].x = members[active[row]].solution(
+                x_next[row])
         x_stack[active] = x_next
         active = active[survivors & ~done]
     for j in active:

@@ -84,8 +84,6 @@ class NewtonStats:
     #: Adaptive-transient steps rejected by the LTE controller (or by a
     #: Newton failure forcing a step cut) and retried at a smaller step.
     n_rejected_steps: int = 0
-    #: Low-rank campaign solves that fell back to a conventional solve.
-    woodbury_fallbacks: int = 0
     #: Low-rank batch counters (see :mod:`repro.sim.batch`): batched
     #: replay iterations performed, the summed number of still-active
     #: batch members across those iterations (mean occupancy =

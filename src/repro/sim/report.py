@@ -106,7 +106,7 @@ def solver_stats_report(stats) -> str:
 
     Surfaces the modified-Newton factorization economy (how many
     iterations refactorized vs reused an LU), the adaptive stepper's
-    rejected steps and the campaign's low-rank fallbacks — the counters
+    rejected steps and the campaign's batch fallbacks — the counters
     behind the performance numbers in BENCH_sim.json.
 
     Built on the telemetry counter mapping

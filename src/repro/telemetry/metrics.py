@@ -29,7 +29,6 @@ NEWTON_COUNTERS: Tuple[Tuple[str, str], ...] = (
     ("n_factorizations", "newton.factorizations"),
     ("n_reuses", "newton.reuses"),
     ("n_rejected_steps", "transient.rejected_steps"),
-    ("woodbury_fallbacks", "campaign.woodbury_fallbacks"),
     ("n_batched_solves", "campaign.batched_solves"),
     ("batch_occupancy", "campaign.batch_occupancy"),
     ("batch_fallbacks", "campaign.batch_fallbacks"),

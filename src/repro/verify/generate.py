@@ -69,7 +69,8 @@ class GeneratorConfig:
     #: 3 = the shared monitor + comparator (adds the flag oracle).
     detector_variants: Tuple[int, ...] = (0, 1, 2, 3)
     #: Defect kinds the generator samples sites from.  Includes ``open``
-    #: so the low-rank engine's conventional path is fuzzed too.
+    #: so the batch's renumbered members (a split terminal on a fresh
+    #: net) are fuzzed too.
     defect_kinds: Tuple[str, ...] = ("pipe", "terminal-short",
                                      "resistor-short", "bridge", "open")
     pipe_resistances: Tuple[float, ...] = (1e3, 2e3, 4e3, 8e3)

@@ -48,7 +48,7 @@ def test_corpus_covers_defects_and_transients():
     assert any(s.transient is not None for s in scenarios)
     classes = {d["class"] for s in scenarios for d in s.defects}
     assert "TerminalOpen" in classes, \
-        "corpus must exercise the low-rank engine's conventional path"
+        "corpus must exercise opens, renumbered members of the batch"
 
 
 def test_corpus_covers_new_defect_families():

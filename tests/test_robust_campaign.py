@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.circuit import VoltageSource
 from repro.cml import NOMINAL, buffer_chain
 from repro.dft import build_shared_monitor
 from repro.faults import (
@@ -54,6 +55,21 @@ class HangPipe(Pipe):
 
     def apply(self, circuit):
         time.sleep(60.0)
+
+    def delta_conductances(self, circuit):
+        return None
+
+
+class ClashingSources(Pipe):
+    """Defect adding a 1 V and a 2 V source on one net: no solver rung
+    finds an operating point."""
+
+    kind = "clash"
+
+    def apply(self, circuit):
+        net = circuit[self.transistor].net("c")
+        circuit.add(VoltageSource("FAULT_V1", net, "0", 1.0))
+        circuit.add(VoltageSource("FAULT_V2", net, "0", 2.0))
 
     def delta_conductances(self, circuit):
         return None
@@ -146,6 +162,22 @@ class TestSolverDeadline:
                               options=SimOptions(solve_deadline_s=1e-9))
         assert len(result.quarantined()) == len(defects)
         assert result.records[0].quarantine_reason.startswith("delta:")
+
+    @pytest.mark.parametrize("low_rank", [False, True])
+    def test_quarantine_after_every_rung_is_tagged_none(self, setup,
+                                                        low_rank):
+        """A defect no solver rung can solve is quarantined with
+        ``solver="none"``: it never counts as a full solve."""
+        chain, oracles, defects, _ = setup
+        clash = ClashingSources(defects[0].transistor)
+        result = run_campaign(chain.circuit, [clash, defects[1]], oracles,
+                              low_rank=low_rank)
+        record = result.records[0]
+        assert record.quarantined and not record.converged
+        assert "cold-retry" in record.quarantine_reason
+        assert record.solver == "none"
+        solved = "batched" if low_rank else "full"
+        assert result.solver_counts() == {"none": 1, solved: 1}
 
     def test_escalated_options_grow_iteration_cap(self):
         options = SimOptions(max_nr_iterations=100,

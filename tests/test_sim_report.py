@@ -120,14 +120,14 @@ class TestSolverStatsReport:
         assert "reuses=5" in line
         # zero-valued optional counters stay out of the line
         assert "rejected_steps" not in line
-        assert "woodbury_fallbacks" not in line
+        assert "batch_fallbacks" not in line
 
     def test_optional_counters_appear_when_nonzero(self):
         stats = NewtonStats(strategy="gmin-stepping", gmin_steps=4,
-                            n_rejected_steps=3, woodbury_fallbacks=1)
+                            n_rejected_steps=3, batch_fallbacks=1)
         line = solver_stats_report(stats)
         assert "rejected_steps=3" in line
-        assert "woodbury_fallbacks=1" in line
+        assert "batch_fallbacks=1" in line
         assert "gmin_steps=4" in line
 
     def test_real_solve_stats_render(self):
@@ -146,7 +146,7 @@ class TestSolverStatsReport:
                         "reuses=0")
 
     def test_all_fallback_campaign_aggregate(self):
-        """Every delta solve fell back: fallbacks equal the record count
+        """Every batch member fell back: fallbacks equal the record count
         and both attempts' work shows up in the aggregate."""
         from repro.faults.campaign import CampaignResult, FaultRecord
         from repro.faults.defects import Pipe
@@ -155,11 +155,13 @@ class TestSolverStatsReport:
                                solver="delta-fallback",
                                newton_iterations=11, n_factorizations=11)
                    for _ in range(3)]
-        stats = CampaignResult(records=records).aggregate_stats()
-        assert stats.woodbury_fallbacks == 3
+        result = CampaignResult(records=records, batch_fallbacks=3)
+        assert result.solver_counts() == {"delta-fallback": 3}
+        stats = result.aggregate_stats()
+        assert stats.batch_fallbacks == 3
         line = solver_stats_report(stats)
         assert "iterations=33" in line
-        assert "woodbury_fallbacks=3" in line
+        assert "batch_fallbacks=3" in line
 
     def test_transient_with_zero_rejected_steps(self):
         """A clean fixed-step transient never mentions rejected steps."""
