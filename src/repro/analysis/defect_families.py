@@ -8,7 +8,8 @@ Two studies beyond the paper's own catalog:
   every base junction of a buffer chain, walks the resistance from soft
   (~10 MΩ) to hard (~1 kΩ), and measures the detection fraction of each
   amplitude-detector variant (0 = logic/IDDQ only, 1/2 = per-pair
-  detectors, 3 = shared monitor).  The headline claim — detection is
+  detectors, 3 = shared monitor), each variant one batched campaign
+  with that variant's oracles.  The headline claim — detection is
   monotone non-decreasing in severity per variant — is what the perf
   harness gates (``BENCH_defect_families.json``).
 
@@ -27,24 +28,13 @@ from ..cml.chain import buffer_chain
 from ..cml.technology import CmlTechnology, NOMINAL
 from ..dft.detectors import attach_variant1, attach_variant2
 from ..dft.sharing import build_shared_monitor, ensure_vtest
-from ..faults.campaign import IddqOracle, LogicOracle, run_campaign
+from ..faults.campaign import (AmplitudeOracle, FlagOracle, IddqOracle,
+                               LogicOracle, run_campaign)
 from ..faults.catalog import enumerate_defects
 from ..faults.defects import OxideBreakdown
-from ..faults.injector import inject
-from ..sim import ConvergenceError, operating_point
 from ..testgen.circuits import ila_and_exor, ila_c_test_vectors
 from ..testgen.faultsim import enumerate_stuck_faults, fault_simulate
 from ..testgen.synthesis import synthesize
-
-#: DC amplitude-detection criterion for variants 1/2: the detector
-#: output must sag this far below its fault-free level (the same 250 mV
-#: criterion as :class:`repro.analysis.detector_experiments
-#: .DetectorResponse`).
-DETECTION_MARGIN = 0.25
-
-#: IDDQ detection threshold for variant 0 (matches the campaign
-#: :class:`~repro.faults.campaign.IddqOracle` default).
-IDDQ_THRESHOLD = 100e-6
 
 #: Default severity grid, soft to hard.
 DEFAULT_SWEEP_RESISTANCES = (10e6, 1e6, 1e5, 1e4, 1e3)
@@ -110,25 +100,15 @@ def _oxide_sites(circuit) -> List[OxideBreakdown]:
 
 def _variant_testbench(tech: CmlTechnology, n_stages: int, variant: int):
     """A driven chain with one detector variant attached; returns
-    ``(circuit, detect)`` where ``detect(faulty_or_None) -> bool``."""
+    ``(circuit, sites, oracles)``.  The oxide sites are enumerated before
+    the detector is attached, so only the chain is attacked."""
     chain = buffer_chain(tech, n_stages=n_stages, frequency=100e6)
     circuit = chain.circuit
     sites = _oxide_sites(circuit)
 
     if variant == 0:
-        reference = operating_point(circuit)
-        ref_iddq = abs(reference.branch_current("VGND"))
-        polarity = [(p, n, reference.voltage(p) > reference.voltage(n))
-                    for p, n in chain.output_nets]
-
-        def detect(solution) -> bool:
-            if solution is None:
-                return True
-            if any((solution.voltage(p) > solution.voltage(n)) != ref
-                   for p, n, ref in polarity):
-                return True
-            return abs(abs(solution.branch_current("VGND"))
-                       - ref_iddq) > IDDQ_THRESHOLD
+        oracles = [LogicOracle(chain.output_nets),
+                   IddqOracle(supply_source="VGND")]
     elif variant in (1, 2):
         op, opb = chain.output_nets[-1]
         if variant == 1:
@@ -136,26 +116,15 @@ def _variant_testbench(tech: CmlTechnology, n_stages: int, variant: int):
         else:
             ensure_vtest(circuit, tech)
             detector = attach_variant2(circuit, op, opb, tech=tech)
-        ref_vout = operating_point(circuit).voltage(detector.vout)
-
-        def detect(solution) -> bool:
-            if solution is None:
-                return True
-            return (solution.voltage(detector.vout)
-                    < ref_vout - DETECTION_MARGIN)
+        oracles = [AmplitudeOracle(detector.vout)]
     elif variant == 3:
         monitor = build_shared_monitor(circuit, chain.output_nets,
                                        tech=tech)
-
-        def detect(solution) -> bool:
-            if solution is None:
-                return True
-            return (solution.voltage(monitor.nets.flag)
-                    < solution.voltage(monitor.nets.flagb))
+        oracles = [FlagOracle(monitor.nets.flag, monitor.nets.flagb)]
     else:
         raise ValueError(f"unknown detector variant {variant}")
 
-    return circuit, sites, detect
+    return circuit, sites, oracles
 
 
 def severity_sweep(tech: CmlTechnology = NOMINAL,
@@ -166,9 +135,10 @@ def severity_sweep(tech: CmlTechnology = NOMINAL,
 
     Sites are every base junction of an ``n_stages`` buffer chain; the
     same site list is swept at every resistance so the per-variant
-    curves are directly comparable.  A non-convergent faulty circuit
-    counts as detected (the campaign's "catastrophically broken"
-    reading).
+    curves are directly comparable.  Each variant is one low-rank
+    campaign over sites × resistances; a site counts as detected when
+    any of the variant's oracles catches it or its faulty circuit does
+    not converge (the campaign's "catastrophically broken" reading).
     """
     resistances = tuple(resistances)
     if sorted(resistances, reverse=True) != list(resistances):
@@ -177,23 +147,17 @@ def severity_sweep(tech: CmlTechnology = NOMINAL,
     detected: Dict[int, List[int]] = {}
     n_sites = 0
     for variant in variants:
-        circuit, sites, detect = _variant_testbench(tech, n_stages,
-                                                    variant)
+        circuit, sites, oracles = _variant_testbench(tech, n_stages,
+                                                     variant)
         n_sites = len(sites)
-        counts = []
-        for resistance in resistances:
-            count = 0
-            for site in sites:
-                defect = dc_replace(site, resistance=resistance)
-                faulty = inject(circuit, defect)
-                try:
-                    solution = operating_point(faulty)
-                except ConvergenceError:
-                    solution = None
-                if detect(solution):
-                    count += 1
-            counts.append(count)
-        detected[variant] = counts
+        defects = [dc_replace(site, resistance=resistance)
+                   for resistance in resistances for site in sites]
+        records = run_campaign(circuit, defects, oracles,
+                               low_rank=True).records
+        caught = [not record.converged or bool(record.caught_by())
+                  for record in records]
+        detected[variant] = [sum(caught[k * n_sites:(k + 1) * n_sites])
+                             for k in range(len(resistances))]
     return SeveritySweep(resistances=resistances,
                          variants=tuple(variants), detected=detected,
                          n_sites=n_sites, n_stages=n_stages)

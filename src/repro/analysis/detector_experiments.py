@@ -18,6 +18,7 @@ from ..dft.detectors import (
     attach_variant2,
 )
 from ..dft.sharing import build_shared_monitor, ensure_vtest, test_mode_entry
+from ..faults.campaign import DETECTION_MARGIN
 from ..faults.defects import Pipe
 from ..faults.injector import inject
 from ..sim.dc import operating_point
@@ -49,7 +50,7 @@ class DetectorResponse:
     @property
     def detected(self) -> bool:
         """Did vout leave the fault-free band within the window?"""
-        return self.v_min < self.wave.values[0] - 0.25
+        return self.v_min < self.wave.values[0] - DETECTION_MARGIN
 
     def format(self) -> str:
         rows = [[
@@ -265,12 +266,15 @@ class LoadSharingResult:
     release_threshold: float
     faulty_vout_n1: Optional[float]
 
+    def _pass_samples(self) -> List[Tuple[int, float]]:
+        return [(n, v) for n, v, ok in zip(self.n_values, self.vout,
+                                           self.flag_pass) if ok]
+
     @property
     def slope_per_gate(self) -> float:
         """Fault-free vout decline per added gate (V), from the PASS-state
-        samples (linear, R0-dominated)."""
-        samples = [(n, v) for n, v, ok in zip(self.n_values, self.vout,
-                                              self.flag_pass) if ok]
+        samples (linear, R0-dominated); NaN with fewer than two."""
+        samples = self._pass_samples()
         if len(samples) < 2:
             return float("nan")
         (n0, v0), (n1, v1) = samples[0], samples[-1]
@@ -279,9 +283,11 @@ class LoadSharingResult:
     @property
     def safe_n(self) -> float:
         """Largest N keeping fault-free vout above the guaranteed-pass
-        threshold (the paper's criterion; theirs evaluates to 45)."""
-        samples = [(n, v) for n, v, ok in zip(self.n_values, self.vout,
-                                              self.flag_pass) if ok]
+        threshold (the paper's criterion; theirs evaluates to 45); NaN
+        when no sampled N passes."""
+        samples = self._pass_samples()
+        if not samples:
+            return float("nan")
         (n0, v0) = samples[0]
         slope = self.slope_per_gate
         if slope <= 0:

@@ -1,5 +1,6 @@
 """Method-level studies: area (section 6.5), testing approach (section
-6.6) and an extension fault-coverage sweep over the section-3 catalog."""
+6.6) and an extension DC fault-coverage campaign over the section-3
+catalog."""
 
 from __future__ import annotations
 
@@ -10,10 +11,9 @@ from ..cml.chain import buffer_chain
 from ..cml.technology import CmlTechnology, NOMINAL
 from ..dft.area import overhead_table
 from ..dft.sharing import build_shared_monitor
+from ..faults.campaign import FAIL, FlagOracle, IddqOracle, run_campaign
 from ..faults.catalog import enumerate_defects
 from ..faults.defects import Defect
-from ..faults.injector import inject
-from ..sim.dc import ConvergenceError, operating_point
 from ..testgen.circuits import BENCHMARKS
 from ..testgen.initialization import convergence_length
 from ..testgen.patterns import random_vectors
@@ -116,10 +116,12 @@ class CoverageStudy:
     """
 
     results: List[Tuple[str, str, str]]  # (defect name, kind, verdict)
-    #: Supply-current change per defect, amperes (Iddq comparison).
-    iddq_deltas: Dict[str, float] = field(default_factory=dict)
-    #: Iddq screen threshold used for comparison, amperes.
-    iddq_threshold: float = 100e-6
+    #: Iddq verdict (:data:`~repro.faults.campaign.PASS` /
+    #: :data:`~repro.faults.campaign.FAIL`) per converged defect.
+    iddq_verdicts: Dict[str, str]
+    #: Threshold the Iddq oracle judged :attr:`iddq_verdicts` at,
+    #: amperes; :meth:`format` prints it and nothing re-applies it.
+    iddq_threshold: float
 
     def by_kind(self) -> Dict[str, Tuple[int, int]]:
         """kind -> (detected, total)."""
@@ -132,12 +134,12 @@ class CoverageStudy:
         return {k: (v[0], v[1]) for k, v in table.items()}
 
     def iddq_by_kind(self) -> Dict[str, Tuple[int, int]]:
-        """kind -> (Iddq-detectable, total) at :attr:`iddq_threshold`."""
+        """kind -> (defects the Iddq oracle failed, total)."""
         table: Dict[str, List[int]] = {}
         for name, kind, _verdict in self.results:
             entry = table.setdefault(kind, [0, 0])
             entry[1] += 1
-            if abs(self.iddq_deltas.get(name, 0.0)) > self.iddq_threshold:
+            if self.iddq_verdicts.get(name) == FAIL:
                 entry[0] += 1
         return {k: (v[0], v[1]) for k, v in table.items()}
 
@@ -169,11 +171,11 @@ def dc_fault_coverage(tech: CmlTechnology = NOMINAL,
                                               "resistor-short"),
                       pipe_resistances: Sequence[float] = (2e3, 4e3),
                       limit: Optional[int] = None) -> CoverageStudy:
-    """Instrument a chain, inject every catalog defect and read the flag.
+    """Instrument a chain, run the catalog as one campaign, read the flag.
 
     ``detected`` = flag low at DC; ``logic-dead`` = the operating point no
-    longer converges (catastrophic fault, trivially detectable); others
-    are ``escaped`` (need toggling or at-speed methods).
+    longer converges (catastrophic fault, trivially detectable; no Iddq
+    verdict); others are ``escaped`` (need toggling or at-speed methods).
     """
     chain = buffer_chain(tech, n_stages=n_stages, frequency=100e6)
     # Enumerate fault sites before instrumentation so only the functional
@@ -185,23 +187,21 @@ def dc_fault_coverage(tech: CmlTechnology = NOMINAL,
         defects = defects[:limit]
     monitor = build_shared_monitor(chain.circuit, chain.output_nets,
                                    tech=tech)
-
-    reference_op = operating_point(chain.circuit)
-    reference_iddq = reference_op.branch_current("VGND")
+    flag = FlagOracle(monitor.nets.flag, monitor.nets.flagb)
+    iddq = IddqOracle(supply_source="VGND")
+    campaign = run_campaign(chain.circuit, defects, [flag, iddq],
+                            low_rank=True)
 
     results: List[Tuple[str, str, str]] = []
-    iddq_deltas: Dict[str, float] = {}
-    for defect in defects:
-        faulty = inject(chain.circuit, defect)
-        try:
-            op = operating_point(faulty)
-        except ConvergenceError:
+    iddq_verdicts: Dict[str, str] = {}
+    for record in campaign.records:
+        defect = record.defect
+        if not record.converged:
             results.append((defect.name, defect.kind, "logic-dead"))
             continue
-        flagged = (op.voltage(monitor.nets.flag)
-                   < op.voltage(monitor.nets.flagb))
+        flagged = record.verdicts[flag.name] == FAIL
         results.append((defect.name, defect.kind,
                         "detected" if flagged else "escaped"))
-        iddq_deltas[defect.name] = (op.branch_current("VGND")
-                                    - reference_iddq)
-    return CoverageStudy(results=results, iddq_deltas=iddq_deltas)
+        iddq_verdicts[defect.name] = record.verdicts[iddq.name]
+    return CoverageStudy(results=results, iddq_verdicts=iddq_verdicts,
+                         iddq_threshold=iddq.threshold)

@@ -89,6 +89,33 @@ class IddqOracle(Oracle):
         return FAIL if abs(delta) > self.threshold else PASS
 
 
+#: DC amplitude-detection criterion of a per-pair detector (variants
+#: 1/2): its output must sag this far below the fault-free level, volts.
+DETECTION_MARGIN = 0.25
+
+
+class AmplitudeOracle(Oracle):
+    """Reads one per-pair amplitude detector's output (variants 1/2):
+    fails when it sits more than :data:`DETECTION_MARGIN` below its
+    fault-free value."""
+
+    name = "amplitude"
+
+    def __init__(self, vout: str):
+        self.vout = vout
+        self._reference: Optional[float] = None
+
+    def prepare(self, reference: DcSolution) -> None:
+        self._reference = reference.voltage(self.vout)
+
+    def judge(self, solution: DcSolution) -> str:
+        if self._reference is None:
+            raise RuntimeError("AmplitudeOracle.prepare was never called")
+        sagged = (solution.voltage(self.vout)
+                  < self._reference - DETECTION_MARGIN)
+        return FAIL if sagged else PASS
+
+
 class LogicOracle(Oracle):
     """Logic test at DC: compares differential output polarities against
     the fault-free reference (catches stuck-at-class defects)."""

@@ -5,6 +5,8 @@ pin the runners' APIs and result invariants at the smallest settings so
 regressions surface inside the fast suite.
 """
 
+import math
+
 import pytest
 
 from repro.analysis import (
@@ -19,7 +21,36 @@ from repro.analysis import (
     section66_toggle_study,
     table1_delays,
 )
-from repro.cml import NOMINAL
+from repro.cml import NOMINAL, buffer_chain
+from repro.dft import ComparatorConfig, build_shared_monitor
+from repro.faults import FAIL, PASS, enumerate_defects, inject
+from repro.sim import ConvergenceError, operating_point
+
+
+def _cold_coverage(n_stages, kinds):
+    """Per-defect ``(verdict, Iddq verdict)`` by the reference rules:
+    inject, solve cold, read the monitor flag and screen ``|I - I_ref|``
+    at 100 uA; a defect that does not converge is ``logic-dead`` with no
+    Iddq verdict."""
+    chain = buffer_chain(NOMINAL, n_stages=n_stages, frequency=100e6)
+    defects = list(enumerate_defects(chain.circuit, kinds=kinds,
+                                     pipe_resistances=(2e3, 4e3)))
+    monitor = build_shared_monitor(chain.circuit, chain.output_nets,
+                                   tech=NOMINAL)
+    reference_iddq = operating_point(chain.circuit).branch_current("VGND")
+    verdicts = {}
+    for defect in defects:
+        try:
+            op = operating_point(inject(chain.circuit, defect))
+        except ConvergenceError:
+            verdicts[defect.name] = ("logic-dead", None)
+            continue
+        flagged = (op.voltage(monitor.nets.flag)
+                   < op.voltage(monitor.nets.flagb))
+        shifted = abs(op.branch_current("VGND") - reference_iddq) > 100e-6
+        verdicts[defect.name] = ("detected" if flagged else "escaped",
+                                 FAIL if shifted else PASS)
+    return verdicts
 
 
 class TestChainRunners:
@@ -75,6 +106,18 @@ class TestDetectorRunners:
         assert result.vout[0] > result.vout[1]
         assert result.slope_per_gate > 0
 
+    def test_fig14_without_a_passing_n(self):
+        """The section 6.4 ablation's R0 breaks the scheme: no sampled N
+        passes, and the safe bound reads NaN instead of crashing the
+        report."""
+        result = fig14_load_sharing(
+            n_values=(45, 60), faulty_pipe=None,
+            comparator_config=ComparatorConfig(r0=160e3))
+        assert result.flag_pass == [False, False]
+        assert math.isnan(result.safe_n)
+        assert math.isnan(result.slope_per_gate)
+        assert "safe N ~ nan" in result.format()
+
 
 class TestMethodRunners:
     def test_area_study(self):
@@ -102,8 +145,21 @@ class TestMethodRunners:
         for name, _kind, verdict in study.results:
             if "Q3" in name:
                 assert verdict == "detected"
-                assert abs(study.iddq_deltas[name]) > 100e-6
+                assert study.iddq_verdicts[name] == FAIL
         assert "Iddq" in study.format()
+
+    def test_coverage_matches_cold_per_defect_reference(self):
+        """The campaign-backed study gives every defect the detector and
+        Iddq verdicts of a cold inject-and-solve, opens included."""
+        kinds = ("pipe", "terminal-short", "open", "resistor-short",
+                 "resistor-open")
+        study = dc_fault_coverage(n_stages=2, kinds=kinds)
+        reference = _cold_coverage(2, kinds)
+        assert len(study.results) == len(reference) == 56
+        assert {kind for _, kind, _ in study.results} == set(kinds)
+        for name, _kind, verdict in study.results:
+            assert (verdict, study.iddq_verdicts.get(name)) == \
+                reference[name], name
 
     def test_coverage_limit(self):
         study = dc_fault_coverage(n_stages=2, kinds=("pipe",),

@@ -8,6 +8,7 @@ study, ILA C-testability at gate and transistor level, and the
 semantics the corpus witnesses freeze (soft escape, link healing).
 """
 
+import dataclasses
 import json
 import os
 
@@ -21,6 +22,12 @@ from repro.cml.interconnect import (
     link_swing,
     link_wire_pairs,
     low_swing_driver_cell,
+)
+from repro.dft import (
+    attach_variant1,
+    attach_variant2,
+    build_shared_monitor,
+    ensure_vtest,
 )
 from repro.faults import (
     DEFECT_CLASSES,
@@ -36,7 +43,7 @@ from repro.faults import (
     inject,
     run_campaign,
 )
-from repro.sim import operating_point
+from repro.sim import ConvergenceError, operating_point
 from repro.testgen import (
     enumerate_stuck_faults,
     fault_simulate,
@@ -240,7 +247,71 @@ def test_delta_and_batched_match_cold_solves():
 # ----------------------------------------------------------------------
 # Severity sweep study
 # ----------------------------------------------------------------------
+def _cold_detections(variant, resistances, n_stages):
+    """Detected-site counts per resistance by the reference rules: every
+    oxide site injected and solved cold, one at a time, and judged by
+    the variant's own test (a non-convergent circuit counts as
+    detected)."""
+    chain = buffer_chain(NOMINAL, n_stages=n_stages, frequency=100e6)
+    circuit = chain.circuit
+    sites = list(enumerate_defects(circuit, kinds=("oxide-breakdown",),
+                                   oxide_resistances=(10e6,)))
+    if variant == 0:
+        reference = operating_point(circuit)
+        ref_iddq = reference.branch_current("VGND")
+        polarity = [(p, n, reference.voltage(p) > reference.voltage(n))
+                    for p, n in chain.output_nets]
+
+        def detect(solution):
+            if any((solution.voltage(p) > solution.voltage(n)) != ref
+                   for p, n, ref in polarity):
+                return True
+            return abs(solution.branch_current("VGND") - ref_iddq) > 100e-6
+    elif variant in (1, 2):
+        op, opb = chain.output_nets[-1]
+        if variant == 1:
+            detector = attach_variant1(circuit, op, opb, tech=NOMINAL)
+        else:
+            ensure_vtest(circuit, NOMINAL)
+            detector = attach_variant2(circuit, op, opb, tech=NOMINAL)
+        ref_vout = operating_point(circuit).voltage(detector.vout)
+
+        def detect(solution):
+            return solution.voltage(detector.vout) < ref_vout - 0.25
+    else:
+        monitor = build_shared_monitor(circuit, chain.output_nets,
+                                       tech=NOMINAL)
+
+        def detect(solution):
+            return (solution.voltage(monitor.nets.flag)
+                    < solution.voltage(monitor.nets.flagb))
+
+    counts = []
+    for resistance in resistances:
+        count = 0
+        for site in sites:
+            faulty = inject(circuit, dataclasses.replace(
+                site, resistance=resistance))
+            try:
+                count += detect(operating_point(faulty))
+            except ConvergenceError:
+                count += 1
+        counts.append(count)
+    return counts
+
+
 class TestSeveritySweep:
+    def test_campaign_sweep_matches_cold_per_defect_reference(self):
+        resistances = (10e6, 10e3, 1e3)
+        sweep = severity_sweep(resistances=resistances, n_stages=2)
+        assert sweep.n_sites == 12
+        for variant in (0, 1, 2, 3):
+            assert sweep.detected[variant] == _cold_detections(
+                variant, resistances, n_stages=2), variant
+        # The grid reaches every oracle: logic/Iddq, amplitude and flag.
+        assert sweep.detected[0][-1] and sweep.detected[2][-1]
+        assert sweep.detected[3][-1]
+
     def test_sweep_is_monotone_and_serializable(self):
         sweep = severity_sweep(resistances=(10e6, 1e3), variants=(0,),
                                n_stages=1)

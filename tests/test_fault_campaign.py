@@ -1,12 +1,15 @@
 """Tests for the fault-campaign API (defects × oracles)."""
 
+import numpy as np
 import pytest
 
 from repro.cml import NOMINAL, buffer_chain
 from repro.dft import build_shared_monitor
 from repro.faults import (
+    DETECTION_MARGIN,
     FAIL,
     PASS,
+    AmplitudeOracle,
     FlagOracle,
     IddqOracle,
     LogicOracle,
@@ -17,6 +20,16 @@ from repro.faults import (
 )
 
 TECH = NOMINAL
+
+
+class _Reading:
+    """A stand-in operating point whose every net reads ``volts``."""
+
+    def __init__(self, volts):
+        self.volts = volts
+
+    def voltage(self, net):
+        return self.volts
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +78,17 @@ class TestOracles:
             IddqOracle().judge(solution)
         with pytest.raises(RuntimeError):
             LogicOracle(chain.output_nets).judge(solution)
+        with pytest.raises(RuntimeError):
+            AmplitudeOracle("op").judge(solution)
+
+    def test_amplitude_oracle_fails_just_below_the_margin(self):
+        assert DETECTION_MARGIN == 0.25
+        oracle = AmplitudeOracle("vout")
+        oracle.prepare(_Reading(3.5))
+        edge = 3.5 - DETECTION_MARGIN
+        assert oracle.judge(_Reading(3.6)) == PASS
+        assert oracle.judge(_Reading(edge)) == PASS
+        assert oracle.judge(_Reading(np.nextafter(edge, 0.0))) == FAIL
 
 
 class TestCampaign:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cml import NOMINAL, buffer_chain
 from repro.dft import build_shared_monitor
-from repro.faults import FlagOracle, IddqOracle, LogicOracle
+from repro.faults import AmplitudeOracle, FlagOracle, IddqOracle, LogicOracle
 from repro.sim import SimOptions
 from repro.store import (
     EXECUTION_ONLY_OPTION_FIELDS,
@@ -174,9 +174,15 @@ class TestFingerprints:
         assert "telemetry" in EXECUTION_ONLY_OPTION_FIELDS
 
     def test_oracle_config_changes_move_the_fingerprint(self):
-        _, oracles = _instrumented()
+        circuit, oracles = _instrumented()
         loose = [oracles[0], oracles[1], IddqOracle(threshold=1e-3)]
         assert oracles_fingerprint(oracles) != oracles_fingerprint(loose)
+        # One detector's records never serve another's.
+        amplitude = [campaign_fingerprint(circuit, SimOptions(), [oracle])
+                     for oracle in (AmplitudeOracle("op"),
+                                    AmplitudeOracle("op"),
+                                    AmplitudeOracle("opb"))]
+        assert amplitude[0] == amplitude[1] != amplitude[2]
 
     def test_namespace_partitions_the_scope(self):
         circuit, oracles = _instrumented()
