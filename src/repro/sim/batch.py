@@ -52,7 +52,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 
 from .dc import (DeltaContext, NewtonStats, SolveDeadlineExceeded,
-                 _check_deadline, _deadline_for)
+                 _abs_tolerance, _check_deadline, _converged, _deadline_for)
 from .mna import SingularMatrixError, solve_direct
 from .options import SimOptions
 
@@ -206,6 +206,8 @@ def _replay(context: DeltaContext, members: Sequence[_Member],
         x_stack[j, :member.n] = member.x0
     is_net = np.arange(width) < np.array(
         [member.n_nets for member in members])[:, None]
+    atol = np.stack([_abs_tolerance(width, member.n_nets, options.vntol,
+                                    options.abstol) for member in members])
     terminals = np.stack([member.terminals for member in members])
     limits = np.repeat(context.reset_limits[None, :], count, axis=0)
 
@@ -286,11 +288,10 @@ def _replay(context: DeltaContext, members: Sequence[_Member],
         for row in np.flatnonzero(~finite & ~failed):
             fail(row, "solution contains non-finite values")
 
-        net = is_net[active]
         if mvs > 0:
             step = x_next - x_active
             np.clip(step, -mvs, mvs, out=step)
-            x_next = np.where(net, x_active + step, x_next)
+            x_next = np.where(is_net[active], x_active + step, x_next)
 
         survivors = ~failed
         for row in np.flatnonzero(survivors):
@@ -298,11 +299,8 @@ def _replay(context: DeltaContext, members: Sequence[_Member],
             stats.iterations += 1
             stats.n_factorizations += 1
 
-        # Elementwise broadcast of :func:`repro.sim.dc._converged`.
-        delta = np.abs(x_next - x_active)
-        tol = options.reltol * np.maximum(np.abs(x_next), np.abs(x_active))
-        tol += np.where(net, options.vntol, options.abstol)
-        done = survivors & ~limited & (delta <= tol).all(axis=1)
+        done = (survivors & ~limited
+                & _converged(x_active, x_next, atol[active], options))
         for row in np.flatnonzero(done):
             results[active[row]].x = members[active[row]].solution(
                 x_next[row])

@@ -11,6 +11,7 @@ fault-injected topologies (hard shorts across junctions etc.).
 from __future__ import annotations
 
 import contextlib
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
@@ -191,6 +192,8 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
     """
     local = options if gmin is None else _with_gmin(options, gmin)
     n_nets = structure.n_nets
+    atol = _abs_tolerance(structure.n_unknowns, n_nets, options.vntol,
+                          options.abstol)
     x = x0.copy()
     if options.use_compiled:
         stamps = structure.compiled()
@@ -212,8 +215,8 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
         refresh_first = (allow_dense_reuse and not system.sparse
                          and options.newton_reuse != "always")
         if use_cache:
-            return _modified_newton(system, options, x, n_nets, stats,
-                                    factor_cache, deadline,
+            return _modified_newton(system, options, x, n_nets, atol,
+                                    stats, factor_cache, deadline,
                                     refresh_first=refresh_first)
         for iteration in range(options.max_nr_iterations):
             _check_deadline(deadline, iteration, "newton solve")
@@ -226,7 +229,7 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
             if stats is not None:
                 stats.iterations += 1
                 stats.n_factorizations += 1
-            if not limited and _converged(x, x_new, n_nets, options):
+            if not limited and _converged(x, x_new, atol, options):
                 return x_new
             x = x_new
     else:
@@ -245,7 +248,7 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
             if stats is not None:
                 stats.iterations += 1
                 stats.n_factorizations += 1
-            if not stamper.limited and _converged(x, x_new, n_nets, options):
+            if not stamper.limited and _converged(x, x_new, atol, options):
                 return x_new
             x = x_new
     raise ConvergenceError(
@@ -255,7 +258,7 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
 
 
 def _modified_newton(system, options: SimOptions, x: np.ndarray, n_nets: int,
-                     stats: Optional[NewtonStats],
+                     atol: np.ndarray, stats: Optional[NewtonStats],
                      cache: FactorCache,
                      deadline: Optional[float] = None,
                      refresh_first: bool = False) -> np.ndarray:
@@ -315,7 +318,7 @@ def _modified_newton(system, options: SimOptions, x: np.ndarray, n_nets: int,
                 stats.n_reuses += 1
         accept = (1.0 if fresh or refresh_first
                   else options.reuse_accept_factor)
-        if not limited and _converged(x, x_new, n_nets, options, accept):
+        if not limited and _converged(x, x_new, atol, options, accept):
             return x_new
         x = x_new
     raise ConvergenceError(
@@ -378,16 +381,33 @@ class DeltaContext:
         return context
 
 
-def _converged(x_old: np.ndarray, x_new: np.ndarray, n_nets: int,
-               options: SimOptions, tol_factor: float = 1.0) -> bool:
+@functools.lru_cache(maxsize=64)
+def _abs_tolerance(n: int, n_nets: int, vntol: float,
+                   abstol: float) -> np.ndarray:
+    """Per-unknown absolute Newton tolerance over ``n`` unknowns:
+    ``vntol`` on the first ``n_nets`` (node voltages), ``abstol`` on the
+    rest (branch currents).  Built once per shape and tolerances, so
+    read-only."""
+    atol = np.full(n, abstol)
+    atol[:n_nets] = vntol
+    atol.flags.writeable = False
+    return atol
+
+
+def _converged(x_old: np.ndarray, x_new: np.ndarray, atol: np.ndarray,
+               options: SimOptions, tol_factor: float = 1.0):
+    """The Newton convergence test: every unknown moved by at most
+    ``reltol * max(|x_old|, |x_new|) + atol`` (times ``tol_factor``).
+
+    Over the last axis: one verdict for an iterate, one per row for a
+    ``(B, n)`` stack (the batched replay's).  ``atol`` comes from
+    :func:`_abs_tolerance`.
+    """
     delta = np.abs(x_new - x_old)
-    scale = np.maximum(np.abs(x_new), np.abs(x_old))
-    tol = options.reltol * scale
-    tol[:n_nets] += options.vntol
-    tol[n_nets:] += options.abstol
+    tol = options.reltol * np.maximum(np.abs(x_new), np.abs(x_old)) + atol
     if tol_factor != 1.0:
         tol *= tol_factor
-    return bool(np.all(delta <= tol))
+    return (delta <= tol).all(axis=-1)
 
 
 def _with_gmin(options: SimOptions, gmin: float) -> SimOptions:

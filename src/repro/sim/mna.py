@@ -32,10 +32,13 @@ Compiled artifacts are cached per circuit topology via
 :func:`structure_for`, keyed on :attr:`Circuit.topology_version`, which
 is what lets DC sweeps, parameter sweeps and fault campaigns stop paying
 structure-rebuild cost on every solve.  Component *values* are read
-again by every solve run — resistances and source waveforms per system
-build, device parameters and junction-limiting state once per run (one
-operating-point Newton solve, one whole transient) — so mutating them
-between runs, as the variation studies do, stays safe.
+again by every solve run — source waveforms per system build;
+resistances, device parameters and junction-limiting state once per run
+(one operating-point Newton solve, one whole transient) — so mutating
+them between runs, as the variation studies do, stays safe.  The
+resistor, gmin and voltage-source part of the matrix (the *linear base*)
+is stamped once per run too: a transient timestep copies it and adds its
+companion stamps.
 """
 
 from __future__ import annotations
@@ -373,6 +376,8 @@ class CompanionSet:
             idx_p, idx_n)
         self.rhs_rows, self.rhs_src, self.rhs_sign = _injection_pattern(
             idx_p, idx_n)
+        #: Flat dense cells (``row * n + col``) of the matrix pattern.
+        self.cells = self.rows * structure.n_unknowns + self.cols
         self.geq = np.zeros(len(self.pairs))
         self.ieq = np.zeros(len(self.pairs))
         #: Sparse-pattern cache slot owned by CompiledStamps.
@@ -476,6 +481,12 @@ class _FallbackCollector:
                 np.asarray(self.cols, dtype=np.intp),
                 np.asarray(self.vals, dtype=float))
 
+    def stamps(self, n: int) -> Tuple[np.ndarray, ...]:
+        """``(rows, cols, flat dense cells, values)`` in an ``n``-unknown
+        system."""
+        rows, cols, vals = self.matrix_arrays()
+        return rows, cols, rows * n + cols, vals
+
     def rhs_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         return (np.asarray(self.rhs_rows, dtype=np.intp),
                 np.asarray(self.rhs_vals, dtype=float))
@@ -485,7 +496,9 @@ class _CscPattern:
     """Fixed CSC sparsity pattern plus COO-slot → data-slot scatter maps."""
 
     def __init__(self, n: int, static_rows: np.ndarray, static_cols: np.ndarray,
-                 nl_rows: np.ndarray, nl_cols: np.ndarray):
+                 nl_rows: np.ndarray, nl_cols: np.ndarray, n_linear: int):
+        #: The static entries open with the linear segment's.
+        self.n_linear = n_linear
         rows = np.concatenate([static_rows, nl_rows])
         cols = np.concatenate([static_cols, nl_cols])
         key = cols.astype(np.int64) * n + rows.astype(np.int64)
@@ -634,10 +647,11 @@ class CompiledStamps:
     Resolves every net and branch name to an integer index exactly once,
     prebuilds the fixed COO index/sign arrays for linear elements, gmin
     shunts and nonlinear devices, and evaluates every diode/BJT junction
-    as one vector.  Resistances and source values are read per
-    :meth:`build_system`; device parameters and limiting state are
-    gathered by :meth:`refresh` once per solve run and written back by
-    :meth:`store_states`, so parameter mutation between runs stays safe.
+    as one vector.  Source values are read per :meth:`build_system`;
+    resistances (through the linear base), device parameters and
+    limiting state once per solve run, from :meth:`refresh` on, and the
+    limiting state is written back by :meth:`store_states`, so parameter
+    mutation between runs stays safe.
 
     Every table comes from one pattern builder (:meth:`_build_tables`)
     over per-terminal net-index arrays, which :meth:`derive` renumbers to
@@ -764,6 +778,7 @@ class CompiledStamps:
         rhs_keep = self.device_rhs_rows >= 0
         self.nl_rows = self.device_rows[keep]
         self.nl_cols = self.device_cols[keep]
+        self.nl_cells = self.nl_rows * self.n + self.nl_cols  # flat dense
         self.nl_rhs_rows = self.device_rhs_rows[rhs_keep]
         self._layout = _Layout.select(self._n_diodes, keep, rhs_keep)
 
@@ -792,7 +807,10 @@ class CompiledStamps:
         if len(splits) > 1:
             raise ValueError("a derived compile splits at most one terminal")
         member = copy.copy(self)
+        # Its own patterns and linear base: the fault conductances join
+        # the resistor segment.
         member._pattern_nocomp = None
+        member._base = None
         nets = dict(self._nets)
         resolve = self.structure.index
         if splits:
@@ -829,12 +847,14 @@ class CompiledStamps:
     # Per-run value/state gathering
     # ------------------------------------------------------------------
     def refresh(self) -> None:
-        """Gather device parameters and junction-limiting state.
+        """Gather device parameters and junction-limiting state, and drop
+        the previous run's linear base (:meth:`_linear_base`).
 
         Called once per solve run (one operating-point Newton solve, one
-        whole transient), never per system build: device values cannot
-        change inside a run.
+        whole transient), never per system build: device and resistor
+        values cannot change inside a run.
         """
+        self._base = None
         diodes, bjts = self._diodes, self._bjts
         self._j_isat = np.array([d.isat for d in diodes]
                                 + [q.isat for q in bjts] * 2)
@@ -1025,23 +1045,18 @@ class CompiledStamps:
                      companions=None) -> "CompiledSystem":
         """Assemble the Newton-invariant base for one solve.
 
-        ``companions`` is either ``None``, a :class:`CompanionSet`
-        (compiled fast path) or any legacy callable taking a stamper.
+        Starts from the run's linear base (:meth:`_linear_base`) and
+        stamps on a copy what changes per build, in order: the
+        ``companions`` — ``None``, a :class:`CompanionSet` (compiled
+        fast path) or any legacy callable taking a stamper — then the
+        components without a compiled stamp.  The RHS (sources at ``t``,
+        then the same two) is built afresh.
         """
         structure = self.structure
         n = self.n
         sparse = n >= options.sparse_threshold
 
         rhs = np.zeros(n)
-        seg_rows = [self._res_rows, self._gmin_rows, self._vs_rows]
-        seg_cols = [self._res_cols, self._gmin_cols, self._vs_cols]
-        res_g = np.array([r.conductance for r in self._resistors])
-        if self._fault_g is not None:
-            res_g = np.concatenate([res_g, self._fault_g])
-        seg_vals = [res_g[self._res_src] * self._res_sign,
-                    options.gmin * self._gmin_sign,
-                    self._vs_vals]
-
         if self._vsources:
             vs_values = np.array(
                 [s.waveform.dc() if t is None else s.waveform.value(t)
@@ -1054,69 +1069,110 @@ class CompiledStamps:
             np.add.at(rhs, self._is_rhs_rows,
                       is_values[self._is_rhs_src] * self._is_rhs_sign)
 
+        # What this build stamps on the linear base, in order:
+        # ``(rows, cols, flat dense cells, values)`` per source.
+        extra: List[Tuple[np.ndarray, ...]] = []
         cacheable = not self._linear_fallback
         pattern_slot = None
         if companions is None:
             pattern_slot = "self"
         elif isinstance(companions, CompanionSet):
-            seg_rows.append(companions.rows)
-            seg_cols.append(companions.cols)
-            seg_vals.append(companions.matrix_values())
+            extra.append((companions.rows, companions.cols, companions.cells,
+                          companions.matrix_values()))
             np.add.at(rhs, companions.rhs_rows, companions.rhs_values())
             pattern_slot = "companions"
         else:  # arbitrary legacy callable
             collector = _FallbackCollector(structure, source_scale)
             companions(collector)
-            rows, cols, vals = collector.matrix_arrays()
-            seg_rows.append(rows)
-            seg_cols.append(cols)
-            seg_vals.append(vals)
-            rr, rv = collector.rhs_arrays()
-            np.add.at(rhs, rr, rv)
+            extra.append(collector.stamps(n))
+            np.add.at(rhs, *collector.rhs_arrays())
             cacheable = False
 
         if self._linear_fallback:
             collector = _FallbackCollector(structure, source_scale)
             for component in self._linear_fallback:
                 component.stamp_linear(collector, t)
-            rows, cols, vals = collector.matrix_arrays()
-            seg_rows.append(rows)
-            seg_cols.append(cols)
-            seg_vals.append(vals)
-            rr, rv = collector.rhs_arrays()
-            np.add.at(rhs, rr, rv)
-
-        static_rows = np.concatenate(seg_rows).astype(np.intp)
-        static_cols = np.concatenate(seg_cols).astype(np.intp)
-        static_vals = np.concatenate(seg_vals)
+            extra.append(collector.stamps(n))
+            np.add.at(rhs, *collector.rhs_arrays())
 
         pattern = None
         if sparse:
             pattern = self._sparse_pattern(
-                n, static_rows, static_cols, pattern_slot if cacheable else None,
-                companions)
-        return CompiledSystem(self, sparse, static_rows, static_cols,
-                              static_vals, rhs, pattern)
+                extra, pattern_slot if cacheable else None, companions)
+        base = self._linear_base(options.gmin, pattern)
+        if extra:
+            base = base.copy()
+            flat = base.reshape(-1)  # dense cells, or the CSC data
+            start = pattern.n_linear if sparse else 0
+            for _, _, cells, vals in extra:
+                if sparse:
+                    cells = pattern.static_pos[start:start + len(vals)]
+                    start += len(vals)
+                np.add.at(flat, cells, vals)
+        return CompiledSystem(self, sparse, base, rhs, pattern)
 
-    def _sparse_pattern(self, n: int, static_rows: np.ndarray,
-                        static_cols: np.ndarray, slot: Optional[str],
+    def _linear_rows_cols(self) -> Tuple[np.ndarray, np.ndarray]:
+        """COO rows and columns of the linear segment: resistors, gmin
+        shunts, voltage-source incidences."""
+        return (np.concatenate([self._res_rows, self._gmin_rows,
+                                self._vs_rows]),
+                np.concatenate([self._res_cols, self._gmin_cols,
+                                self._vs_cols]))
+
+    def _linear_base(self, gmin: float,
+                     pattern: Optional[_CscPattern]) -> np.ndarray:
+        """The run's linear base: the matrix part the resistors (a
+        derived compile's fault conductances included), the junction
+        gmin shunts and the voltage-source incidences stamp — dense, or
+        the CSC data on ``pattern``.
+
+        Built by a run's first system build and reused by every later
+        one with the same ``gmin`` and pattern; :meth:`refresh` drops
+        it, so resistor values are read once per run.  Read-only: builds
+        stamp on a copy.  ``np.add.at`` accumulates in index order, so
+        the linear segment into zeros and then the rest equals one
+        accumulation over the whole concatenation, bit for bit.
+        """
+        key = (gmin, pattern)
+        if self._base is not None and self._base[0] == key:
+            return self._base[1]
+        res_g = np.array([r.conductance for r in self._resistors])
+        if self._fault_g is not None:
+            res_g = np.concatenate([res_g, self._fault_g])
+        vals = np.concatenate([res_g[self._res_src] * self._res_sign,
+                               gmin * self._gmin_sign, self._vs_vals])
+        if pattern is None:
+            base = np.zeros((self.n, self.n))
+            np.add.at(base, self._linear_rows_cols(), vals)
+        else:
+            base = np.zeros(pattern.nnz)
+            np.add.at(base, pattern.static_pos[:pattern.n_linear], vals)
+        base.flags.writeable = False
+        self._base = (key, base)
+        return base
+
+    def _sparse_pattern(self, extra, slot: Optional[str],
                         companions) -> _CscPattern:
-        """Cached CSC pattern + scatter maps (symbolic-analysis reuse)."""
-        if slot == "self":
-            if self._pattern_nocomp is None:
-                self._pattern_nocomp = _CscPattern(
-                    n, static_rows, static_cols, self.nl_rows, self.nl_cols)
+        """The CSC pattern + scatter maps of the linear segment followed
+        by ``extra``'s entries; cached (symbolic-analysis reuse) in
+        ``slot``: ``"self"`` (no companions), ``"companions"`` (on the
+        :class:`CompanionSet`) or ``None`` (not cached)."""
+        if slot == "self" and self._pattern_nocomp is not None:
             return self._pattern_nocomp
         if slot == "companions":
             cached = companions._pattern_cache
             if cached is not None and cached[0] == id(self):
                 return cached[1]
-            pattern = _CscPattern(n, static_rows, static_cols,
-                                  self.nl_rows, self.nl_cols)
+        rows, cols = self._linear_rows_cols()
+        pattern = _CscPattern(
+            self.n, np.concatenate([rows] + [e[0] for e in extra]),
+            np.concatenate([cols] + [e[1] for e in extra]),
+            self.nl_rows, self.nl_cols, n_linear=len(rows))
+        if slot == "self":
+            self._pattern_nocomp = pattern
+        elif slot == "companions":
             companions._pattern_cache = (id(self), pattern)
-            return pattern
-        return _CscPattern(n, static_rows, static_cols,
-                           self.nl_rows, self.nl_cols)
+        return pattern
 
 
 def solve_direct(matrix, rhs: np.ndarray, sparse: bool) -> np.ndarray:
@@ -1133,7 +1189,7 @@ def solve_direct(matrix, rhs: np.ndarray, sparse: bool) -> np.ndarray:
             x_new = np.linalg.solve(matrix, rhs)
         except np.linalg.LinAlgError as error:
             raise SingularMatrixError(str(error)) from None
-    if not np.all(np.isfinite(x_new)):
+    if not np.isfinite(x_new).all():
         raise SingularMatrixError("solution contains non-finite values")
     return x_new
 
@@ -1149,22 +1205,19 @@ class CompiledSystem:
     """
 
     def __init__(self, stamps: CompiledStamps, sparse: bool,
-                 static_rows: np.ndarray, static_cols: np.ndarray,
-                 static_vals: np.ndarray, rhs_base: np.ndarray,
+                 base: np.ndarray, rhs_base: np.ndarray,
                  pattern: Optional[_CscPattern]):
         self.stamps = stamps
         self.sparse = sparse
         self.n = stamps.n
         self.rhs_base = rhs_base
         self.pattern = pattern
+        # The base matrix (CSC data on the sparse path); read-only when
+        # it is the run's linear base itself.
         if sparse:
-            data = np.zeros(pattern.nnz)
-            np.add.at(data, pattern.static_pos, static_vals)
-            self.base_data = data
+            self.base_data = base
         else:
-            dense = np.zeros((self.n, self.n))
-            np.add.at(dense, (static_rows, static_cols), static_vals)
-            self.base_dense = dense
+            self.base_dense = base
 
     @property
     def factor_token(self) -> Tuple:
@@ -1227,7 +1280,7 @@ class CompiledSystem:
                     (vals, (rows, cols)), shape=(self.n, self.n)).tocsc()
         else:
             matrix = self.base_dense.copy()
-            np.add.at(matrix, (stamps.nl_rows, stamps.nl_cols), nl_vals)
+            np.add.at(matrix.reshape(-1), stamps.nl_cells, nl_vals)
             if fb is not None:
                 rows, cols, vals = fb.matrix_arrays()
                 np.add.at(matrix, (rows, cols), vals)

@@ -228,7 +228,9 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
     start from 0 — useful for deliberately unbalanced start-up experiments.
 
     ``cap_overrides`` maps capacitor component names to initial voltages,
-    overriding the operating-point value for just those elements.  The
+    overriding the operating-point value for just those elements; a
+    component owning more than one dynamic element (a BJT with both
+    junction capacitances) raises :class:`ValueError`.  The
     detector experiments use it to start a monitoring node precharged to
     its quiescent level when the DC equilibrium (which a slow leak would
     only reach after microseconds) is not the physical test-start state.
@@ -238,29 +240,46 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
     the point count and solver counters, and the adaptive stepper
     records every LTE-rejected step size into the
     ``transient.rejected_dt`` histogram.
+
+    A run that fails raises :class:`~repro.sim.dc.ConvergenceError`
+    carrying the run's :class:`~repro.sim.dc.NewtonStats` as ``stats``
+    (an initial operating point that fails carries its own), folded
+    into the metrics registry as a successful run's are.
     """
     if t_stop <= 0 or dt <= 0:
         raise ValueError("t_stop and dt must be positive")
 
     tel = telemetry_for(options)
+    stats = NewtonStats()
     if tel is None:
-        return _transient_impl(circuit, t_stop, dt, options, initial,
-                               use_ic, cap_overrides, None)
+        try:
+            return _transient_impl(circuit, t_stop, dt, options, initial,
+                                   use_ic, cap_overrides, stats, None)
+        except ConvergenceError as error:
+            if error.stats is None:
+                error.stats = stats
+            raise
     with tel.span("analysis", kind="transient", t_stop=t_stop, dt=dt,
                   adaptive=options.adaptive_step) as span:
-        result = _transient_impl(circuit, t_stop, dt, options, initial,
-                                 use_ic, cap_overrides, tel)
-        span.set(timepoints=len(result.times),
-                 iterations=result.stats.iterations,
-                 rejected_steps=result.stats.n_rejected_steps)
-        tel.record_newton(result.stats)
+        try:
+            result = _transient_impl(circuit, t_stop, dt, options, initial,
+                                     use_ic, cap_overrides, stats, tel)
+        except ConvergenceError as error:
+            if error.stats is None:
+                error.stats = stats
+            raise
+        finally:
+            span.set(iterations=stats.iterations,
+                     rejected_steps=stats.n_rejected_steps)
+            tel.record_newton(stats)
+        span.set(timepoints=len(result.times))
         return result
 
 
 def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
                     options: SimOptions, initial: Optional[DcSolution],
                     use_ic: bool, cap_overrides: Optional[Dict[str, float]],
-                    tel) -> TransientResult:
+                    stats: NewtonStats, tel) -> TransientResult:
     structure = structure_for(circuit)
     elements = _collect_dynamic(circuit)
     state = _CompanionState(structure, elements)
@@ -276,17 +295,23 @@ def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
         x = solution.x.copy()
         _initial_element_voltages(state, circuit, x, use_ic=False)
 
-    stats = NewtonStats()
     # Device values and limiting state: read once, written back once.
     with _device_run(structure, options):
         if cap_overrides:
-            by_component = {key.split(":", 1)[0]: i
-                            for i, key in enumerate(state.keys)}
+            owned: Dict[str, List[int]] = {}
+            for i, key in enumerate(state.keys):
+                owned.setdefault(key.rsplit(":", 1)[0], []).append(i)
             for name, voltage in cap_overrides.items():
-                if name not in by_component:
+                if name not in owned:
                     raise KeyError(
                         f"no dynamic element on component {name!r}")
-                state.voltage[by_component[name]] = float(voltage)
+                if len(owned[name]) > 1:
+                    raise ValueError(
+                        f"component {name!r} owns {len(owned[name])} "
+                        f"dynamic elements; cap_overrides takes a "
+                        f"component with exactly one, such as a "
+                        f"capacitor")
+                state.voltage[owned[name][0]] = float(voltage)
             # Make the stored t=0 state consistent with the overridden
             # capacitor voltages: one vanishingly short backward-Euler
             # step lets the overridden caps act as voltage sources while

@@ -28,7 +28,8 @@ from repro.faults import (
 )
 from repro.faults.campaign import DEFAULT_BATCH_SIZE
 from repro.sim.batch import solve_batch
-from repro.sim.dc import DeltaContext, operating_point
+from repro.sim.dc import (DeltaContext, _abs_tolerance, _converged,
+                          operating_point)
 from repro.sim.options import SimOptions
 from repro.telemetry import Telemetry
 from repro.verify import cross_check, load_scenario
@@ -346,3 +347,23 @@ def test_broadcast_add_at_matrix_form_matches_per_member_bitwise(rng):
     target = np.repeat(base[None, :, :], batch, axis=0)
     np.add.at(target, (np.arange(batch)[:, None], rows, cols), vals)
     assert np.array_equal(target, expected)
+
+
+def test_replay_convergence_rule_is_the_serial_one(rng):
+    """The replay judges its stack with the serial Newton test: one
+    verdict per row, each equal to the 1-D call, on the per-unknown
+    tolerance (``vntol`` on nets, ``abstol`` on branches)."""
+    options = SimOptions()
+    batch, n, n_nets = 12, 9, 6
+    atol = _abs_tolerance(n, n_nets, options.vntol, options.abstol)
+    assert np.array_equal(atol, [options.vntol] * n_nets
+                          + [options.abstol] * (n - n_nets))
+    x_old = rng.standard_normal((batch, n))
+    x_new = x_old + rng.standard_normal((batch, n)) * 10.0 ** (
+        rng.integers(-9, 0, size=(batch, 1)))
+    stacked = _converged(x_old, x_new, np.repeat(atol[None], batch, 0),
+                         options)
+    assert stacked.shape == (batch,) and 0 < stacked.sum() < batch
+    for row in range(batch):
+        assert stacked[row] == _converged(x_old[row], x_new[row], atol,
+                                          options)

@@ -1,6 +1,7 @@
 """Transient-analysis tests against analytic RC/RL-free solutions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from repro.circuit import (
     Sine,
     VoltageSource,
 )
+from repro.cml import NOMINAL, buffer_chain
+from repro.dft import DetectorConfig, attach_variant2, ensure_vtest
+from repro.dft import test_mode_entry as enter_test_mode
 from repro.sim import SimOptions, transient
 
 
@@ -205,3 +209,40 @@ class TestResultContainer:
             transient(rc_circuit(), t_stop=0, dt=1e-12)
         with pytest.raises(ValueError):
             transient(rc_circuit(), t_stop=1e-9, dt=-1.0)
+
+
+class TestCapOverrides:
+    """``cap_overrides`` starts one capacitor at a given voltage."""
+
+    def test_capacitor_starts_at_its_override(self):
+        result = transient(rc_circuit(), t_stop=1e-9, dt=1e-11,
+                           cap_overrides={"C1": 0.25})
+        assert result.wave("out").values[0] == pytest.approx(0.25, abs=1e-6)
+
+    def test_detector_load_precharge(self):
+        """The detector experiments' override names one capacitor: C7
+        starts discharged, vout at the supply."""
+        chain = buffer_chain(NOMINAL, frequency=100e6)
+        ensure_vtest(chain.circuit, NOMINAL, enter_test_mode(NOMINAL))
+        detector = attach_variant2(chain.circuit, "op", "opb", tech=NOMINAL,
+                                   config=DetectorConfig(load_cap=1e-12))
+        load = chain.circuit[f"{detector.name}.C7"]
+        result = transient(chain.circuit, t_stop=1e-10, dt=1e-11,
+                           cap_overrides={load.name: 0.0})
+        across = result.differential(load.net("p"), load.net("n"))
+        assert abs(across.values[0]) < 1e-3
+
+    def test_component_with_two_dynamic_elements_raises(self):
+        """A BJT owns two junction capacitances: the override would be
+        ambiguous, so it raises, naming the component."""
+        circuit = buffer_chain(NOMINAL, 2, 1e9).circuit
+        bjt = next(c for c in circuit if isinstance(c, Bjt))
+        assert len(bjt.dynamic_elements()) == 2
+        with pytest.raises(ValueError, match=re.escape(repr(bjt.name))):
+            transient(circuit, t_stop=1e-10, dt=1e-11,
+                      cap_overrides={bjt.name: 0.0})
+
+    def test_component_without_dynamic_elements_raises(self):
+        with pytest.raises(KeyError, match="R1"):
+            transient(rc_circuit(), t_stop=1e-9, dt=1e-11,
+                      cap_overrides={"R1": 0.0})

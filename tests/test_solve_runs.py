@@ -28,6 +28,7 @@ from repro.sim import operating_point, transient
 from repro.sim.dc import ConvergenceError
 from repro.sim.mna import structure_for
 from repro.sim.options import SimOptions
+from repro.telemetry import Telemetry
 
 T_STOP = 3e-9
 DT = 20e-12
@@ -128,6 +129,39 @@ def test_failed_transient_writes_limiting_state_back():
     stored = _device_limits(structure)
     assert stored == structure.compiled().snapshot_limits().tolist()
     assert stored != after_op
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+def test_failed_transient_carries_its_newton_work(traced):
+    """A transient that fails raises with the run's NewtonStats, folded
+    into the metrics registry as a finished run's are."""
+    circuit = _chain()
+    initial = operating_point(circuit)
+    telemetry = Telemetry.capturing() if traced else None
+    one_shot = SimOptions(max_nr_iterations=1, max_step_halvings=0,
+                          telemetry=telemetry)
+    with pytest.raises(ConvergenceError) as raised:
+        transient(circuit, 2e-9, 1e-11, one_shot, initial=initial)
+    stats = raised.value.stats
+    assert stats is not None
+    assert (stats.iterations, stats.n_factorizations) == (1, 1)
+    if traced:
+        telemetry.flush_metrics()
+        counters = telemetry.events()[-1]["counters"]
+        assert counters["newton.iterations"] == 1
+        (span,) = [e for e in telemetry.events()
+                   if e.get("name") == "analysis"]
+        assert span["attrs"]["iterations"] == 1
+
+
+def test_failed_initial_operating_point_keeps_its_own_stats():
+    """The operating point a transient solves first fails with its own
+    stats (its homotopy's work), not the transient's."""
+    one_shot = SimOptions(max_nr_iterations=1, max_step_halvings=0)
+    with pytest.raises(ConvergenceError) as raised:
+        transient(_chain(), 2e-9, 1e-11, one_shot)
+    assert raised.value.stats.strategy == "source-stepping"
+    assert raised.value.stats.iterations > 1
 
 
 def test_copies_and_pickles_leave_solver_state_behind():
