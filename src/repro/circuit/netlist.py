@@ -172,10 +172,13 @@ class Circuit:
         #: :func:`repro.sim.mna.structure_for`).  Copies and pickles
         #: leave them behind; they are rebuilt on demand.
         self._solver_cache = None
+        #: ``(topology_version, frozenset of nets)`` for :meth:`has_net`.
+        self._net_set = None
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_solver_cache"] = None
+        state["_net_set"] = None
         return state
 
     def __copy__(self) -> "Circuit":
@@ -243,6 +246,15 @@ class Circuit:
             for net in component.nets():
                 seen.setdefault(net, None)
         return list(seen)
+
+    def has_net(self, net: str) -> bool:
+        """Whether some terminal is on ``net`` (ground included): a set
+        lookup, the set rebuilt once per topology version."""
+        entry = self._net_set
+        if entry is None or entry[0] != self._topology_version:
+            entry = self._net_set = (self._topology_version,
+                                     frozenset(self.nets()))
+        return net in entry[1]
 
     def unknown_nets(self) -> List[str]:
         """Nets that get an MNA voltage unknown (everything but ground)."""

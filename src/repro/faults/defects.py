@@ -196,9 +196,8 @@ class Bridge(Defect):
     kind: ClassVar[str] = "bridge"
 
     def apply(self, circuit: Circuit) -> None:
-        nets = circuit.nets()
         for net in (self.net_a, self.net_b):
-            if net not in nets:
+            if not circuit.has_net(net):
                 raise KeyError(f"bridge endpoint {net!r} not in circuit")
         if self.net_a == self.net_b:
             raise ValueError("bridge endpoints must differ")
@@ -208,9 +207,8 @@ class Bridge(Defect):
 
     def delta_conductances(self, circuit: Circuit
                            ) -> Optional[List[Tuple[str, str, float]]]:
-        nets = circuit.nets()
         for net in (self.net_a, self.net_b):
-            if net not in nets:
+            if not circuit.has_net(net):
                 raise KeyError(f"bridge endpoint {net!r} not in circuit")
         if self.net_a == self.net_b:
             raise ValueError("bridge endpoints must differ")
@@ -393,9 +391,8 @@ class WireLeak(Defect):
     family: ClassVar[str] = "interconnect"
 
     def _validate(self, circuit: Circuit) -> None:
-        nets = circuit.nets()
         for net in (self.net_a, self.net_b):
-            if net not in nets:
+            if not circuit.has_net(net):
                 raise KeyError(f"wire-leak endpoint {net!r} not in circuit")
         if self.net_a == self.net_b:
             raise ValueError("wire-leak endpoints must differ")

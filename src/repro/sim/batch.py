@@ -21,7 +21,9 @@ starts from.  Each iteration makes
   (:meth:`CompiledStamps.eval_nonlinear_batch`), each member gathering
   its own junction terminals, then
 * one stacked ``np.linalg.solve`` per system size over the dense
-  members, and one ``splu`` per sparse member on its own CSC pattern,
+  members, and one factorization (:func:`~repro.sim.mna.factor_sparse`,
+  as the conventional solve) per sparse member, of the one CSC matrix
+  the member keeps for its whole solve and refills in place,
 
 and drops converged members from the batch without touching the
 arithmetic of the others, so a member's iterates never depend on what it
@@ -93,8 +95,10 @@ class _Member:
     cells, or CSC data) and RHS, each with one extra slot at the end;
     ``cells``/``rhs_cells`` send every device stamp slot of the batch
     evaluation to a matrix cell and an RHS row, ground slots to the
-    extra slot, which the solve never reads.  The derived tables
-    themselves are not kept.
+    extra slot, which the solve never reads.  A sparse member's
+    ``matrix`` is its CSC matrix for the whole solve: its data is a view
+    of all but the extra slot of ``work``, which each iteration refills.
+    The derived tables themselves are not kept.
     """
 
     def __init__(self, context: DeltaContext, view: MemberView,
@@ -112,10 +116,16 @@ class _Member:
         keep = (rows >= 0) & (cols >= 0)
         if system.sparse:
             pattern = system.pattern
-            self.indices, self.indptr = pattern.indices, pattern.indptr
             self.cells = np.full(len(rows), pattern.nnz)
             self.cells[keep] = pattern.nl_pos
             self.base = np.append(system.base_data, 0.0)
+            self.work = self.base.copy()
+            self.matrix = csc_matrix(
+                (self.work[:-1], pattern.indices, pattern.indptr),
+                shape=(n, n))
+            if not np.shares_memory(self.matrix.data, self.work):
+                raise RuntimeError("CSC data is not a view of the work "
+                                   "buffer")
         else:
             self.cells = np.where(keep, rows * n + cols, n * n)
             self.base = np.append(system.base_dense.ravel(), 0.0)
@@ -273,14 +283,12 @@ def _replay(context: DeltaContext, members: Sequence[_Member],
                     fail(row, str(error))
         for row in np.flatnonzero(active_group < 0):
             member = members[active[row]]
-            data = member.base.copy()
-            np.add.at(data, member.cells, vals[row])
+            np.copyto(member.work, member.base)
+            np.add.at(member.work, member.cells, vals[row])
             rhs = member.rhs_base.copy()
             np.add.at(rhs, member.rhs_cells, rhs_vals[row])
-            matrix = csc_matrix((data[:-1], member.indices, member.indptr),
-                                shape=(member.n, member.n))
             try:
-                x_next[row, :member.n] = solve_direct(matrix, rhs[:-1],
+                x_next[row, :member.n] = solve_direct(member.matrix, rhs[:-1],
                                                       sparse=True)
             except SingularMatrixError as error:
                 fail(row, str(error))

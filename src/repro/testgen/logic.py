@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 #: The 3-valued domain.
 Value = Optional[bool]
 
@@ -133,24 +131,46 @@ class LogicNetwork:
         return nets
 
     def combinational_order(self) -> List[Gate]:
-        """Combinational gates in topological evaluation order."""
+        """Combinational gates in topological evaluation order.
+
+        Kahn's algorithm, generation by generation: first the gates no
+        combinational gate drives, then the gates all of whose drivers
+        are placed, and so on.  Gates keep their order of first mention
+        (as a gate, or as a driver of a later one), and a gate's readers
+        follow in the order they first read it; a gate that reads one
+        net twice counts once.
+        """
         if self._order is not None:
             return self._order
-        graph = nx.DiGraph()
         combinational = [g for g in self.gates.values()
                          if not g.is_sequential]
-        driver = {g.output: g for g in combinational}
+        driver = {g.output: g.name for g in combinational}
+        # Gate -> its readers; gates and readers in first-mention order.
+        readers: Dict[str, Dict[str, None]] = {}
         for gate in combinational:
-            graph.add_node(gate.name)
+            readers.setdefault(gate.name, {})
             for net in gate.inputs:
                 if net in driver:
-                    graph.add_edge(driver[net].name, gate.name)
-        try:
-            order = list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible:
+                    readers.setdefault(driver[net], {})[gate.name] = None
+        pending = dict.fromkeys(readers, 0)  # unplaced drivers per gate
+        for names in readers.values():
+            for name in names:
+                pending[name] += 1
+        generation = [name for name, count in pending.items() if count == 0]
+        order: List[str] = []
+        while generation:
+            order += generation
+            ready = []
+            for name in generation:
+                for reader in readers[name]:
+                    pending[reader] -= 1
+                    if pending[reader] == 0:
+                        ready.append(reader)
+            generation = ready
+        if len(order) < len(pending):
             raise ValueError(
                 "combinational cycle detected; feedback must go through "
-                "a dff") from None
+                "a dff")
         self._order = [self.gates[name] for name in order]
         return self._order
 

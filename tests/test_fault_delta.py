@@ -12,6 +12,7 @@ serial/parallel runs return the same records.
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 import repro.faults.campaign as campaign_module
 from repro.circuit import SplitTerminal
@@ -31,9 +32,11 @@ from repro.faults import (
 from repro.faults.campaign import _warm_start_vector
 from repro.faults.defects import ResistorOpen, ResistorShort, TerminalOpen
 from repro.faults.injector import inject
+from repro.sim import mna
 from repro.sim.batch import solve_batch
 from repro.sim.dc import DeltaContext, operating_point
-from repro.sim.mna import structure_for
+from repro.sim.mna import (FactorCache, build_base, solve_direct,
+                           stamp_nonlinear, structure_for)
 from repro.sim.options import SimOptions
 from repro.testgen.circuits import ila_and_exor
 from repro.testgen.synthesis import synthesize
@@ -153,12 +156,14 @@ def test_delta_solutions_bitwise_match_full_path(bench):
 def test_sparse_solutions_bitwise_match_full_path(bench):
     """Forced sparse, every member solves on its own derived CSC
     pattern: bitwise the conventional solve, and every verdict
-    matches."""
+    matches.  Members take several iterations on the one CSC matrix
+    each keeps, so data left from an earlier iteration would show."""
     circuit, defects, oracles = bench
     options = SimOptions(sparse_threshold=1)
     solved = _batch_vs_full(circuit, defects, options)
     assert len(solved) > 100
     _assert_bitwise(solved)
+    assert max(iterations for *_, iterations in solved) >= 2
 
     def table(**kwargs):
         result = run_campaign(circuit, defects, oracles, options=options,
@@ -192,6 +197,40 @@ def test_sparse_ila_campaign_verdicts_match_conventional(ila):
     assert {tuple(sorted(v.items())) for v, _ in table} == {
         (("iddq", a), ("logic", b))
         for a in ("pass", "fail") for b in ("pass", "fail")}
+
+
+def test_sparse_factorization_sites_agree(ila, monkeypatch):
+    """Every sparse factorization site factors alike: the legacy
+    stamper's solve, ``solve_direct`` (conventional compiled solves and
+    the batch replay) and ``FactorCache`` (modified Newton) give
+    bitwise-equal solutions of the 8-cell array's Jacobian, each within
+    a relative 1e-12 of a dense solve."""
+    circuit = ila.circuit
+    x = operating_point(circuit).x
+    structure = structure_for(circuit)
+    settings = []
+
+    def spy(matrix, **kwargs):
+        settings.append((matrix, sorted(kwargs.items())))
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(mna, "splu", spy)
+    stamper = build_base(structure, SimOptions(use_compiled=False), None)
+    stamp_nonlinear(structure, stamper, x)
+    legacy = stamper.solve()
+    legacy_system = (settings[0][0], stamper._rhs)
+    compiled = structure.compiled().build_system(SimOptions())
+    assert compiled.sparse
+    for matrix, rhs in (legacy_system, compiled.assemble(x)[:2]):
+        direct = solve_direct(matrix, rhs, sparse=True)
+        cache = FactorCache()
+        cache.factorize(matrix, ("sparse",), sparse=True)
+        assert cache.solve(rhs).tobytes() == direct.tobytes()
+        dense = np.linalg.solve(matrix.toarray(), rhs)
+        assert (np.abs(direct - dense).max()
+                <= 1e-12 * np.abs(dense).max())
+    assert legacy.tobytes() == solve_direct(*legacy_system, True).tobytes()
+    assert len({str(kwargs) for _, kwargs in settings}) == 1
 
 
 def test_delta_campaign_verdicts_identical_to_warm(bench):

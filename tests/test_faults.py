@@ -140,6 +140,24 @@ class TestBridgeAndResistorShort:
         with pytest.raises(ValueError):
             inject(chain.circuit, Bridge("op", "op"))
 
+    def test_bridge_endpoints_follow_the_topology(self):
+        """Both methods raise on a missing endpoint, on a net added
+        after a first check both find it, and equal endpoints still
+        raise ValueError."""
+        circuit = buffer_chain(TECH, n_stages=1).circuit
+        net = circuit.unknown_nets()[0]
+        bridge = Bridge(net, "late")
+        with pytest.raises(KeyError, match="late"):
+            bridge.delta_conductances(circuit)
+        with pytest.raises(KeyError, match="late"):
+            bridge.apply(circuit.copy())
+        circuit.add(Resistor("RLATE", "late", "0", 1e3))
+        assert bridge.delta_conductances(circuit) == [(net, "late", 1.0)]
+        bridge.apply(circuit)
+        assert circuit.has_net("late") and circuit.has_net("0")
+        with pytest.raises(ValueError, match="differ"):
+            Bridge("late", "late").delta_conductances(circuit)
+
     def test_resistor_short_kills_swing_on_one_side(self, chain):
         faulty = inject(chain.circuit, ResistorShort("DUT.R2"))
         result = run_cycles(faulty, 100e6, cycles=2.0, points_per_cycle=300)

@@ -1,6 +1,9 @@
 """Tests of the gate-level logic simulator and benchmark circuits."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -50,6 +53,43 @@ class TestNetworkConstruction:
         net.add_gate("G2", "or2", ["x", "a"], "y")
         with pytest.raises(ValueError, match="cycle"):
             net.combinational_order()
+
+    def test_cycle_behind_acyclic_gates_detected(self):
+        """A self-loop fed by an acyclic gate still raises."""
+        net = LogicNetwork()
+        net.add_input("a")
+        net.add_gate("G1", "buffer", ["a"], "x")
+        net.add_gate("G2", "and2", ["x", "y"], "y")
+        with pytest.raises(ValueError, match="cycle"):
+            net.combinational_order()
+
+    def test_combinational_order_is_pinned(self):
+        """Fan-out, reconvergence, a gate read twice by one reader and
+        gates added before their drivers: the order is the one the
+        previous networkx-based sort gave (first mention, then
+        generation by generation)."""
+        net = LogicNetwork()
+        for signal in "abc":
+            net.add_input(signal)
+        net.add_gate("g5", "mux2", ["n3", "n4", "n2"], "n5")
+        net.add_gate("g1", "buffer", ["a"], "n1")
+        net.add_gate("g4", "or2", ["n2", "c"], "n4")
+        net.add_gate("g3", "xor2", ["n1", "n1"], "n3")
+        net.add_gate("g2", "and2", ["n1", "b"], "n2")
+        net.add_gate("g6", "inverter", ["c"], "n6")
+        net.add_gate("g7", "and2", ["n6", "n5"], "n7")
+        assert [g.name for g in net.combinational_order()] == [
+            "g1", "g6", "g3", "g2", "g4", "g5", "g7"]
+
+    def test_program_imports_without_networkx(self):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = ("import sys; sys.modules['networkx'] = None; "
+                "import repro.__main__")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_feedback_through_dff_allowed(self):
         net = shift_register(2)
