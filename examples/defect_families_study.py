@@ -6,9 +6,8 @@ Three studies beyond the paper's own section-3 catalog:
   continuum of resistive severities (soft ~10 MΩ to hard ~1 kΩ), not a
   binary fault.  The sweep measures the detection fraction of every
   amplitude-detector variant along that continuum and prints the
-  coverage-vs-severity table (detection must be monotone in severity —
-  the perf harness gates exactly this on the committed artifact
-  ``BENCH_defect_families.json``).
+  coverage-vs-severity table (detection must be monotone in severity;
+  tests/test_defect_families.py asserts it).
 
 * **Low-swing link healing** — a driver/receiver interconnect link
   launches half the nominal swing onto a long differential wire; the

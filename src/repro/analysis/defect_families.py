@@ -10,8 +10,8 @@ Two studies beyond the paper's own catalog:
   amplitude-detector variant (0 = logic/IDDQ only, 1/2 = per-pair
   detectors, 3 = shared monitor), each variant one batched campaign
   with that variant's oracles.  The headline claim — detection is
-  monotone non-decreasing in severity per variant — is what the perf
-  harness gates (``BENCH_defect_families.json``).
+  monotone non-decreasing in severity per variant — is
+  :meth:`SeveritySweep.monotone_ok`, which the tests assert.
 
 * :func:`ila_c_testability_study` — the AND-EXOR iterative array's
   constant 8-vector C-test must reach 100% single-stuck coverage at the
@@ -53,11 +53,6 @@ class SeveritySweep:
     n_sites: int
     n_stages: int
 
-    def fraction(self, variant: int) -> List[float]:
-        if not self.n_sites:
-            return [0.0 for _ in self.resistances]
-        return [count / self.n_sites for count in self.detected[variant]]
-
     def monotone_ok(self) -> bool:
         """Detection never drops as severity grows (resistance falls)."""
         return all(counts[i] <= counts[i + 1]
@@ -79,17 +74,6 @@ class SeveritySweep:
             headers, rows,
             title=f"Oxide-breakdown severity sweep "
                   f"({self.n_stages}-stage chain)")
-
-    def to_dict(self) -> dict:
-        return {
-            "resistances": list(self.resistances),
-            "variants": list(self.variants),
-            "n_sites": self.n_sites,
-            "n_stages": self.n_stages,
-            "detected": {str(v): list(c) for v, c in self.detected.items()},
-            "fractions": {str(v): self.fraction(v) for v in self.variants},
-            "monotone_ok": self.monotone_ok(),
-        }
 
 
 def _oxide_sites(circuit) -> List[OxideBreakdown]:

@@ -14,7 +14,6 @@ from .service import (
     CampaignService,
     Job,
     ServiceError,
-    run_load_test,
     submit_and_stream,
 )
 
@@ -29,6 +28,5 @@ __all__ = [
     "RUNNING",
     "ServiceError",
     "build_campaign_job",
-    "run_load_test",
     "submit_and_stream",
 ]

@@ -339,8 +339,8 @@ async def submit_and_stream(host: str, port: int,
     """Minimal TCP client: submit one job, return every event.
 
     The last event is ``done`` (with the records) on success or
-    ``error`` on failure — exactly what the wire carried, so tests and
-    the load harness can assert on the protocol itself.
+    ``error`` on failure — exactly what the wire carried, so tests can
+    assert on the protocol itself.
     """
     if isinstance(spec, JobSpec):
         spec = spec.to_dict()
@@ -362,35 +362,3 @@ async def submit_and_stream(host: str, port: int,
     finally:
         writer.close()
 
-
-async def run_load_test(host: str, port: int,
-                        specs: List[Union[JobSpec, Dict[str, Any]]]
-                        ) -> Dict[str, Any]:
-    """Fire one concurrent client per spec; summarize the outcome.
-
-    Returns per-client wall times, how many completed/failed, and the
-    summed store traffic reported by the ``done`` events — the harness
-    the ``campaign_service`` perf section uses to simulate many
-    concurrent clients against one service.
-    """
-    async def one(spec) -> Dict[str, Any]:
-        started = time.perf_counter()
-        events = await submit_and_stream(host, port, spec)
-        last = events[-1] if events else {}
-        return {"wall_s": time.perf_counter() - started,
-                "ok": last.get("event") == "done",
-                "n_store_hits": last.get("n_store_hits", 0),
-                "n_defects": last.get("n_defects", 0),
-                "n_progress": sum(1 for e in events
-                                  if e.get("event") == "progress")}
-
-    outcomes = await asyncio.gather(*(one(spec) for spec in specs))
-    return {
-        "clients": len(outcomes),
-        "completed": sum(1 for o in outcomes if o["ok"]),
-        "failed": sum(1 for o in outcomes if not o["ok"]),
-        "wall_s": [round(o["wall_s"], 4) for o in outcomes],
-        "total_store_hits": sum(o["n_store_hits"] for o in outcomes),
-        "total_defects": sum(o["n_defects"] for o in outcomes),
-        "progress_events": sum(o["n_progress"] for o in outcomes),
-    }

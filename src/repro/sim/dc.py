@@ -171,8 +171,7 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
                   companions: Optional[Callable[[MnaStamper], None]] = None,
                   stats: Optional[NewtonStats] = None,
                   factor_cache: Optional[FactorCache] = None,
-                  deadline: Optional[float] = None,
-                  allow_dense_reuse: bool = False) -> np.ndarray:
+                  deadline: Optional[float] = None) -> np.ndarray:
     """Run one Newton-Raphson solve; raises ConvergenceError on failure.
 
     The returned vector satisfies the per-unknown tolerance tests of
@@ -180,15 +179,15 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
     On the compiled engine it must run inside a :func:`_device_run`,
     which owns the device values and limiting state it iterates on.
 
-    ``factor_cache`` (compiled path only) selects the modified-Newton
-    iteration: steps are computed through the cache's LU factorization —
-    possibly inherited from an earlier iteration or a previous transient
-    step — and the Jacobian is refactorized only when the cache does not
-    structurally fit this system or the residual-reduction rate stalls
-    below ``options.reuse_stall_ratio``.  Steps taken with a stale
-    factorization must pass a tighter convergence test
-    (``options.reuse_accept_factor``) to bound the extra error of the
-    linearly-converging tail.
+    ``factor_cache`` (compiled path only; the adaptive transient passes
+    one) selects the modified-Newton iteration: steps are computed
+    through the cache's LU factorization — possibly inherited from an
+    earlier iteration or a previous transient step — and the Jacobian is
+    refactorized only when the cache does not structurally fit this
+    system or the residual-reduction rate stalls
+    (``_REUSE_STALL_RATIO``).  Steps taken with a stale factorization
+    must pass a tighter convergence test (``_REUSE_ACCEPT_FACTOR``) to
+    bound the extra error of the linearly-converging tail.
     """
     local = options if gmin is None else _with_gmin(options, gmin)
     n_nets = structure.n_nets
@@ -198,26 +197,15 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
     if options.use_compiled:
         stamps = structure.compiled()
         system = stamps.build_system(local, t, source_scale, companions)
-        # Factorization reuse pays only where factorization dominates the
-        # iteration cost: the sparse path.  On small dense systems the
-        # extra chord iterations (each a full device re-evaluation) cost
-        # more than the O(n^3)-but-tiny factorizations they save, so
-        # "auto" callers fall through to plain Newton there.  The
-        # adaptive transient stepper opts back in (``allow_dense_reuse``)
-        # with a twist: a dense Jacobian carried across an LTE-sized
-        # timestep is stale enough to turn 3-iteration solves into 5, so
-        # each solve refreshes the factorization at its first iteration
-        # and chords only *within* the solve (``refresh_first``) —
-        # without that the cache the stepper allocates is dead weight.
-        use_cache = factor_cache is not None and (
-            system.sparse or allow_dense_reuse
-            or options.newton_reuse == "always")
-        refresh_first = (allow_dense_reuse and not system.sparse
-                         and options.newton_reuse != "always")
-        if use_cache:
+        if factor_cache is not None:
+            # A dense Jacobian carried across an LTE-sized timestep is
+            # stale enough to turn 3-iteration solves into 5, and device
+            # evaluation, not factorization, dominates a dense iteration:
+            # dense solves refresh the factorization at their first
+            # iteration and chord only *within* the solve.
             return _modified_newton(system, options, x, n_nets, atol,
                                     stats, factor_cache, deadline,
-                                    refresh_first=refresh_first)
+                                    refresh_first=not system.sparse)
         for iteration in range(options.max_nr_iterations):
             _check_deadline(deadline, iteration, "newton solve")
             x_new, limited = system.iterate(x)
@@ -257,6 +245,15 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
     )
 
 
+#: Residual-reduction ratio above which a stale factorization is
+#: considered stalled and the Jacobian is refactorized.
+_REUSE_STALL_RATIO = 0.2
+#: Convergence-tolerance tightening applied to steps computed with a
+#: reused (stale) factorization, bounding the extra linear-convergence
+#: error to a fraction of the Newton tolerance.
+_REUSE_ACCEPT_FACTOR = 0.1
+
+
 def _modified_newton(system, options: SimOptions, x: np.ndarray, n_nets: int,
                      atol: np.ndarray, stats: Optional[NewtonStats],
                      cache: FactorCache,
@@ -278,7 +275,7 @@ def _modified_newton(system, options: SimOptions, x: np.ndarray, n_nets: int,
     the previous transient step costs more in extra chord iterations
     than its reuse saves.  Within-solve staleness is bounded (at most a
     few iterates old, stall-guarded), so those chord steps accept at
-    the ordinary tolerance instead of ``reuse_accept_factor``; the
+    the ordinary tolerance instead of ``_REUSE_ACCEPT_FACTOR``; the
     tighter test exists for factorizations of *unbounded* staleness
     inherited across solves.
     """
@@ -297,7 +294,7 @@ def _modified_newton(system, options: SimOptions, x: np.ndarray, n_nets: int,
             cache.factorize(matrix, token, system.sparse)
             fresh = True
         elif (prev_rnorm is not None
-              and rnorm > options.reuse_stall_ratio * prev_rnorm):
+              and rnorm > _REUSE_STALL_RATIO * prev_rnorm):
             cache.factorize(matrix, token, system.sparse)
             fresh = True
         else:
@@ -316,8 +313,7 @@ def _modified_newton(system, options: SimOptions, x: np.ndarray, n_nets: int,
                 stats.n_factorizations += 1
             else:
                 stats.n_reuses += 1
-        accept = (1.0 if fresh or refresh_first
-                  else options.reuse_accept_factor)
+        accept = 1.0 if fresh or refresh_first else _REUSE_ACCEPT_FACTOR
         if not limited and _converged(x, x_new, atol, options, accept):
             return x_new
         x = x_new
@@ -482,9 +478,6 @@ def _operating_point_impl(circuit: Circuit, options: SimOptions,
                           stats: NewtonStats, tel) -> DcSolution:
     structure = structure_for(circuit)
     x0 = initial if initial is not None else np.zeros(structure.n_unknowns)
-    cache = (FactorCache()
-             if options.use_compiled and options.reuse_enabled(False)
-             else None)
     # One wall-clock budget spans the whole homotopy ladder: a blown
     # deadline aborts immediately (the remaining strategies are slower,
     # not faster) instead of falling through to them.
@@ -493,7 +486,7 @@ def _operating_point_impl(circuit: Circuit, options: SimOptions,
     try:
         with _newton_span(tel, stats, "newton"):
             x = _fresh_solve(structure, options, x0, stats=stats,
-                             factor_cache=cache, deadline=deadline)
+                             deadline=deadline)
         return DcSolution(structure, x, stats)
     except SolveDeadlineExceeded:
         raise
@@ -507,8 +500,7 @@ def _operating_point_impl(circuit: Circuit, options: SimOptions,
         with _newton_span(tel, stats, "gmin-stepping"):
             for gmin in options.gmin_ladder():
                 x = _fresh_solve(structure, options, x, gmin=gmin,
-                                 stats=stats, factor_cache=cache,
-                                 deadline=deadline)
+                                 stats=stats, deadline=deadline)
                 stats.gmin_steps += 1
         return DcSolution(structure, x, stats)
     except SolveDeadlineExceeded:
@@ -524,8 +516,7 @@ def _operating_point_impl(circuit: Circuit, options: SimOptions,
             for step in range(1, options.source_steps + 1):
                 scale = step / options.source_steps
                 x = _fresh_solve(structure, options, x, source_scale=scale,
-                                 stats=stats, factor_cache=cache,
-                                 deadline=deadline)
+                                 stats=stats, deadline=deadline)
                 stats.source_steps += 1
         return DcSolution(structure, x, stats)
     except SolveDeadlineExceeded:

@@ -47,28 +47,6 @@ class SimOptions:
     #: the reference implementation for equivalence tests and debugging.
     use_compiled: bool = True
 
-    # -- modified-Newton factorization reuse -----------------------------
-    #: Reuse the last LU factorization across Newton iterations (and
-    #: across transient steps), refactorizing only when the residual
-    #: reduction stalls.  ``"auto"`` enables reuse on the adaptive
-    #: transient only, the one solver path with no pinned step-for-step
-    #: trajectory equivalence with the legacy engine; on dense systems it
-    #: refreshes the factorization at each step's first iteration, since
-    #: device evaluation dominates there and chord iterations carried
-    #: across steps cost more than the factorizations they save.
-    #: ``"always"`` forces reuse on every compiled solve including dense
-    #: ones, ``"never"`` disables it everywhere.  Fault campaigns' low-rank
-    #: solves (:func:`repro.sim.batch.solve_batch`) always run plain
-    #: Newton and ignore this knob.
-    newton_reuse: str = "auto"
-    #: Residual-reduction ratio above which a stale factorization is
-    #: considered stalled and the Jacobian is refactorized.
-    reuse_stall_ratio: float = 0.2
-    #: Convergence-tolerance tightening applied to steps computed with a
-    #: reused (stale) factorization, bounding the extra linear-convergence
-    #: error to a fraction of the Newton tolerance.
-    reuse_accept_factor: float = 0.1
-
     # -- adaptive (LTE-controlled) transient stepping --------------------
     #: Replace the fixed time grid with a local-truncation-error step
     #: controller (trapezoidal LTE via predictor comparison).  The fixed
@@ -146,22 +124,6 @@ class SimOptions:
     #: Profiler sampling interval in seconds; 0 means the default
     #: (:data:`repro.telemetry.profile.DEFAULT_INTERVAL_S`).
     profile_interval_s: float = field(default=0.0, compare=False)
-
-    def reuse_enabled(self, new_path: bool) -> bool:
-        """Resolve :attr:`newton_reuse` for a solve.
-
-        ``new_path`` is True for the adaptive transient, the solver path
-        that has no pinned step-for-step twin in the legacy engine.
-        """
-        if self.newton_reuse == "always":
-            return True
-        if self.newton_reuse == "never":
-            return False
-        if self.newton_reuse != "auto":
-            raise ValueError(
-                f"newton_reuse must be 'auto', 'always' or 'never', "
-                f"got {self.newton_reuse!r}")
-        return new_path
 
     def escalated(self) -> "SimOptions":
         """Options for the campaign's last-resort cold retry.

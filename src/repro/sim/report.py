@@ -106,8 +106,7 @@ def solver_stats_report(stats) -> str:
 
     Surfaces the modified-Newton factorization economy (how many
     iterations refactorized vs reused an LU), the adaptive stepper's
-    rejected steps and the campaign's batch fallbacks — the counters
-    behind the performance numbers in BENCH_sim.json.
+    rejected steps and the campaign's batch fallbacks.
 
     Built on the telemetry counter mapping
     (:data:`~repro.telemetry.NEWTON_COUNTERS` via

@@ -331,9 +331,6 @@ def _transient_fixed(circuit: Circuit, structure: MnaStructure,
                      x: np.ndarray, stats: NewtonStats, t_stop: float,
                      dt: float) -> TransientResult:
     """Fixed-grid integration from 0 to ``t_stop`` with base step ``dt``."""
-    cache = (FactorCache()
-             if options.use_compiled and options.reuse_enabled(False)
-             else None)
     times, break_times = _time_grid(t_stop, dt, circuit)
     states = np.empty((len(times), structure.n_unknowns))
     states[0] = x
@@ -343,7 +340,7 @@ def _transient_fixed(circuit: Circuit, structure: MnaStructure,
         t0, t1 = float(times[step_index - 1]), float(times[step_index])
         x = _advance(structure, state, options, x, t0, t1,
                      use_trap and not restart, stats,
-                     options.max_step_halvings, cache)
+                     options.max_step_halvings)
         states[step_index] = x
         restart = t1 in break_times
     return TransientResult(structure, times, states, stats)
@@ -351,8 +348,8 @@ def _transient_fixed(circuit: Circuit, structure: MnaStructure,
 
 def _advance(structure: MnaStructure, state: _CompanionState,
              options: SimOptions, x: np.ndarray, t0: float, t1: float,
-             trapezoidal: bool, stats: NewtonStats, halvings_left: int,
-             cache: Optional[FactorCache] = None) -> np.ndarray:
+             trapezoidal: bool, stats: NewtonStats,
+             halvings_left: int) -> np.ndarray:
     """Advance the state from ``t0`` to ``t1``, halving on NR failure."""
     h = t1 - t0
     saved = state.snapshot()
@@ -360,8 +357,7 @@ def _advance(structure: MnaStructure, state: _CompanionState,
 
     try:
         x_new = _newton_solve(structure, options, x, t=t1,
-                              companions=state.set, stats=stats,
-                              factor_cache=cache)
+                              companions=state.set, stats=stats)
     except (ConvergenceError, SingularMatrixError):
         if halvings_left <= 0:
             raise ConvergenceError(
@@ -370,9 +366,9 @@ def _advance(structure: MnaStructure, state: _CompanionState,
         state.restore(saved)
         t_mid = 0.5 * (t0 + t1)
         x_mid = _advance(structure, state, options, x, t0, t_mid,
-                         trapezoidal, stats, halvings_left - 1, cache)
+                         trapezoidal, stats, halvings_left - 1)
         return _advance(structure, state, options, x_mid, t_mid, t1,
-                        trapezoidal, stats, halvings_left - 1, cache)
+                        trapezoidal, stats, halvings_left - 1)
 
     state.commit(x_new, geq, ieq)
     return x_new
@@ -456,9 +452,10 @@ def _transient_adaptive(circuit: Circuit, structure: MnaStructure,
     shrink the step and retry, bounded by ``options.max_step_halvings``
     consecutive attempts.
     """
-    cache = (FactorCache()
-             if options.use_compiled and options.reuse_enabled(True)
-             else None)
+    # Modified Newton: unlike the fixed grid (bit-pinned to the legacy
+    # engine), the adaptive path owns its trajectory, so carrying the LU
+    # factorization across accepted steps is pure savings.
+    cache = FactorCache() if options.use_compiled else None
     dt_min, dt_max = options.lte_bounds(dt)
     use_trap = options.integration.lower() == "trap"
     breakpoints = _source_breakpoints(circuit, t_stop)
@@ -488,14 +485,9 @@ def _transient_adaptive(circuit: Circuit, structure: MnaStructure,
         trapezoidal = use_trap and not restart
         geq, ieq = state.prepare(h_step, trapezoidal)
         try:
-            # ``allow_dense_reuse``: unlike the fixed grid (bit-pinned to
-            # the legacy engine), the adaptive path owns its trajectory,
-            # so carrying the LU factorization across accepted steps is
-            # pure savings — dense included.
             x_new = _newton_solve(structure, options, x, t=t + h_step,
                                   companions=state.set, stats=stats,
-                                  factor_cache=cache,
-                                  allow_dense_reuse=True)
+                                  factor_cache=cache)
         except (ConvergenceError, SingularMatrixError):
             stats.n_rejected_steps += 1
             rejections += 1

@@ -16,8 +16,8 @@ into formats existing tooling understands:
   collapsed-stack format (``frame;frame;frame count``) from ``profile``
   events, the input ``flamegraph.pl`` / speedscope / inferno expect.
 
-:func:`parse_prometheus` is the matching strict reader, used by the perf
-harness gate and tests to prove round-trips.
+:func:`parse_prometheus` is the matching strict reader, used by the
+tests to prove round-trips.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def parse_prometheus(text: str) -> Dict[str, float]:
 
     Sample names keep their label set verbatim (``m{quantile="0.5"}``).
     Raises ``ValueError`` on any line that is neither a comment, blank,
-    nor a well-formed sample — the perf gate uses this to prove a live
+    nor a well-formed sample — the tests use this to prove a live
     scrape is really Prometheus text.
     """
     samples: Dict[str, float] = {}

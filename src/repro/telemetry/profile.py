@@ -4,9 +4,8 @@ A :class:`SamplingProfiler` runs a daemon thread that periodically grabs
 the target thread's current Python stack via ``sys._current_frames()``
 and counts identical stacks.  Pure stdlib, no signals, no C extension —
 it works inside pool worker processes and under pytest alike.  The
-overhead is one stack walk per ``interval_s`` (default 5 ms → well under
-the perf harness's 5% gate), independent of how hot the profiled code
-is.
+overhead is one stack walk per ``interval_s`` (default 5 ms),
+independent of how hot the profiled code is.
 
 Results aggregate two ways:
 

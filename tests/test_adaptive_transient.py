@@ -132,6 +132,8 @@ def test_adaptive_chain_accuracy_against_oversampled_reference():
     fixed = transient(chain.circuit, t_stop, dt, SimOptions())
     assert _max_trace_error(adaptive, reference) < 1e-3
     assert len(adaptive.times) < len(fixed.times) / 2
+    # The stepper chords through its LU factorization within each solve.
+    assert adaptive.stats.n_reuses > 0
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ semantics the corpus witnesses freeze (soft escape, link healing).
 """
 
 import dataclasses
-import json
 import os
 
 import pytest
@@ -320,9 +319,6 @@ class TestSeveritySweep:
         # Hard breakdowns must be strictly more detectable than soft.
         soft, hard = sweep.detected[0]
         assert hard >= soft
-        data = sweep.to_dict()
-        assert data["monotone_ok"] is True
-        assert json.loads(json.dumps(data)) == data
         assert "severity sweep" in sweep.format()
 
     def test_sweep_rejects_unordered_grid(self):
@@ -373,7 +369,7 @@ class TestIla:
 
 
 # ----------------------------------------------------------------------
-# Witness semantics (frozen by the corpus + perf harness)
+# Witness semantics (frozen by the corpus)
 # ----------------------------------------------------------------------
 class TestWitnessSemantics:
     def test_oxide_escape_witness_escapes_soft_detects_hard(self):

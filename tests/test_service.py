@@ -4,7 +4,7 @@ End-to-end acceptance for the service layer, all through ``asyncio.run``
 (no async test plugin needed): in-process submit → progress → result;
 a warm resubmission served almost entirely from the store; the
 JSON-lines TCP front end round-tripping the same payloads; concurrent
-clients through the load-test harness; and the JobSpec wire format.
+clients over TCP; and the JobSpec wire format.
 """
 
 import asyncio
@@ -19,7 +19,6 @@ from repro.service import (
     JobSpec,
     ServiceError,
     build_campaign_job,
-    run_load_test,
     submit_and_stream,
 )
 from repro.store import ResultStore, campaign_fingerprint
@@ -232,25 +231,26 @@ class TestTCPFrontEnd:
         assert "bogus_field" in bad_spec["error"]
 
     def test_load_test_harness(self, tmp_path):
+        """Three concurrent TCP clients re-submit a cached job."""
         async def scenario():
             service = CampaignService(store=str(tmp_path / "store"))
             server = await service.serve(port=0)
             host, port = server.sockets[0].getsockname()[:2]
             try:
                 await service.run(JobSpec(**SMALL))  # prime the store
-                summary = await run_load_test(
-                    host, port, [JobSpec(**SMALL) for _ in range(3)])
+                streams = await asyncio.gather(*(
+                    submit_and_stream(host, port, JobSpec(**SMALL))
+                    for _ in range(3)))
             finally:
                 server.close()
                 await server.wait_closed()
-            return service, summary
+            return service, streams
 
-        service, summary = asyncio.run(scenario())
-        assert summary["clients"] == 3
-        assert summary["completed"] == 3
-        assert summary["failed"] == 0
-        assert summary["total_store_hits"] == 3 * 4  # all cache-served
-        assert len(summary["wall_s"]) == 3
+        service, streams = asyncio.run(scenario())
+        assert len(streams) == 3
+        done = [events[-1] for events in streams]
+        assert all(event["event"] == "done" for event in done)
+        assert sum(event["n_store_hits"] for event in done) == 3 * 4
         assert service.stats()["max_queue_depth"] >= 2
 
 
