@@ -163,9 +163,8 @@ class FaultRecord:
     #: (the conventional solve failed and the escalated cold retry rung
     #: succeeded), or ``"none"`` (quarantined: no operating point).
     solver: str = "full"
-    #: Factorizations performed / reused for this defect's solve.
+    #: Factorizations performed for this defect's solve.
     n_factorizations: int = 0
-    n_reuses: int = 0
     #: Homotopy steps the solve needed (0 when plain Newton converged);
     #: a hard defect that only falls to gmin/source stepping shows up
     #: here instead of silently inflating the iteration count.
@@ -197,7 +196,6 @@ class FaultRecord:
         """
         self.newton_iterations += stats.iterations
         self.n_factorizations += stats.n_factorizations
-        self.n_reuses += stats.n_reuses
         self.gmin_steps += stats.gmin_steps
         self.source_steps += stats.source_steps
 
@@ -315,7 +313,6 @@ class CampaignResult:
         for record in self.records:
             stats.iterations += record.newton_iterations
             stats.n_factorizations += record.n_factorizations
-            stats.n_reuses += record.n_reuses
             stats.gmin_steps += record.gmin_steps
             stats.source_steps += record.source_steps
         stats.n_batched_solves = self.n_batched_solves
@@ -665,8 +662,8 @@ CHECKPOINT_SCHEMA = 1
 #: object, which the resuming campaign supplies, and ``verdicts``, which
 #: needs a dict copy).
 _RECORD_FIELDS = ("converged", "newton_iterations", "solver",
-                  "n_factorizations", "n_reuses", "gmin_steps",
-                  "source_steps", "quarantined", "quarantine_reason")
+                  "n_factorizations", "gmin_steps", "source_steps",
+                  "quarantined", "quarantine_reason")
 
 
 def defect_key(defect: Defect) -> str:

@@ -20,8 +20,8 @@ import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..telemetry import telemetry_for
-from .mna import (FactorCache, MnaStamper, MnaStructure, SingularMatrixError,
-                  build_base, stamp_nonlinear, structure_for)
+from .mna import (MnaStamper, MnaStructure, SingularMatrixError, build_base,
+                  stamp_nonlinear, structure_for)
 from .options import DEFAULT_OPTIONS, SimOptions
 
 
@@ -77,13 +77,14 @@ class NewtonStats:
     gmin_steps: int = 0
     source_steps: int = 0
     strategy: str = "newton"
-    #: Matrix factorizations performed vs factorization reuses (the
-    #: modified-Newton LU-reuse policy; plain Newton factorizes every
-    #: iteration, so without reuse ``n_factorizations == iterations``).
+    #: Matrix factorizations performed: plain Newton factorizes every
+    #: iteration, so ``n_factorizations == iterations`` on every path.
     n_factorizations: int = 0
+    #: Always 0: no solve reuses a factorization and the fixed grid
+    #: rejects no step.  Kept only because ``perfbench/layers.py`` reads
+    #: both on every traced pass; they go with its next update (ROADMAP
+    #: item 4).
     n_reuses: int = 0
-    #: Adaptive-transient steps rejected by the LTE controller (or by a
-    #: Newton failure forcing a step cut) and retried at a smaller step.
     n_rejected_steps: int = 0
     #: Low-rank batch counters (see :mod:`repro.sim.batch`): batched
     #: replay iterations performed, the summed number of still-active
@@ -170,7 +171,6 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
                   gmin: Optional[float] = None,
                   companions: Optional[Callable[[MnaStamper], None]] = None,
                   stats: Optional[NewtonStats] = None,
-                  factor_cache: Optional[FactorCache] = None,
                   deadline: Optional[float] = None) -> np.ndarray:
     """Run one Newton-Raphson solve; raises ConvergenceError on failure.
 
@@ -178,16 +178,6 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
     ``options`` on an iteration where no junction limiting occurred.
     On the compiled engine it must run inside a :func:`_device_run`,
     which owns the device values and limiting state it iterates on.
-
-    ``factor_cache`` (compiled path only; the adaptive transient passes
-    one) selects the modified-Newton iteration: steps are computed
-    through the cache's LU factorization — possibly inherited from an
-    earlier iteration or a previous transient step — and the Jacobian is
-    refactorized only when the cache does not structurally fit this
-    system or the residual-reduction rate stalls
-    (``_REUSE_STALL_RATIO``).  Steps taken with a stale factorization
-    must pass a tighter convergence test (``_REUSE_ACCEPT_FACTOR``) to
-    bound the extra error of the linearly-converging tail.
     """
     local = options if gmin is None else _with_gmin(options, gmin)
     n_nets = structure.n_nets
@@ -197,15 +187,6 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
     if options.use_compiled:
         stamps = structure.compiled()
         system = stamps.build_system(local, t, source_scale, companions)
-        if factor_cache is not None:
-            # A dense Jacobian carried across an LTE-sized timestep is
-            # stale enough to turn 3-iteration solves into 5, and device
-            # evaluation, not factorization, dominates a dense iteration:
-            # dense solves refresh the factorization at their first
-            # iteration and chord only *within* the solve.
-            return _modified_newton(system, options, x, n_nets, atol,
-                                    stats, factor_cache, deadline,
-                                    refresh_first=not system.sparse)
         for iteration in range(options.max_nr_iterations):
             _check_deadline(deadline, iteration, "newton solve")
             x_new, limited = system.iterate(x)
@@ -241,84 +222,6 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
             x = x_new
     raise ConvergenceError(
         f"Newton-Raphson did not converge in {options.max_nr_iterations} "
-        "iterations"
-    )
-
-
-#: Residual-reduction ratio above which a stale factorization is
-#: considered stalled and the Jacobian is refactorized.
-_REUSE_STALL_RATIO = 0.2
-#: Convergence-tolerance tightening applied to steps computed with a
-#: reused (stale) factorization, bounding the extra linear-convergence
-#: error to a fraction of the Newton tolerance.
-_REUSE_ACCEPT_FACTOR = 0.1
-
-
-def _modified_newton(system, options: SimOptions, x: np.ndarray, n_nets: int,
-                     atol: np.ndarray, stats: Optional[NewtonStats],
-                     cache: FactorCache,
-                     deadline: Optional[float] = None,
-                     refresh_first: bool = False) -> np.ndarray:
-    """Newton iteration through a reusable LU factorization.
-
-    Each iteration assembles the Jacobian/RHS at the current iterate (the
-    cheap, vectorised part), evaluates the true residual ``b - A x`` and
-    steps through the cached factorization.  With a fresh factorization
-    this is exactly the plain Newton step (``x + A^{-1}(b - A x) ==
-    A^{-1} b``); with a stale one it is a chord iteration that converges
-    to the same fixed point at a linear rate, trading factorizations for
-    cheap back-substitutions.
-
-    ``refresh_first`` refactorizes at the first iteration even when the
-    cache structurally matches: the reuse window is then *within* this
-    solve only — the dense-path policy, where a Jacobian inherited from
-    the previous transient step costs more in extra chord iterations
-    than its reuse saves.  Within-solve staleness is bounded (at most a
-    few iterates old, stall-guarded), so those chord steps accept at
-    the ordinary tolerance instead of ``_REUSE_ACCEPT_FACTOR``; the
-    tighter test exists for factorizations of *unbounded* staleness
-    inherited across solves.
-    """
-    token = system.factor_token
-    prev_rnorm: Optional[float] = None
-    for iteration in range(options.max_nr_iterations):
-        _check_deadline(deadline, iteration, "modified newton solve")
-        matrix, rhs, limited = system.assemble(x)
-        residual = rhs - matrix @ x
-        rnorm = float(np.max(np.abs(residual))) if residual.size else 0.0
-        fresh = False
-        if not cache.matches(token):
-            cache.factorize(matrix, token, system.sparse)
-            fresh = True
-        elif iteration == 0 and refresh_first:
-            cache.factorize(matrix, token, system.sparse)
-            fresh = True
-        elif (prev_rnorm is not None
-              and rnorm > _REUSE_STALL_RATIO * prev_rnorm):
-            cache.factorize(matrix, token, system.sparse)
-            fresh = True
-        else:
-            cache.n_reuses += 1
-        prev_rnorm = rnorm
-        dx = cache.solve(residual)
-        if options.max_voltage_step > 0:
-            np.clip(dx[:n_nets], -options.max_voltage_step,
-                    options.max_voltage_step, out=dx[:n_nets])
-        x_new = x + dx
-        if not np.all(np.isfinite(x_new)):
-            raise SingularMatrixError("solution contains non-finite values")
-        if stats is not None:
-            stats.iterations += 1
-            if fresh:
-                stats.n_factorizations += 1
-            else:
-                stats.n_reuses += 1
-        accept = 1.0 if fresh or refresh_first else _REUSE_ACCEPT_FACTOR
-        if not limited and _converged(x, x_new, atol, options, accept):
-            return x_new
-        x = x_new
-    raise ConvergenceError(
-        f"modified Newton did not converge in {options.max_nr_iterations} "
         "iterations"
     )
 
@@ -391,9 +294,9 @@ def _abs_tolerance(n: int, n_nets: int, vntol: float,
 
 
 def _converged(x_old: np.ndarray, x_new: np.ndarray, atol: np.ndarray,
-               options: SimOptions, tol_factor: float = 1.0):
+               options: SimOptions):
     """The Newton convergence test: every unknown moved by at most
-    ``reltol * max(|x_old|, |x_new|) + atol`` (times ``tol_factor``).
+    ``reltol * max(|x_old|, |x_new|) + atol``.
 
     Over the last axis: one verdict for an iterate, one per row for a
     ``(B, n)`` stack (the batched replay's).  ``atol`` comes from
@@ -401,8 +304,6 @@ def _converged(x_old: np.ndarray, x_new: np.ndarray, atol: np.ndarray,
     """
     delta = np.abs(x_new - x_old)
     tol = options.reltol * np.maximum(np.abs(x_new), np.abs(x_old)) + atol
-    if tol_factor != 1.0:
-        tol *= tol_factor
     return (delta <= tol).all(axis=-1)
 
 

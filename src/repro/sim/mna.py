@@ -1222,9 +1222,7 @@ class CompiledSystem:
 
     ``assemble`` restamps only the nonlinear devices (vectorised), reuses
     the frozen base matrix/RHS and — on the sparse path — the cached CSC
-    pattern; ``iterate`` solves the assembled system directly, and the
-    modified-Newton reuse path in :mod:`repro.sim.dc` pairs ``assemble``
-    with a :class:`FactorCache` instead.
+    pattern; ``iterate`` solves the assembled system directly.
     """
 
     def __init__(self, stamps: CompiledStamps, sparse: bool,
@@ -1241,19 +1239,6 @@ class CompiledSystem:
             self.base_data = base
         else:
             self.base_dense = base
-
-    @property
-    def factor_token(self) -> Tuple:
-        """Identity of this system's sparsity/shape for LU-reuse checks.
-
-        Two systems with the same token have structurally interchangeable
-        matrices, so a factorization of one is a usable modified-Newton
-        operator for the other (the reuse policy still refactorizes when
-        the residual reduction stalls).
-        """
-        if self.sparse:
-            return ("sparse", self.n, id(self.pattern))
-        return ("dense", self.n, id(self.stamps))
 
     def assemble(self, x: np.ndarray):
         """Assemble the system linearised at iterate ``x``.
@@ -1317,49 +1302,6 @@ class CompiledSystem:
         """One Newton step: stamp at ``x``, solve, report limiting."""
         matrix, rhs, limited = self.assemble(x)
         return self.solve_assembled(matrix, rhs), limited
-
-
-class FactorCache:
-    """A reusable LU factorization for modified-Newton iterations.
-
-    Holds the most recent factorization (dense ``scipy.linalg.lu_factor``
-    or sparse :func:`factor_sparse`) together with a
-    :attr:`CompiledSystem.factor_token` identifying what it factored.
-    The Newton loop reuses it as a direct solve operator across
-    iterations — and across transient timesteps — refactorizing only
-    when the residual-reduction rate stalls.  Counters record the
-    factorize/reuse split for observability.
-    """
-
-    def __init__(self):
-        self._solve = None
-        self._token: Optional[Tuple] = None
-        self.n_factorizations = 0
-        self.n_reuses = 0
-
-    def matches(self, token: Tuple) -> bool:
-        """True when the held factorization structurally fits ``token``."""
-        return self._solve is not None and self._token == token
-
-    def factorize(self, matrix, token: Tuple, sparse: bool) -> None:
-        """Factor ``matrix`` and make it the active solve operator."""
-        if sparse:
-            self._solve = factor_sparse(matrix).solve
-        else:
-            from scipy.linalg import lu_factor, lu_solve
-            try:
-                lu = lu_factor(matrix, check_finite=False)
-            except ValueError as error:
-                raise SingularMatrixError(str(error)) from None
-            self._solve = lambda rhs: lu_solve(lu, rhs, check_finite=False)
-        self._token = token
-        self.n_factorizations += 1
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve against the held factorization (2-d RHS supported)."""
-        if self._solve is None:
-            raise RuntimeError("FactorCache.solve before factorize")
-        return self._solve(rhs)
 
 
 def build_base(structure: MnaStructure, options, t: Optional[float],

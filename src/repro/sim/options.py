@@ -47,34 +47,6 @@ class SimOptions:
     #: the reference implementation for equivalence tests and debugging.
     use_compiled: bool = True
 
-    # -- adaptive (LTE-controlled) transient stepping --------------------
-    #: Replace the fixed time grid with a local-truncation-error step
-    #: controller (trapezoidal LTE via predictor comparison).  The fixed
-    #: grid remains the default and the reference behaviour.
-    adaptive_step: bool = False
-    #: Relative / absolute weights of the LTE acceptance test, and the
-    #: SPICE-style ``trtol`` fudge factor dividing the estimate.  The
-    #: defaults are deliberately tighter than SPICE (reltol 1e-3 /
-    #: trtol 7): validated against 4x-oversampled fixed-grid references
-    #: on the CML benches, they hold the whole-trace error below 1 mV
-    #: while still cutting the number of time points several-fold.
-    lte_reltol: float = 1e-4
-    lte_abstol: float = 10e-6
-    lte_trtol: float = 1.0
-    #: Step-size controller clamps: per-step growth/shrink limits and the
-    #: hard step bounds (0 → derived from the base ``dt`` as
-    #: ``dt * 1e-4`` and ``dt * 100``).
-    step_grow_limit: float = 2.0
-    step_shrink_limit: float = 0.2
-    step_safety: float = 0.8
-    dt_min: float = 0.0
-    dt_max: float = 0.0
-    #: First-step fraction of ``dt`` used at t=0 and when restarting after
-    #: a waveform breakpoint: those restarts integrate with backward Euler
-    #: (first-order), so the restart step must be shorter than the
-    #: trapezoidal steps for its local error not to dominate the trace.
-    step_restart_fraction: float = 0.25
-
     # -- fault-tolerant campaign execution -------------------------------
     #: Wall-clock budget for one operating-point solve, in seconds,
     #: covering the whole homotopy ladder (plain Newton, gmin stepping,
@@ -136,12 +108,6 @@ class SimOptions:
         return replace(self, max_nr_iterations=max(
             self.max_nr_iterations,
             int(self.max_nr_iterations * self.retry_iteration_scale)))
-
-    def lte_bounds(self, dt: float) -> Tuple[float, float]:
-        """Effective ``(dt_min, dt_max)`` for base step ``dt``."""
-        dt_min = self.dt_min if self.dt_min > 0 else dt * 1e-4
-        dt_max = self.dt_max if self.dt_max > 0 else dt * 100.0
-        return dt_min, max(dt_max, dt_min)
 
     def gmin_ladder(self) -> Tuple[float, ...]:
         """Decreasing gmin values ending at :attr:`gmin`."""

@@ -20,12 +20,10 @@ from .dc import DcSolution
 from .transient import TransientResult
 from .waveform import Waveform
 
-#: Counters printed even when zero — the factorization economy is the
-#: headline, so "reuses=0" is information, not noise.  Everything else
-#: in :data:`~repro.telemetry.NEWTON_COUNTERS` only appears when it
+#: Counters printed even when zero.  Everything else in
+#: :data:`~repro.telemetry.NEWTON_COUNTERS` only appears when it
 #: actually fired.
-_ALWAYS_SHOWN = frozenset(
-    {"newton.iterations", "newton.factorizations", "newton.reuses"})
+_ALWAYS_SHOWN = frozenset({"newton.iterations", "newton.factorizations"})
 
 
 def bjt_region(info: Dict[str, float]) -> str:
@@ -104,9 +102,8 @@ def op_report(circuit: Circuit, solution: DcSolution,
 def solver_stats_report(stats) -> str:
     """One-line summary of a solve's :class:`~repro.sim.dc.NewtonStats`.
 
-    Surfaces the modified-Newton factorization economy (how many
-    iterations refactorized vs reused an LU), the adaptive stepper's
-    rejected steps and the campaign's batch fallbacks.
+    Surfaces the Newton iterations and factorizations, the homotopy
+    steps and the campaign's batch counters.
 
     Built on the telemetry counter mapping
     (:data:`~repro.telemetry.NEWTON_COUNTERS` via

@@ -1,21 +1,12 @@
 """Transient analysis with trapezoidal / backward-Euler companion models.
 
-Two integration modes share the companion-model machinery:
-
-* the **fixed-grid** engine (the default, and the reference behaviour)
-  walks a uniform grid plus waveform breakpoints, solving the nonlinear
-  companion system by Newton-Raphson at each point.  When a step fails
-  to converge it is recursively halved up to
-  ``options.max_step_halvings`` times; results are still reported on the
-  requested grid.
-* the **adaptive** engine (``SimOptions(adaptive_step=True)``) drives
-  the step size from a local-truncation-error estimate: each trapezoidal
-  step is compared against a polynomial predictor extrapolated through
-  the last accepted points, steps whose weighted LTE exceeds tolerance
-  are rejected and retried smaller, and accepted steps grow/shrink
-  within the ``step_grow_limit``/``step_shrink_limit`` clamps.  Source
-  waveform breakpoints are landed on exactly and integration restarts
-  with backward Euler after each one, mirroring the fixed-grid engine.
+The engine walks a uniform grid plus waveform breakpoints, solving the
+nonlinear companion system by Newton-Raphson at each point.  When a
+step fails to converge it is recursively halved up to
+``options.max_step_halvings`` times; results are still reported on the
+requested grid.  Time-step error is checked by grid refinement: the
+same run at ``dt`` and at ``dt / 4`` must agree within a stated bound
+(``tests/test_transient_refinement.py`` and :mod:`repro.verify`).
 
 Charge storage is declared by components through ``dynamic_elements()``
 (see :class:`repro.circuit.netlist.Component`), so explicit capacitors and
@@ -36,8 +27,8 @@ from ..circuit.netlist import Circuit
 from ..telemetry import telemetry_for
 from .dc import (ConvergenceError, DcSolution, NewtonStats, _device_run,
                  _newton_solve, operating_point)
-from .mna import (CompanionSet, FactorCache, MnaStructure,
-                  SingularMatrixError, structure_for)
+from .mna import (CompanionSet, MnaStructure, SingularMatrixError,
+                  structure_for)
 from .options import DEFAULT_OPTIONS, SimOptions
 from .waveform import Waveform
 
@@ -121,8 +112,8 @@ class TransientResult:
         self.structure = structure
         self.times = times
         self.states = states
-        #: Solver bookkeeping for the whole run (iterations,
-        #: factorizations vs reuses, rejected adaptive steps).
+        #: Solver bookkeeping for the whole run (iterations and
+        #: factorizations).
         self.stats = stats if stats is not None else NewtonStats()
 
     def wave(self, net: str) -> Waveform:
@@ -237,9 +228,7 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
 
     With telemetry enabled (``options.telemetry`` or ``REPRO_TRACE``)
     the run traces an ``analysis`` span (kind ``transient``) carrying
-    the point count and solver counters, and the adaptive stepper
-    records every LTE-rejected step size into the
-    ``transient.rejected_dt`` histogram.
+    the point count and solver counters.
 
     A run that fails raises :class:`~repro.sim.dc.ConvergenceError`
     carrying the run's :class:`~repro.sim.dc.NewtonStats` as ``stats``
@@ -254,23 +243,22 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
     if tel is None:
         try:
             return _transient_impl(circuit, t_stop, dt, options, initial,
-                                   use_ic, cap_overrides, stats, None)
+                                   use_ic, cap_overrides, stats)
         except ConvergenceError as error:
             if error.stats is None:
                 error.stats = stats
             raise
-    with tel.span("analysis", kind="transient", t_stop=t_stop, dt=dt,
-                  adaptive=options.adaptive_step) as span:
+    with tel.span("analysis", kind="transient", t_stop=t_stop,
+                  dt=dt) as span:
         try:
             result = _transient_impl(circuit, t_stop, dt, options, initial,
-                                     use_ic, cap_overrides, stats, tel)
+                                     use_ic, cap_overrides, stats)
         except ConvergenceError as error:
             if error.stats is None:
                 error.stats = stats
             raise
         finally:
-            span.set(iterations=stats.iterations,
-                     rejected_steps=stats.n_rejected_steps)
+            span.set(iterations=stats.iterations)
             tel.record_newton(stats)
         span.set(timepoints=len(result.times))
         return result
@@ -279,7 +267,7 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
 def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
                     options: SimOptions, initial: Optional[DcSolution],
                     use_ic: bool, cap_overrides: Optional[Dict[str, float]],
-                    stats: NewtonStats, tel) -> TransientResult:
+                    stats: NewtonStats) -> TransientResult:
     structure = structure_for(circuit)
     elements = _collect_dynamic(circuit)
     state = _CompanionState(structure, elements)
@@ -319,9 +307,6 @@ def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
             x = _advance(structure, state, options, x, 0.0, dt * 1e-6,
                          trapezoidal=False, stats=stats,
                          halvings_left=options.max_step_halvings)
-        if options.adaptive_step:
-            return _transient_adaptive(circuit, structure, state, options,
-                                       x, stats, t_stop, dt, tel)
         return _transient_fixed(circuit, structure, state, options, x,
                                 stats, t_stop, dt)
 
@@ -372,179 +357,3 @@ def _advance(structure: MnaStructure, state: _CompanionState,
 
     state.commit(x_new, geq, ieq)
     return x_new
-
-
-# ----------------------------------------------------------------------
-# Adaptive (LTE-controlled) integration
-# ----------------------------------------------------------------------
-
-def _source_breakpoints(circuit: Circuit, t_stop: float) -> List[float]:
-    """Sorted unique waveform corner times strictly inside (0, t_stop)."""
-    points: List[float] = []
-    for component in circuit:
-        waveform = getattr(component, "waveform", None)
-        if waveform is not None:
-            points.extend(waveform.breakpoints(t_stop))
-    return sorted({p for p in points if 0.0 < p < t_stop})
-
-
-def _predict(history: Sequence[Tuple[float, np.ndarray]],
-             t: float) -> np.ndarray:
-    """Quadratic extrapolation through the last three accepted points."""
-    (t2, x2), (t1, x1), (t0, x0) = history[-3:]
-    d01 = (x0 - x1) / (t0 - t1)
-    d12 = (x1 - x2) / (t1 - t2)
-    d012 = (d01 - d12) / (t0 - t2)
-    return x0 + (t - t0) * (d01 + (t - t1) * d012)
-
-
-def _lte_error(x_new: np.ndarray, x_pred: np.ndarray, x_old: np.ndarray,
-               h: float, h1: float, h2: float, n_nets: int,
-               options: SimOptions) -> float:
-    """Weighted max-norm LTE estimate of a trapezoidal step.
-
-    The corrector/predictor difference is ``x'''`` times the sum of the
-    trapezoidal LTE coefficient ``h^3/12`` and the quadratic-extrapolation
-    coefficient ``h (h+h1) (h+h1+h2) / 6``; scaling by the trapezoidal
-    share isolates the integrator's own truncation error.  Returns the
-    largest node-voltage error relative to the acceptance weight (> 1
-    means reject), with the SPICE ``trtol`` fudge already applied.
-    """
-    c_trap = h ** 3 / 12.0
-    c_pred = h * (h + h1) * (h + h1 + h2) / 6.0
-    lte = np.abs(x_new[:n_nets] - x_pred[:n_nets]) * (
-        c_trap / (c_trap + c_pred))
-    weight = (options.lte_reltol
-              * np.maximum(np.abs(x_new[:n_nets]), np.abs(x_old[:n_nets]))
-              + options.lte_abstol)
-    if not lte.size:
-        return 0.0
-    return float(np.max(lte / weight)) / options.lte_trtol
-
-
-def _next_step(h: float, err: float, options: SimOptions,
-               dt_min: float, dt_max: float) -> float:
-    """Step-size update from a normalised LTE ``err`` (clamped).
-
-    Pure so the controller clamps are unit-testable: the classic
-    third-order rule ``h * safety * err**(-1/3)`` bounded by the
-    grow/shrink limits and the hard ``dt_min``/``dt_max`` bounds.
-    """
-    if err <= 0.0:
-        factor = options.step_grow_limit
-    else:
-        factor = options.step_safety * err ** (-1.0 / 3.0)
-    factor = min(max(factor, options.step_shrink_limit),
-                 options.step_grow_limit)
-    return min(max(h * factor, dt_min), dt_max)
-
-
-def _transient_adaptive(circuit: Circuit, structure: MnaStructure,
-                        state: _CompanionState, options: SimOptions,
-                        x: np.ndarray, stats: NewtonStats, t_stop: float,
-                        dt: float, tel=None) -> TransientResult:
-    """LTE-controlled integration from 0 to ``t_stop`` (initial step ``dt``).
-
-    Accepted points land exactly on every source-waveform breakpoint
-    (integration restarts with backward Euler there, like the fixed-grid
-    engine); between breakpoints the step grows and shrinks with the
-    local truncation error.  Newton failures and LTE rejections both
-    shrink the step and retry, bounded by ``options.max_step_halvings``
-    consecutive attempts.
-    """
-    # Modified Newton: unlike the fixed grid (bit-pinned to the legacy
-    # engine), the adaptive path owns its trajectory, so carrying the LU
-    # factorization across accepted steps is pure savings.
-    cache = FactorCache() if options.use_compiled else None
-    dt_min, dt_max = options.lte_bounds(dt)
-    use_trap = options.integration.lower() == "trap"
-    breakpoints = _source_breakpoints(circuit, t_stop)
-    n_nets = structure.n_nets
-
-    h_restart = max(dt * options.step_restart_fraction, dt_min)
-
-    times: List[float] = [0.0]
-    trace: List[np.ndarray] = [x]
-    history: List[Tuple[float, np.ndarray]] = [(0.0, x)]
-    t = 0.0
-    h = min(h_restart, dt_max)
-    restart = True  # BE for the first step and after every breakpoint
-    rejections = 0
-    eps = t_stop * 1e-12
-    while t < t_stop - eps:
-        index = bisect.bisect_right(breakpoints, t + eps)
-        next_stop = breakpoints[index] if index < len(breakpoints) else t_stop
-        # Land exactly on the next breakpoint; also absorb slivers that
-        # would otherwise leave a sub-dt_min remainder step.
-        if t + h >= next_stop - eps or next_stop - (t + h) < dt_min:
-            h_step = next_stop - t
-            landing = True
-        else:
-            h_step = h
-            landing = False
-        trapezoidal = use_trap and not restart
-        geq, ieq = state.prepare(h_step, trapezoidal)
-        try:
-            x_new = _newton_solve(structure, options, x, t=t + h_step,
-                                  companions=state.set, stats=stats,
-                                  factor_cache=cache)
-        except (ConvergenceError, SingularMatrixError):
-            stats.n_rejected_steps += 1
-            rejections += 1
-            if tel is not None:
-                tel.metrics.histogram("transient.rejected_dt").observe(h_step)
-            if rejections > options.max_step_halvings or h_step <= dt_min * 1.0001:
-                raise ConvergenceError(
-                    f"adaptive transient step at t={t + h_step:.6g}s failed "
-                    f"to converge even at the minimum step {dt_min:.3g}s")
-            h = max(h_step * 0.5, dt_min)
-            continue
-
-        if trapezoidal and len(history) >= 3:
-            h1 = history[-1][0] - history[-2][0]
-            h2 = history[-2][0] - history[-3][0]
-            err = _lte_error(x_new, _predict(history, t + h_step), x,
-                             h_step, h1, h2, n_nets, options)
-            if err > 1.0 and h_step > dt_min * 1.0001:
-                stats.n_rejected_steps += 1
-                rejections += 1
-                if tel is not None:
-                    tel.metrics.histogram(
-                        "transient.rejected_dt").observe(h_step)
-                if rejections > options.max_step_halvings:
-                    raise ConvergenceError(
-                        f"adaptive transient step at t={t + h_step:.6g}s "
-                        f"rejected {rejections} times in a row")
-                h = min(_next_step(h_step, err, options, dt_min, dt_max),
-                        h_step * 0.9)
-                h = max(h, dt_min)
-                continue
-            h_next = _next_step(h_step, err, options, dt_min, dt_max)
-            if landing:
-                # A landing step may be artificially short; don't let it
-                # collapse the controller's step.  An overestimate is
-                # caught by the next step's own LTE test.
-                h_next = max(h_next, h)
-        else:
-            h_next = h_step  # BE / startup steps carry no LTE estimate
-
-        rejections = 0
-        state.commit(x_new, geq, ieq)
-        t = next_stop if landing else t + h_step
-        times.append(t)
-        trace.append(x_new)
-        history.append((t, x_new))
-        del history[:-3]
-        x = x_new
-        if landing and next_stop < t_stop - eps:
-            # Landed on a source breakpoint: restart the integrator (BE
-            # next step, fresh predictor history, conservative step).
-            restart = True
-            history = [(t, x_new)]
-            h = min(max(h_next, dt_min), h_restart)
-        else:
-            restart = False
-            h = min(max(h_next, dt_min), dt_max)
-
-    return TransientResult(structure, np.asarray(times), np.asarray(trace),
-                           stats)

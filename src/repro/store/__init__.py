@@ -7,6 +7,7 @@ See :mod:`repro.store.fingerprint` for how solves are keyed and
 from repro.store.fingerprint import (
     EXECUTION_ONLY_OPTION_FIELDS,
     FINGERPRINT_SCHEMA,
+    SOLVE_OPTION_FIELDS,
     campaign_fingerprint,
     canonical,
     circuit_fingerprint,
@@ -19,6 +20,7 @@ from repro.store.result_store import STORE_SCHEMA, ResultStore
 __all__ = [
     "EXECUTION_ONLY_OPTION_FIELDS",
     "FINGERPRINT_SCHEMA",
+    "SOLVE_OPTION_FIELDS",
     "STORE_SCHEMA",
     "ResultStore",
     "campaign_fingerprint",

@@ -11,29 +11,42 @@ to a fresh one.
 Canonicalization is structural, not identity-based: a circuit is
 reduced to its components' class names, terminal wiring and public
 electrical parameters (sorted by component name, so construction order
-is irrelevant); options to their dataclass fields minus the
-execution-only knobs that cannot change a record's value; oracles to
-their class names and public configuration.  Hashes are SHA-256 over
-the sorted-key JSON of that canonical form — deterministic across
-processes and interpreter hash seeds.
+is irrelevant); options to the fields that can change a solve
+(:data:`SOLVE_OPTION_FIELDS`); oracles to their class names and public
+configuration.  Hashes are SHA-256 over the sorted-key JSON of that
+canonical form — deterministic across processes and interpreter hash
+seeds.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the store never
+    from ..sim.options import SimOptions  # imports the simulator
 
 #: Bump when the canonical form changes incompatibly (old cache lines
 #: simply miss — a fingerprint change is an implicit cache flush).
 FINGERPRINT_SCHEMA = 1
 
+#: :class:`~repro.sim.options.SimOptions` fields that can change what a
+#: record contains: the only fields the options fingerprint hashes, so
+#: adding or removing any other field leaves every store and checkpoint
+#: valid.  ``solve_deadline_s`` and ``retry_iteration_scale`` belong
+#: here: they can turn a slow solve into a quarantine.
+SOLVE_OPTION_FIELDS = frozenset({
+    "reltol", "vntol", "abstol", "gmin", "max_nr_iterations",
+    "gmin_start", "gmin_factor", "source_steps", "sparse_threshold",
+    "integration", "max_step_halvings", "max_voltage_step",
+    "use_compiled", "solve_deadline_s", "retry_iteration_scale",
+})
+
 #: :class:`~repro.sim.options.SimOptions` fields that steer *execution*
 #: (parallel chunk policy, observability) but cannot change what any
-#: record contains; excluded so e.g. re-running with a different chunk
-#: timeout still hits the cache.  ``solve_deadline_s`` is deliberately
-#: *included*: it can turn a slow solve into a quarantine.
+#: record contains, so e.g. re-running with a different chunk timeout
+#: still hits the cache.  Every field is in exactly one of the two sets.
 EXECUTION_ONLY_OPTION_FIELDS = frozenset({
     "telemetry", "chunk_timeout_s", "max_chunk_retries",
     "chunk_retry_backoff_s", "profile", "profile_interval_s",
@@ -110,18 +123,10 @@ def circuit_fingerprint(circuit: Iterable) -> str:
                     "components": components})
 
 
-def options_fingerprint(options: Any) -> str:
-    """Content hash of the solver-relevant :class:`SimOptions` fields."""
-    if dataclasses.is_dataclass(options) and not isinstance(options, type):
-        fields = {f.name: canonical(getattr(options, f.name))
-                  for f in dataclasses.fields(options)
-                  if f.name not in EXECUTION_ONLY_OPTION_FIELDS}
-    else:  # duck-typed options object
-        fields = {key: canonical(attr)
-                  for key, attr in sorted(vars(options).items())
-                  if not key.startswith("_")
-                  and key not in EXECUTION_ONLY_OPTION_FIELDS
-                  and not callable(attr)}
+def options_fingerprint(options: "SimOptions") -> str:
+    """Content hash of the :data:`SOLVE_OPTION_FIELDS` of ``options``."""
+    fields = {name: canonical(getattr(options, name))
+              for name in SOLVE_OPTION_FIELDS}
     return _digest({"schema": FINGERPRINT_SCHEMA, "options": fields})
 
 
@@ -137,7 +142,7 @@ def oracles_fingerprint(oracles: Sequence[Any]) -> str:
                     "oracles": [canonical(oracle) for oracle in oracles]})
 
 
-def campaign_fingerprint(circuit: Iterable, options: Any,
+def campaign_fingerprint(circuit: Iterable, options: "SimOptions",
                          oracles: Sequence[Any],
                          namespace: str = "") -> str:
     """The combined cache scope one campaign's records live under.

@@ -3,7 +3,7 @@
 A :class:`MetricsRegistry` is a flat namespace of named instruments.
 Counters accumulate monotonically (Newton iterations, factorizations),
 gauges hold last-written values (cache sizes), histograms keep running
-distribution summaries (iterations per solve, LTE-rejected step sizes).
+distribution summaries (iterations per solve).
 Registries merge — the parallel fault campaign merges every worker
 process's snapshot into the parent's registry, which is what makes
 serial and parallel campaign metrics identical.
@@ -27,8 +27,6 @@ from typing import Any, Dict, Optional, Tuple
 NEWTON_COUNTERS: Tuple[Tuple[str, str], ...] = (
     ("iterations", "newton.iterations"),
     ("n_factorizations", "newton.factorizations"),
-    ("n_reuses", "newton.reuses"),
-    ("n_rejected_steps", "transient.rejected_steps"),
     ("n_batched_solves", "campaign.batched_solves"),
     ("batch_occupancy", "campaign.batch_occupancy"),
     ("batch_fallbacks", "campaign.batch_fallbacks"),

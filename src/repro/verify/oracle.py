@@ -3,16 +3,16 @@
 The simulator grew several semantically-equivalent execution paths
 (compiled vs. legacy stamping, dense vs. sparse linear algebra,
 low-rank batched vs. conventional inject-and-solve, serial vs.
-process-parallel campaigns, fixed vs. LTE-adaptive transient stepping).
-PRs 1–4 promise they agree; this module *checks* it, scenario by
-scenario:
+process-parallel campaigns).  They promise to agree; this module
+*checks* it, scenario by scenario:
 
 * **operating points** — node voltages vs. the baseline engine;
 * **fault verdicts** — campaign verdict tables must be bit-identical
   across engines (the strongest promise: low-rank and parallel solves
   replay the conventional results exactly on the dense path);
-* **waveforms** — fixed-grid transients sample-identical across
-  stamping paths, adaptive runs within an LTE-derived envelope;
+* **waveforms** — transients sample-identical across stamping paths,
+  and the baseline within a slew-aware envelope of its own rerun on a
+  4x finer grid (the time-step error check);
 * **physics invariants** — single-engine checks that need no second
   engine: KCL residuals, analog/logic agreement, detector flags at
   the fault-free point, output-swing bounds, supply-current sanity.
@@ -26,6 +26,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..faults.campaign import (
     FlagOracle,
@@ -44,6 +46,9 @@ from .generate import BuiltScenario, Scenario, build_scenario
 #: (same convention as the engine cross-validation tests).
 _FORCE_SPARSE = 1
 _FORCE_DENSE = 10_000
+
+#: Grid refinement of the transient check's time-step error reference.
+_REFINE = 4
 
 #: Base solver options for verification runs.  Newton is tightened well
 #: past the production defaults so every engine converges to (nearly)
@@ -64,11 +69,9 @@ class EngineConfig:
     low_rank: bool = False
     parallel: bool = False
     workers: int = 2
-    adaptive: bool = False
 
     def options(self, base: SimOptions) -> SimOptions:
-        changes: dict = {"use_compiled": self.use_compiled,
-                         "adaptive_step": self.adaptive}
+        changes: dict = {"use_compiled": self.use_compiled}
         if self.sparse is not None:
             changes["sparse_threshold"] = (
                 _FORCE_SPARSE if self.sparse else _FORCE_DENSE)
@@ -105,20 +108,19 @@ class Tolerances:
     kcl_abs: float = 1e-6
     #: Fixed-grid waveform agreement across stamping paths (volts).
     waveform_abs: float = 1e-6
-    #: Adaptive-vs-fixed waveform envelope on *flat* regions.  On
-    #: square-wave edges the dominant difference is grid misalignment
-    #: (the fixed grid's samples straddle the edge the adaptive solver
-    #: resolves), so the per-sample allowance grows with the local
-    #: slew: ``adaptive_abs + |dv/dt| * local_dt`` — tight where the
-    #: waveform is flat, proportional to one fixed step's worth of
-    #: edge where it is not.
-    adaptive_abs: float = 5e-3
-    #: Fixed-grid samples blanked at the start of the adaptive
+    #: Time-step error bound on *flat* regions: the baseline transient
+    #: against its rerun on a 4x finer grid (volts).  On square-wave
+    #: edges the coarse grid's truncation error is largest (its samples
+    #: straddle the edge the fine grid resolves), so the per-sample
+    #: allowance grows with the local slew: ``refined_abs + |dv/dt| *
+    #: 3 * local_dt`` — tight where the waveform is flat, proportional
+    #: to a few coarse steps' worth of edge where it is not.
+    refined_abs: float = 5e-3
+    #: Coarse-grid samples blanked at the start of the refinement
     #: comparison.  Both runs launch from the same DC point, but the
     #: first trapezoidal steps ring differently at different step
-    #: sizes (the *fixed* run is the coarse one); the ringing decays
-    #: within a few fixed steps and is startup artefact, not an
-    #: engine disagreement.
+    #: sizes; the ringing decays within a few coarse steps and is
+    #: startup artefact, not time-step error.
     startup_skip: int = 8
     #: Fault-free differential swing must sit in this band of the
     #: technology target (generous: degenerate logic depths and shared
@@ -403,17 +405,23 @@ def _transient_check(scenario: Scenario, engines: Sequence[EngineConfig],
                      result: CheckResult) -> None:
     """Waveform agreement on the first primary input's square-wave bench.
 
-    Fixed-grid runs share timepoints exactly, so compiled vs. legacy is
-    a sample-by-sample comparison; the adaptive run picks its own grid
-    and is held to the (much looser) LTE envelope via interpolation.
+    The engines share timepoints exactly, so compiled vs. legacy is a
+    sample-by-sample comparison.  The baseline engine then reruns on a
+    grid ``_REFINE`` times finer, and its coarse run is held to a
+    slew-aware envelope around that reference: the time-step error
+    check.
     """
     cycles, points, frequency = scenario.transient
+    fixed = [e for e in engines if not e.parallel and not e.low_rank]
+    if not fixed:
+        return
+    baseline = fixed[0].name
+    refined = f"{baseline}-refined"
+    runs = [(e.name, e, points) for e in fixed]
+    runs.append((refined, fixed[0], points * _REFINE))
     probes: List[str] = []
     waves: Dict[str, dict] = {}
-    fixed = [e for e in engines if not e.adaptive and not e.parallel
-             and not e.low_rank]
-    adaptive = [e for e in engines if e.adaptive]
-    for engine in fixed + adaptive:
+    for name, engine, points_per_cycle in runs:
         built = build_scenario(scenario, transient_stimulus=True)
         if not probes:
             probes = [net
@@ -423,16 +431,16 @@ def _transient_check(scenario: Scenario, engines: Sequence[EngineConfig],
         options = engine.options(base)
         try:
             run = run_cycles(built.circuit, frequency, cycles,
-                             points_per_cycle=points, options=options)
+                             points_per_cycle=points_per_cycle,
+                             options=options)
         except Exception as error:
             result.disagreements.append(Disagreement(
-                kind="transient-error", engine_a=engine.name,
+                kind="transient-error", engine_a=name,
                 engine_b="", where="run_cycles", detail=f"{error}"))
             continue
-        waves[engine.name] = {net: run.wave(net) for net in probes}
-    if not fixed or fixed[0].name not in waves:
+        waves[name] = {net: run.wave(net) for net in probes}
+    if baseline not in waves:
         return
-    baseline = fixed[0].name
     for engine in fixed[1:]:
         if engine.name not in waves:
             continue
@@ -449,39 +457,36 @@ def _transient_check(scenario: Scenario, engines: Sequence[EngineConfig],
                     kind="waveform", engine_a=baseline,
                     engine_b=engine.name, where=net, value_a=worst,
                     tolerance=tol.waveform_abs))
-    import numpy as np
-    for engine in adaptive:
-        if engine.name not in waves:
-            continue
-        result.n_engine_pairs += 1
-        for net in probes:
-            result.n_checks += 1
-            reference = waves[baseline][net]
-            candidate = waves[engine.name][net]
-            skip = min(tol.startup_skip, reference.times.size - 2)
-            ref_t = reference.times[skip:]
-            ref_v = reference.values[skip:]
-            resampled = np.interp(ref_t, candidate.times,
-                                  candidate.values)
-            # Slew-aware envelope: a sample on an edge may legitimately
-            # differ by (local slope) x (one grid step) between the two
-            # time discretizations.  Slew is taken as the max of both
-            # traces' local slopes — a coarse fixed grid under-reports
-            # the slope of an edge the adaptive grid resolves.
-            slew = np.maximum(np.abs(np.gradient(ref_v, ref_t)),
-                              np.abs(np.gradient(resampled, ref_t)))
-            allowed = tol.adaptive_abs + slew * 3.0 * np.gradient(ref_t)
-            excess = np.abs(ref_v - resampled) - allowed
-            worst = int(np.argmax(excess))
-            if excess[worst] > 0.0:
-                result.disagreements.append(Disagreement(
-                    kind="waveform-adaptive", engine_a=baseline,
-                    engine_b=engine.name, where=net,
-                    value_a=float(ref_v[worst]),
-                    value_b=float(resampled[worst]),
-                    tolerance=float(allowed[worst]),
-                    detail=f"at t={float(ref_t[worst]):.3e}s "
-                           f"(slew-aware envelope)"))
+    if refined not in waves:
+        return
+    result.n_engine_pairs += 1
+    for net in probes:
+        result.n_checks += 1
+        coarse = waves[baseline][net]
+        fine = waves[refined][net]
+        skip = min(tol.startup_skip, coarse.times.size - 2)
+        ref_t = coarse.times[skip:]
+        ref_v = coarse.values[skip:]
+        resampled = np.interp(ref_t, fine.times, fine.values)
+        # Slew-aware envelope: a sample on an edge may legitimately
+        # differ by (local slope) x (a few coarse steps) between the two
+        # time discretizations.  Slew is taken as the max of both
+        # traces' local slopes — the coarse grid under-reports the
+        # slope of an edge the fine grid resolves.
+        slew = np.maximum(np.abs(np.gradient(ref_v, ref_t)),
+                          np.abs(np.gradient(resampled, ref_t)))
+        allowed = tol.refined_abs + slew * 3.0 * np.gradient(ref_t)
+        excess = np.abs(ref_v - resampled) - allowed
+        worst = int(np.argmax(excess))
+        if excess[worst] > 0.0:
+            result.disagreements.append(Disagreement(
+                kind="waveform-refined", engine_a=baseline,
+                engine_b=refined, where=net,
+                value_a=float(ref_v[worst]),
+                value_b=float(resampled[worst]),
+                tolerance=float(allowed[worst]),
+                detail=f"at t={float(ref_t[worst]):.3e}s "
+                       f"(slew-aware envelope)"))
 
 
 def cross_check(scenario: Scenario,
@@ -510,10 +515,6 @@ def cross_check(scenario: Scenario,
         _campaign_check(scenario, engines, base_options, tolerances,
                         result, store=store)
     if scenario.transient is not None and check_transient:
-        transient_engines = list(engines)
-        if not any(e.adaptive for e in transient_engines):
-            transient_engines.append(
-                EngineConfig("compiled-adaptive", adaptive=True))
-        _transient_check(scenario, transient_engines, base_options,
-                         tolerances, result)
+        _transient_check(scenario, engines, base_options, tolerances,
+                         result)
     return result

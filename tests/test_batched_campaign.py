@@ -75,7 +75,7 @@ def _record_core(record):
     """Everything checkpointable about a record."""
     return (dict(record.verdicts), record.converged,
             record.newton_iterations, record.n_factorizations,
-            record.n_reuses, record.gmin_steps, record.source_steps,
+            record.gmin_steps, record.source_steps,
             record.quarantined, record.quarantine_reason, record.solver)
 
 
@@ -118,10 +118,9 @@ def test_solve_batch_bitwise_identical_to_serial(bench, sparse):
             assert alone.failure == outcome.failure
         else:
             assert np.array_equal(outcome.x, alone.x)
-        assert (outcome.stats.iterations, outcome.stats.n_factorizations,
-                outcome.stats.n_reuses) == (
-            alone.stats.iterations, alone.stats.n_factorizations,
-            alone.stats.n_reuses)
+        assert (outcome.stats.iterations,
+                outcome.stats.n_factorizations) == (
+            alone.stats.iterations, alone.stats.n_factorizations)
 
 
 def test_batched_campaign_records_match_serial_delta(bench):

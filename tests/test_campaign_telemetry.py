@@ -214,18 +214,9 @@ class TestOtherEntryPoints:
         assert len(analysis) == 1
         attrs = analysis[0]["attrs"]
         assert attrs["timepoints"] == len(result.times)
-        assert attrs["rejected_steps"] == result.stats.n_rejected_steps
         # The initial operating point traces as a nested DC analysis.
         dc = [s for s in spans if s["attrs"].get("kind") == "dc"]
         assert dc and dc[0]["parent_id"] == analysis[0]["span_id"]
-
-    def test_adaptive_transient_rejection_histogram(self):
-        tel = Telemetry.capturing()
-        options = SimOptions(telemetry=tel, adaptive_step=True)
-        result = transient(_rc_circuit(), t_stop=2e-6, dt=1e-9,
-                           options=options)
-        histo = tel.metrics.histogram("transient.rejected_dt")
-        assert histo.count == result.stats.n_rejected_steps
 
     def test_dft_insertion_span(self):
         tel = Telemetry.capturing()

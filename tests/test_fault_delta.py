@@ -35,8 +35,8 @@ from repro.faults.injector import inject
 from repro.sim import mna
 from repro.sim.batch import solve_batch
 from repro.sim.dc import DeltaContext, operating_point
-from repro.sim.mna import (FactorCache, build_base, solve_direct,
-                           stamp_nonlinear, structure_for)
+from repro.sim.mna import (build_base, solve_direct, stamp_nonlinear,
+                           structure_for)
 from repro.sim.options import SimOptions
 from repro.testgen.circuits import ila_and_exor
 from repro.testgen.synthesis import synthesize
@@ -202,9 +202,8 @@ def test_sparse_ila_campaign_verdicts_match_conventional(ila):
 def test_sparse_factorization_sites_agree(ila, monkeypatch):
     """Every sparse factorization site factors alike: the legacy
     stamper's solve, ``solve_direct`` (conventional compiled solves and
-    the batch replay) and ``FactorCache`` (modified Newton) give
-    bitwise-equal solutions of the 8-cell array's Jacobian, each within
-    a relative 1e-12 of a dense solve."""
+    the batch replay) give bitwise-equal solutions of the 8-cell
+    array's Jacobian, each within a relative 1e-12 of a dense solve."""
     circuit = ila.circuit
     x = operating_point(circuit).x
     structure = structure_for(circuit)
@@ -223,9 +222,6 @@ def test_sparse_factorization_sites_agree(ila, monkeypatch):
     assert compiled.sparse
     for matrix, rhs in (legacy_system, compiled.assemble(x)[:2]):
         direct = solve_direct(matrix, rhs, sparse=True)
-        cache = FactorCache()
-        cache.factorize(matrix, ("sparse",), sparse=True)
-        assert cache.solve(rhs).tobytes() == direct.tobytes()
         dense = np.linalg.solve(matrix.toarray(), rhs)
         assert (np.abs(direct - dense).max()
                 <= 1e-12 * np.abs(dense).max())

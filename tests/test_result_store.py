@@ -8,6 +8,7 @@ objects and processes, sensitive to every electrically-relevant input,
 insensitive to execution-only knobs.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -18,6 +19,7 @@ from repro.faults import AmplitudeOracle, FlagOracle, IddqOracle, LogicOracle
 from repro.sim import SimOptions
 from repro.store import (
     EXECUTION_ONLY_OPTION_FIELDS,
+    SOLVE_OPTION_FIELDS,
     ResultStore,
     campaign_fingerprint,
     canonical,
@@ -26,6 +28,12 @@ from repro.store import (
     oracles_fingerprint,
     result_key,
 )
+
+#: ``options_fingerprint(SimOptions())``.  Pinned so that removing or
+#: adding an option no solve reads cannot silently invalidate every
+#: store and checkpoint.
+DEFAULT_OPTIONS_DIGEST = (
+    "545017bb895f5ad5325bb38ef961ba096477d192eb44da018674d69243d65e82")
 
 ENTRY = {"schema": 1, "key": "pipe:X1.Q1:4000.0", "converged": True,
          "solver": "warm-full", "verdicts": {"logic": "pass"}}
@@ -172,6 +180,28 @@ class TestFingerprints:
         assert options_fingerprint(
             SimOptions(chunk_retry_backoff_s=9.0)) == base
         assert "telemetry" in EXECUTION_ONLY_OPTION_FIELDS
+
+    def test_every_option_field_is_classified_once(self):
+        """A new ``SimOptions`` field must be declared solve-affecting or
+        execution-only before the fingerprint tests pass again."""
+        names = {f.name for f in dataclasses.fields(SimOptions)}
+        assert not SOLVE_OPTION_FIELDS & EXECUTION_ONLY_OPTION_FIELDS
+        assert SOLVE_OPTION_FIELDS | EXECUTION_ONLY_OPTION_FIELDS == names
+
+    @pytest.mark.parametrize("name", sorted(SOLVE_OPTION_FIELDS))
+    def test_each_solve_option_moves_the_fingerprint(self, name):
+        value = getattr(SimOptions(), name)
+        if isinstance(value, bool):
+            changed = not value
+        elif isinstance(value, str):
+            changed = value + "-changed"
+        else:
+            changed = value * 2 + 1
+        assert options_fingerprint(SimOptions(**{name: changed})) != \
+            options_fingerprint(SimOptions())
+
+    def test_default_fingerprint_is_pinned(self):
+        assert options_fingerprint(SimOptions()) == DEFAULT_OPTIONS_DIGEST
 
     def test_oracle_config_changes_move_the_fingerprint(self):
         circuit, oracles = _instrumented()

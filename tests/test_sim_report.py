@@ -112,21 +112,19 @@ class TestWaveformCsv:
 class TestSolverStatsReport:
     def test_counters_always_shown(self):
         stats = NewtonStats(strategy="plain", iterations=7,
-                            n_factorizations=2, n_reuses=5)
+                            n_factorizations=2)
         line = solver_stats_report(stats)
         assert "strategy=plain" in line
         assert "iterations=7" in line
         assert "factorizations=2" in line
-        assert "reuses=5" in line
         # zero-valued optional counters stay out of the line
-        assert "rejected_steps" not in line
+        assert "gmin_steps" not in line
         assert "batch_fallbacks" not in line
 
     def test_optional_counters_appear_when_nonzero(self):
         stats = NewtonStats(strategy="gmin-stepping", gmin_steps=4,
-                            n_rejected_steps=3, batch_fallbacks=1)
+                            batch_fallbacks=1)
         line = solver_stats_report(stats)
-        assert "rejected_steps=3" in line
         assert "batch_fallbacks=1" in line
         assert "gmin_steps=4" in line
 
@@ -142,8 +140,7 @@ class TestSolverStatsReport:
         from repro.faults.campaign import CampaignResult
 
         line = solver_stats_report(CampaignResult().aggregate_stats())
-        assert line == ("strategy=campaign iterations=0 factorizations=0 "
-                        "reuses=0")
+        assert line == "strategy=campaign iterations=0 factorizations=0"
 
     def test_all_fallback_campaign_aggregate(self):
         """Every batch member fell back: fallbacks equal the record count
@@ -164,10 +161,10 @@ class TestSolverStatsReport:
         assert "batch_fallbacks=3" in line
 
     def test_transient_with_zero_rejected_steps(self):
-        """A clean fixed-step transient never mentions rejected steps."""
+        """A fixed-step transient prints its Newton work and nothing
+        else."""
         stats = NewtonStats(strategy="trapezoidal", iterations=42,
-                            n_factorizations=1, n_reuses=41,
-                            n_rejected_steps=0)
+                            n_factorizations=42)
         line = solver_stats_report(stats)
         assert line == ("strategy=trapezoidal iterations=42 "
-                        "factorizations=1 reuses=41")
+                        "factorizations=42")

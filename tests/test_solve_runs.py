@@ -101,12 +101,14 @@ def test_mutation_between_operating_points_matches_fresh_circuit(mutation):
         assert not np.array_equal(before.x, after.x)
 
 
-@pytest.mark.parametrize("adaptive", [False, True],
-                         ids=["fixed-grid", "adaptive"])
-def test_transient_writes_limiting_state_back(adaptive):
+@pytest.mark.parametrize("options", [
+    SimOptions(),
+    # Few enough iterations that steps fail and are halved.
+    SimOptions(max_nr_iterations=4, max_step_halvings=6),
+], ids=["fixed-grid", "halving"])
+def test_transient_writes_limiting_state_back(options):
     circuit = _chain()
-    options = SimOptions(adaptive_step=adaptive)
-    operating_point(circuit, options)
+    operating_point(circuit)
     structure = structure_for(circuit)
     after_op = _device_limits(structure)
     transient(circuit, T_STOP, DT, options)
