@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     campaign.add_argument("--workers", type=int, default=None)
     campaign.add_argument("--chunk-size", type=int, default=None,
                           help="defects per parallel chunk (whole "
-                               "batches with --low-rank)")
+                               "units of replay windows with --low-rank)")
     campaign.add_argument("--low-rank", action="store_true",
                           help="solve pipes, shorts and bridges in "
                                "batches on the shared fault-free system "

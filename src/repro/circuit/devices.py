@@ -357,8 +357,10 @@ class Bjt(Component):
                      (e, -gde * k))
         dib = by_net((b, gde / self.beta_f + gdc / self.beta_r),
                      (c, -gdc / self.beta_r), (e, -gde / self.beta_f))
+        # Distinct nets in terminal order: a set would order them (and so
+        # the stamps and the bias sum) by the string hash seed.
         die = {n: -(dic.get(n, 0.0) + dib.get(n, 0.0))
-               for n in set((b, c, e))}
+               for n in dict.fromkeys((b, c, e))}
 
         # Node voltages at the limited linearisation point.  With merged
         # terminals the limited junction voltages are consistent (a b-c

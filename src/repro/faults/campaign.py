@@ -504,14 +504,20 @@ def _traced(defect: Defect, oracles: Sequence[Oracle], options: SimOptions,
         return record
 
 
-#: Default number of defects per low-rank batch.  Large enough that the
-#: vectorised device evaluation amortises the per-iteration Python
-#: overhead (wider batches keep winning well past this on the perf
-#: bench, but with shrinking returns), small enough that a parallel
-#: campaign still gets several batches to spread across workers and
-#: that late-converging members do not ride along as dead batch rows
-#: for many iterations.
+#: Default width of the low-rank replay window: the defects solved
+#: together.  Wide enough that the vectorised device evaluation
+#: amortises the per-iteration Python overhead (wider windows keep
+#: winning past this on the perf bench, but with shrinking returns).
 DEFAULT_BATCH_SIZE = 64
+
+#: Replay windows per low-rank unit of work: a unit holds this many
+#: times ``batch_size`` defects, all solved by one window that refills
+#: from the unit's queue, so only the unit's last iterations run below
+#: the window's width.  Small enough that a parallel campaign still gets
+#: several units to spread across workers and that checkpoints and
+#: ``progress`` follow the campaign closely: at about 2,000 defects/s on
+#: the 8-stage paper chain, a full unit is about half a second of work.
+WINDOWS_PER_UNIT = 16
 
 #: Batch counters every unit of work reports (zeros off the low-rank path).
 _BATCH_COUNTER_KEYS = ("n_batched_solves", "batch_occupancy",
@@ -521,20 +527,20 @@ _BATCH_COUNTER_KEYS = ("n_batched_solves", "batch_occupancy",
 def _solve_unit(unit: Sequence[Defect], *, circuit: Circuit,
                 oracles: Sequence[Oracle], options: SimOptions,
                 warm: Optional[Tuple[Dict[str, float], Dict[str, float]]],
-                x_ref: Optional[np.ndarray]
+                x_ref: Optional[np.ndarray], window: int
                 ) -> Tuple[List[FaultRecord], Dict[str, int]]:
     """One campaign unit of work: batch or inject, solve, judge.
 
     Without ``x_ref`` every defect takes the conventional path.  With
     the fault-free solution ``x_ref``, every defect with a DC view
     (:meth:`~repro.faults.defects.Defect.delta_conductances`: added
-    conductances, and opens) is a member of one batch solved on systems
-    derived from the shared fault-free compile
-    (:func:`repro.sim.batch.solve_batch`), with no injection or compile;
-    defects without a view, and members the batch returns unsolved,
-    take the conventional path.  Module-level so the parallel executor
-    can pickle it.  Returns the records in unit order plus the batch
-    counters.
+    conductances, and opens) is solved in one replay window of
+    ``window`` slots on systems derived from the shared fault-free
+    compile (:func:`repro.sim.batch.solve_batch`), with no injection or
+    compile; defects without a view, and members the replay returns
+    unsolved, take the conventional path.  Module-level so the parallel
+    executor can pickle it.  Returns the records in unit order plus the
+    batch counters.
     """
     counters = dict.fromkeys(_BATCH_COUNTER_KEYS, 0)
     batched: Dict[int, BatchMember] = {}
@@ -550,7 +556,8 @@ def _solve_unit(unit: Sequence[Defect], *, circuit: Circuit,
             if view is not None:
                 positions.append(position)
                 views.append(view)
-        outcomes, batch_counters = solve_batch(context, views, options)
+        outcomes, batch_counters = solve_batch(context, views, options,
+                                               window)
         batched = dict(zip(positions, outcomes))
         for key in _BATCH_COUNTER_KEYS:
             counters[key] = getattr(batch_counters, key)
@@ -887,33 +894,38 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
     ``low_rank=True`` solves every defect with a DC view — added
     resistors between existing nets (pipes, shorts, bridges) and opens
     — on compiled systems derived from the fault-free compile instead
-    of per-defect injection and compilation: defects are partitioned
-    into batches of ``batch_size`` (default :data:`DEFAULT_BATCH_SIZE`)
-    and each batch runs one stacked replay Newton from the fault-free
-    operating point (see :func:`repro.sim.batch.solve_batch`: vectorised
-    device evaluation over ``(n_defects, n_devices)`` arrays, one
-    stacked dense solve per system size or one sparse solve per member
-    per iteration, per-defect convergence masking).  Each member's
-    operating point is bitwise the warm-started conventional solve's, on
-    dense and sparse systems.  Defects without a view take the
-    conventional path; members the batch returns unsolved are re-solved
-    conventionally (tagged ``delta-fallback``, counted in
-    :attr:`CampaignResult.batch_fallbacks`).  Batch work is observable
-    via :attr:`CampaignResult.n_batched_solves` / ``batch_occupancy`` /
+    of per-defect injection and compilation, by stacked replay Newton
+    from the fault-free operating point (see
+    :func:`repro.sim.batch.solve_batch`: vectorised device evaluation
+    over ``(n_defects, n_devices)`` arrays, one stacked dense solve per
+    system size or one sparse solve per member per iteration,
+    per-defect convergence masking).  Defects are cut into units of
+    :data:`WINDOWS_PER_UNIT` times ``batch_size`` (default
+    :data:`DEFAULT_BATCH_SIZE`); each unit is solved by one replay
+    window of ``batch_size`` slots, and a member that converges or fails
+    hands its slot to the unit's next defect.  Each member's operating
+    point is bitwise the warm-started conventional solve's, on dense
+    and sparse systems, whatever it is solved with.  Defects without a
+    view take the conventional path; members the replay returns
+    unsolved are re-solved conventionally (tagged ``delta-fallback``,
+    counted in :attr:`CampaignResult.batch_fallbacks`).  Replay work is
+    observable via :attr:`CampaignResult.n_batched_solves` (replay
+    iterations) / ``batch_occupancy`` (members summed over them) /
     ``batch_fallbacks`` and the matching ``campaign.*`` telemetry
     counters.  ``batch_size`` must be at least 1 and is only accepted
     with ``low_rank=True``.
 
     ``parallel=True`` fans the units of work — single defects, or
-    batches with ``low_rank=True`` — out over a process pool
+    units of windows with ``low_rank=True`` — out over a process pool
     (``workers`` processes, ``chunk_size`` defects per chunk, rounded up
-    to whole batches with ``low_rank=True`` — see
-    :func:`repro.parallel.parallel_map`); results are returned in defect
-    order and are identical to the serial path's.
+    to whole units — see :func:`repro.parallel.parallel_map`); results
+    and batch counters are identical to the serial path's, records in
+    defect order.
 
     ``progress`` (when given) is called from the parent process as
     ``progress(defects_done, defects_total, elapsed_seconds)`` after
-    every finished unit of work.
+    every finished unit of work; checkpoint records are streamed at
+    the same points.
 
     With telemetry enabled (``options.telemetry`` or ``REPRO_TRACE``)
     the run traces the full ``campaign → defect → analysis →
@@ -1118,10 +1130,13 @@ def _solve_todo(circuit: Circuit, todo: List[Defect],
     """Solve the not-yet-checkpointed defects.
 
     The unit of work handed to :func:`repro.parallel.parallel_map` is a
-    list of defects — one defect each on the conventional path, one
-    batch each with ``low_rank`` — so every unit keeps the same
-    fault-tolerance properties: chunk salvage, hung-worker quarantine,
-    checkpoint streaming.  Returns the fresh records in ``todo`` order,
+    list of defects — one defect each on the conventional path,
+    :data:`WINDOWS_PER_UNIT` windows of ``batch_size`` defects each with
+    ``low_rank`` — so every unit keeps the same fault-tolerance
+    properties: chunk salvage, hung-worker quarantine, checkpoint
+    streaming.  Serial and parallel runs cut the same units, so their
+    records and batch counters agree.  Returns the fresh records in
+    ``todo`` order,
     the accumulated batch counters (zeros off the low-rank path), and
     the summed MNA-cache deltas shipped back from genuine worker
     processes (the parent's own delta is accounted by the caller)."""
@@ -1145,7 +1160,8 @@ def _solve_todo(circuit: Circuit, todo: List[Defect],
                 {name: reference.branch_current(name)
                  for name in reference.structure.branch_index})
 
-    size = (batch_size or DEFAULT_BATCH_SIZE) if low_rank else 1
+    window = batch_size or DEFAULT_BATCH_SIZE
+    size = window * WINDOWS_PER_UNIT if low_rank else 1
     units = [todo[i:i + size] for i in range(0, len(todo), size)]
     # ``chunk_size`` counts defects; a chunk holds whole units.
     if chunk_size is not None:
@@ -1157,7 +1173,8 @@ def _solve_todo(circuit: Circuit, todo: List[Defect],
     kwargs: Dict = dict(
         circuit=circuit, oracles=tuple(oracles),
         options=replace(options, telemetry=None) if parallel else options,
-        warm=warm, x_ref=reference.x.copy() if low_rank else None)
+        warm=warm, x_ref=reference.x.copy() if low_rank else None,
+        window=window)
     capture = parallel and tel is not None
     if parallel:
         # Workers join the campaign's trace: spans they create carry the

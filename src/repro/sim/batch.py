@@ -2,33 +2,34 @@
 
 One fault campaign solves hundreds of operating points of circuits that
 differ from the fault-free one by a single defect.  :func:`solve_batch`
-solves a batch of them together without injecting, copying or compiling
-any circuit: every member is the compiled faulted system derived from
-the fault-free compile (:meth:`CompiledStamps.derive`).  Added
-conductances (pipes, shorts, bridges) keep the fault-free numbering;
-an open moves its terminal onto a fresh net and renumbers the unknowns
-as the injected circuit would.  Each member's tables come from the one
-pattern builder the compile uses, and each member is dense or sparse by
-its own size.
+solves them together without injecting, copying or compiling any
+circuit: every member is the compiled faulted system derived from the
+fault-free compile (:meth:`CompiledStamps.derive`).  Added conductances
+(pipes, shorts, bridges) keep the fault-free numbering; an open moves
+its terminal onto a fresh net and renumbers the unknowns as the injected
+circuit would.  Each member's tables come from the one pattern builder
+the compile uses, and each member is dense or sparse by its own size.
 
 Members are solved by *replay Newton*: plain Newton from the fault-free
 operating point (in the member's numbering, the fresh net of an open at
 its old net's voltage, as the campaign's warm start maps it), starting
 from the junction-limiting state a freshly compiled injected circuit
-starts from.  Each iteration makes
+starts from.  The replay holds a *window* of member slots.  Each
+iteration makes
 
-* one vectorised device evaluation over every member
+* one vectorised device evaluation over every member in the window
   (:meth:`CompiledStamps.eval_nonlinear_batch`), each member gathering
   its own junction terminals, then
 * one stacked ``np.linalg.solve`` per system size over the dense
   members, and one factorization (:func:`~repro.sim.mna.factor_sparse`,
   as the conventional solve) per sparse member, of the one CSC matrix
-  the member keeps for its whole solve and refills in place,
+  the member keeps for its whole solve and refills in place.
 
-and drops converged members from the batch without touching the
-arithmetic of the others, so a member's iterates never depend on what it
-is batched with: a batch of N and N batches of one give bitwise-equal
-results.
+A member that converges or fails leaves the window, and its slot takes
+the next member in line, so the window stays full until the members run
+out.  None of this touches the arithmetic of the others, so a member's
+iterates never depend on what it is batched with: a window of N and N
+windows of one give bitwise-equal results.
 
 The replay is the conventional inject-and-solve trajectory bit for bit,
 on dense and sparse systems alike: the same tables and starting state,
@@ -42,16 +43,16 @@ numbering, the only one the campaign's oracles read.
 A member that fails — no derivable system, singular or non-finite
 iterate, no convergence within ``options.max_nr_iterations``, the solve
 deadline — carries the reason, and the campaign re-solves it
-conventionally.
+conventionally.  Both budgets are the member's own, counted from when
+it enters the window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csc_matrix
 
 from .dc import (DeltaContext, NewtonStats, SolveDeadlineExceeded,
                  _abs_tolerance, _check_deadline, _converged, _deadline_for)
@@ -120,12 +121,7 @@ class _Member:
             self.cells[keep] = pattern.nl_pos
             self.base = np.append(system.base_data, 0.0)
             self.work = self.base.copy()
-            self.matrix = csc_matrix(
-                (self.work[:-1], pattern.indices, pattern.indptr),
-                shape=(n, n))
-            if not np.shares_memory(self.matrix.data, self.work):
-                raise RuntimeError("CSC data is not a view of the work "
-                                   "buffer")
+            self.matrix = pattern.matrix(self.work[:-1])
         else:
             self.cells = np.where(keep, rows * n + cols, n * n)
             self.base = np.append(system.base_dense.ravel(), 0.0)
@@ -141,12 +137,15 @@ class _Member:
 
 
 def solve_batch(context: DeltaContext, views: Sequence[MemberView],
-                options: SimOptions
+                options: SimOptions, window: Optional[int] = None
                 ) -> Tuple[List[BatchMember], BatchCounters]:
-    """Solve a batch of fault systems by stacked replay Newton.
+    """Solve fault systems by stacked replay Newton, ``window`` at a time.
 
     Every member is derived from ``context`` (the fault-free compiled
-    system and its reset limiting state) and the defect's DC view.
+    system and its reset limiting state) and the defect's DC view as it
+    enters the replay, and freed as it leaves.  At most ``window``
+    members (default: every view) iterate together; a member that
+    converges or fails hands its slot to the next view, in order.
     Returns one :class:`BatchMember` per view, in order, plus the batch
     counters.  Never raises for a member-level failure: failed members
     carry ``x=None`` and count in ``batch_fallbacks``.
@@ -156,18 +155,8 @@ def solve_batch(context: DeltaContext, views: Sequence[MemberView],
     if not views:
         return results, counters
     if context.system.stamps.supports_batch:
-        members: List[_Member] = []
-        solved: List[BatchMember] = []
-        for view, result in zip(views, results):
-            try:
-                members.append(_Member(context, view, options))
-            except Exception as error:  # the conventional rung records it
-                result.failure = (f"no derived system: "
-                                  f"{type(error).__name__}: {error}")
-                continue
-            solved.append(result)
-        if members:
-            _replay(context, members, options, counters, solved)
+        _Window(context, views, options, window or len(views),
+                results).replay(counters)
     else:
         # Fallback devices stamp through per-component callbacks, which
         # have no stacked evaluation.
@@ -179,142 +168,235 @@ def solve_batch(context: DeltaContext, views: Sequence[MemberView],
 
 
 class _DenseStack:
-    """The dense members of one system size, stacked for one solve."""
+    """The dense members' tables, stacked for one solve per system size.
 
-    def __init__(self, members: Sequence[_Member]):
-        self.n = members[0].n
-        self.bases = np.stack([m.base for m in members])
-        self.cells = np.stack([m.cells for m in members])
-        self.rhs_bases = np.stack([m.rhs_base for m in members])
-        self.rhs_cells = np.stack([m.rhs_cells for m in members])
+    Row ``s`` holds the tables of the member in window slot ``s``,
+    written over in place when the slot takes its next member.  Rows are
+    as wide as the widest member's tables (``width`` unknowns); a
+    narrower member's fill their start, so one stack serves both sizes.
+    """
 
-    def assemble(self, slots: np.ndarray, vals: np.ndarray,
+    def __init__(self, member: _Member, n_slots: int, width: int):
+        self.bases = np.empty((n_slots, width * width + 1))
+        self.cells = np.empty((n_slots, member.cells.size),
+                              dtype=member.cells.dtype)
+        self.rhs_bases = np.empty((n_slots, width + 1))
+        self.rhs_cells = np.empty((n_slots, member.rhs_cells.size),
+                                  dtype=member.rhs_cells.dtype)
+
+    def put(self, slot: int, member: _Member) -> None:
+        self.bases[slot, :member.base.size] = member.base
+        self.cells[slot] = member.cells
+        self.rhs_bases[slot, :member.rhs_base.size] = member.rhs_base
+        self.rhs_cells[slot] = member.rhs_cells
+
+    def assemble(self, n: int, slots: np.ndarray, vals: np.ndarray,
                  rhs_vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(matrices, rhs)`` of the members at ``slots``, from their
-        device values (one row each)."""
-        n, count = self.n, len(slots)
-        matrices = self.bases[slots]
-        offsets = np.arange(count)[:, None] * matrices.shape[1]
+        """``(matrices, rhs)`` of the size-``n`` members at ``slots``,
+        from their device values (one row each)."""
+        count = len(slots)
+        matrices = self.bases[slots, :n * n + 1]
+        offsets = np.arange(count)[:, None] * (n * n + 1)
         np.add.at(matrices.reshape(-1),
                   (self.cells[slots] + offsets).ravel(), vals.ravel())
-        rhs = self.rhs_bases[slots]
-        offsets = np.arange(count)[:, None] * rhs.shape[1]
+        rhs = self.rhs_bases[slots, :n + 1]
+        offsets = np.arange(count)[:, None] * (n + 1)
         np.add.at(rhs.reshape(-1),
                   (self.rhs_cells[slots] + offsets).ravel(), rhs_vals.ravel())
         return matrices[:, :n * n].reshape(count, n, n), rhs[:, :n]
 
 
-def _replay(context: DeltaContext, members: Sequence[_Member],
-            options: SimOptions, counters: BatchCounters,
-            results: List[BatchMember]) -> None:
-    """Stacked plain Newton on every member's faulted system."""
-    stamps = context.system.stamps  # the devices every member shares
-    count = len(members)
-    width = max(member.n for member in members)
-    x_stack = np.zeros((count, width))
-    for j, member in enumerate(members):
-        x_stack[j, :member.n] = member.x0
-    is_net = np.arange(width) < np.array(
-        [member.n_nets for member in members])[:, None]
-    atol = np.stack([_abs_tolerance(width, member.n_nets, options.vntol,
-                                    options.abstol) for member in members])
-    terminals = np.stack([member.terminals for member in members])
-    limits = np.repeat(context.reset_limits[None, :], count, axis=0)
+class _Window:
+    """The replay's member slots, refilled from the queue of views.
 
-    # Dense members solve stacked, one stack per system size; ``group``
-    # is a member's stack (-1: sparse) and ``slot`` its row there.
-    sizes = sorted({m.n for m in members if not m.sparse})
-    group = np.full(count, -1)
-    slot = np.zeros(count, dtype=np.intp)
-    stacks = []
-    for g, n in enumerate(sizes):
-        rows = [j for j, m in enumerate(members)
-                if not m.sparse and m.n == n]
-        group[rows] = g
-        slot[rows] = np.arange(len(rows))
-        stacks.append(_DenseStack([members[j] for j in rows]))
+    Row ``s`` of every per-slot array belongs to the member in slot
+    ``s``: its iterate, limiting state, junction terminals, convergence
+    tolerances and the iterations it has spent.  Iterates are one
+    unknown wider than the fault-free system, since a derived compile
+    splits at most one terminal; a narrower member's extra column stays
+    zero.  ``owner`` is the view (and result) index of each slot's
+    member.
+    """
 
-    active = np.arange(count)
-    deadline = _deadline_for(options)
-    mvs = options.max_voltage_step
-    for iteration in range(options.max_nr_iterations):
-        if active.size == 0:
-            return
-        try:
-            _check_deadline(deadline, iteration, "batched replay solve")
-        except SolveDeadlineExceeded as error:
-            for j in active:
-                results[j].failure = str(error)
-            return
-        x_active = x_stack[active]
-        vals, rhs_vals, limited, limits[active] = (
-            stamps.eval_nonlinear_batch(x_active, limits[active],
-                                        terminals[active]))
-        counters.n_batched_solves += 1
-        counters.batch_occupancy += int(active.size)
+    def __init__(self, context: DeltaContext, views: Sequence[MemberView],
+                 options: SimOptions, window: int,
+                 results: List[BatchMember]):
+        stamps = context.system.stamps
+        self.context = context
+        self.options = options
+        self.results = results
+        self.queue: Iterator[Tuple[int, MemberView]] = iter(enumerate(views))
+        size = min(window, len(views))
+        width = self.width = stamps.n + 1
+        self.members: List[Optional[_Member]] = [None] * size
+        self.occupied = np.zeros(size, dtype=bool)
+        self.owner = np.zeros(size, dtype=np.intp)
+        self.x = np.zeros((size, width))
+        self.limits = np.empty((size, len(context.reset_limits)))
+        self.terminals = np.empty((size,) + stamps._j_terminals.shape,
+                                  dtype=stamps._j_terminals.dtype)
+        self.atol = np.empty((size, width))
+        self.is_net = np.zeros((size, width), dtype=bool)
+        self.iterations = np.zeros(size, dtype=np.intp)
+        self.deadlines: List[Optional[float]] = [None] * size
+        #: A slot's system size when it is dense, -1 when sparse.
+        self.group = np.full(size, -1)
+        self.dense: Optional[_DenseStack] = None
+        self.dense_sizes: List[int] = []
 
-        x_next = np.zeros_like(x_active)
-        failed = np.zeros(active.size, dtype=bool)
-
-        def fail(row: int, reason: str) -> None:
-            failed[row] = True
-            results[active[row]].failure = reason
-
-        active_group = group[active]
-        for g, stack in enumerate(stacks):
-            rows = np.flatnonzero(active_group == g)
-            if rows.size == 0:
-                continue
-            matrices, rhs = stack.assemble(slot[active[rows]], vals[rows],
-                                           rhs_vals[rows])
+    def fill(self, slot: int) -> bool:
+        """Admit the next derivable view into ``slot``; False once the
+        queue is empty.  A view without a derivable system fails here,
+        without taking a slot."""
+        options = self.options
+        self.members[slot] = None
+        for index, view in self.queue:
             try:
-                x_next[rows, :stack.n] = np.linalg.solve(
-                    matrices, rhs[..., None])[..., 0]
+                member = _Member(self.context, view, options)
+            except Exception as error:  # the conventional rung records it
+                self.results[index].failure = (
+                    f"no derived system: {type(error).__name__}: {error}")
                 continue
-            except np.linalg.LinAlgError:
-                pass
-            # One singular member poisons the stacked solve; isolate it
-            # with per-member solves (bitwise the stacked slices).
-            for row, matrix, member_rhs in zip(rows, matrices, rhs):
+            self.members[slot] = member
+            self.owner[slot] = index
+            self.x[slot] = 0.0
+            self.x[slot, :member.n] = member.x0
+            self.limits[slot] = self.context.reset_limits
+            self.terminals[slot] = member.terminals
+            self.atol[slot] = _abs_tolerance(self.width, member.n_nets,
+                                             options.vntol, options.abstol)
+            self.is_net[slot] = np.arange(self.width) < member.n_nets
+            self.iterations[slot] = 0
+            self.deadlines[slot] = _deadline_for(options)
+            if member.sparse:
+                self.group[slot] = -1
+            else:
+                self.group[slot] = member.n
+                if self.dense is None:
+                    self.dense = _DenseStack(member, len(self.members),
+                                             self.width)
+                if member.n not in self.dense_sizes:
+                    self.dense_sizes.append(member.n)
+                self.dense.put(slot, member)
+            self.occupied[slot] = True
+            return True
+        self.occupied[slot] = False
+        return False
+
+    def fail(self, slot: int, reason: str) -> None:
+        self.results[self.owner[slot]].failure = reason
+
+    def spent(self, active: np.ndarray) -> np.ndarray:
+        """Fail the members in the ``active`` slots that have used up
+        their iteration cap or their wall-clock budget; a mask of them."""
+        options = self.options
+        spent = self.iterations[active] >= options.max_nr_iterations
+        for slot in active[spent]:
+            self.fail(slot, f"replay Newton did not converge in "
+                            f"{options.max_nr_iterations} iterations")
+        if options.solve_deadline_s > 0:
+            for row in np.flatnonzero(~spent):
+                slot = active[row]
                 try:
-                    x_next[row, :stack.n] = solve_direct(matrix, member_rhs,
-                                                         sparse=False)
+                    _check_deadline(self.deadlines[slot],
+                                    self.iterations[slot],
+                                    "batched replay solve")
+                except SolveDeadlineExceeded as error:
+                    self.fail(slot, str(error))
+                    spent[row] = True
+        return spent
+
+    def replay(self, counters: BatchCounters) -> None:
+        """Stacked plain Newton until every view has left the window."""
+        stamps = self.context.system.stamps  # the devices every member shares
+        options = self.options
+        mvs = options.max_voltage_step
+        for slot in range(len(self.members)):
+            self.fill(slot)
+        active = np.flatnonzero(self.occupied)
+        while active.size:
+            leaving = self.spent(active)
+            if leaving.any():
+                active = self._refill(active, leaving)
+                continue
+            x_active = self.x[active]
+            vals, rhs_vals, limited, self.limits[active] = (
+                stamps.eval_nonlinear_batch(x_active, self.limits[active],
+                                            self.terminals[active]))
+            counters.n_batched_solves += 1
+            counters.batch_occupancy += int(active.size)
+
+            x_next = np.zeros_like(x_active)
+            failed = np.zeros(active.size, dtype=bool)
+
+            def fail(row: int, reason: str) -> None:
+                failed[row] = True
+                self.fail(active[row], reason)
+
+            active_group = self.group[active]
+            for n in self.dense_sizes:
+                rows = np.flatnonzero(active_group == n)
+                if rows.size == 0:
+                    continue
+                matrices, rhs = self.dense.assemble(n, active[rows],
+                                                    vals[rows],
+                                                    rhs_vals[rows])
+                try:
+                    x_next[rows, :n] = np.linalg.solve(
+                        matrices, rhs[..., None])[..., 0]
+                    continue
+                except np.linalg.LinAlgError:
+                    pass
+                # One singular member poisons the stacked solve; isolate
+                # it with per-member solves (bitwise the stacked slices).
+                for row, matrix, member_rhs in zip(rows, matrices, rhs):
+                    try:
+                        x_next[row, :n] = solve_direct(matrix, member_rhs,
+                                                       sparse=False)
+                    except SingularMatrixError as error:
+                        fail(row, str(error))
+            for row in np.flatnonzero(active_group < 0):
+                member = self.members[active[row]]
+                np.copyto(member.work, member.base)
+                np.add.at(member.work, member.cells, vals[row])
+                rhs = member.rhs_base.copy()
+                np.add.at(rhs, member.rhs_cells, rhs_vals[row])
+                try:
+                    x_next[row, :member.n] = solve_direct(
+                        member.matrix, rhs[:-1], sparse=True)
                 except SingularMatrixError as error:
                     fail(row, str(error))
-        for row in np.flatnonzero(active_group < 0):
-            member = members[active[row]]
-            np.copyto(member.work, member.base)
-            np.add.at(member.work, member.cells, vals[row])
-            rhs = member.rhs_base.copy()
-            np.add.at(rhs, member.rhs_cells, rhs_vals[row])
-            try:
-                x_next[row, :member.n] = solve_direct(member.matrix, rhs[:-1],
-                                                      sparse=True)
-            except SingularMatrixError as error:
-                fail(row, str(error))
-        finite = np.isfinite(x_next).all(axis=1)
-        for row in np.flatnonzero(~finite & ~failed):
-            fail(row, "solution contains non-finite values")
+            finite = np.isfinite(x_next).all(axis=1)
+            for row in np.flatnonzero(~finite & ~failed):
+                fail(row, "solution contains non-finite values")
 
-        if mvs > 0:
-            step = x_next - x_active
-            np.clip(step, -mvs, mvs, out=step)
-            x_next = np.where(is_net[active], x_active + step, x_next)
+            if mvs > 0:
+                step = x_next - x_active
+                np.clip(step, -mvs, mvs, out=step)
+                x_next = np.where(self.is_net[active], x_active + step,
+                                  x_next)
 
-        survivors = ~failed
-        for row in np.flatnonzero(survivors):
-            stats = results[active[row]].stats
-            stats.iterations += 1
-            stats.n_factorizations += 1
+            survivors = ~failed
+            self.iterations[active[survivors]] += 1
+            for row in np.flatnonzero(survivors):
+                stats = self.results[self.owner[active[row]]].stats
+                stats.iterations += 1
+                stats.n_factorizations += 1
 
-        done = (survivors & ~limited
-                & _converged(x_active, x_next, atol[active], options))
-        for row in np.flatnonzero(done):
-            results[active[row]].x = members[active[row]].solution(
-                x_next[row])
-        x_stack[active] = x_next
-        active = active[survivors & ~done]
-    for j in active:
-        results[j].failure = (
-            f"replay Newton did not converge in "
-            f"{options.max_nr_iterations} iterations")
+            done = (survivors & ~limited
+                    & _converged(x_active, x_next, self.atol[active],
+                                 options))
+            for row in np.flatnonzero(done):
+                slot = active[row]
+                self.results[self.owner[slot]].x = (
+                    self.members[slot].solution(x_next[row]))
+            self.x[active] = x_next
+            active = self._refill(active, failed | done)
+
+    def _refill(self, active: np.ndarray, leaving: np.ndarray
+                ) -> np.ndarray:
+        """Hand the slots of the ``leaving`` rows of ``active`` to the
+        next views; the slots then active."""
+        for slot in active[leaving]:
+            self.fill(slot)
+        return np.flatnonzero(self.occupied)

@@ -495,6 +495,7 @@ class _CscPattern:
 
     def __init__(self, n: int, static_rows: np.ndarray, static_cols: np.ndarray,
                  nl_rows: np.ndarray, nl_cols: np.ndarray, n_linear: int):
+        self.n = n
         #: The static entries open with the linear segment's.
         self.n_linear = n_linear
         rows = np.concatenate([static_rows, nl_rows])
@@ -509,6 +510,15 @@ class _CscPattern:
         inv = inv.ravel()
         self.static_pos = inv[:len(static_rows)]
         self.nl_pos = inv[len(static_rows):]
+
+    def matrix(self, data: np.ndarray) -> csc_matrix:
+        """The CSC matrix on this pattern whose data *is* ``data``, not a
+        copy: refilling ``data`` in place refills the matrix."""
+        matrix = csc_matrix((data, self.indices, self.indptr),
+                            shape=(self.n, self.n))
+        if not np.shares_memory(matrix.data, data):
+            raise RuntimeError("CSC data is not a view of the work buffer")
+        return matrix
 
 
 class _Layout(NamedTuple):
@@ -1222,7 +1232,8 @@ class CompiledSystem:
 
     ``assemble`` restamps only the nonlinear devices (vectorised), reuses
     the frozen base matrix/RHS and — on the sparse path — the cached CSC
-    pattern; ``iterate`` solves the assembled system directly.
+    pattern and one CSC matrix, refilled in place each iteration;
+    ``iterate`` solves the assembled system directly.
     """
 
     def __init__(self, stamps: CompiledStamps, sparse: bool,
@@ -1237,6 +1248,10 @@ class CompiledSystem:
         # it is the run's linear base itself.
         if sparse:
             self.base_data = base
+            # The sparse matrix every stamp refills: its data views
+            # ``_work``; made by the first stamp.
+            self._work: Optional[np.ndarray] = None
+            self._matrix: Optional[csc_matrix] = None
         else:
             self.base_dense = base
 
@@ -1244,8 +1259,10 @@ class CompiledSystem:
         """Assemble the system linearised at iterate ``x``.
 
         Returns ``(matrix, rhs, limited)`` where ``matrix`` is a fresh
-        dense ndarray or CSC matrix (safe for the caller to mutate) and
-        ``limited`` reports junction limiting at this iterate.
+        dense ndarray, or on the sparse path this system's one CSC
+        matrix, whose values the next :meth:`stamp` overwrites (use it
+        before assembling again), and ``limited`` reports junction
+        limiting at this iterate.
         """
         stamps = self.stamps
         nl_vals, nl_rhs_vals, limited = stamps.eval_nonlinear(x)
@@ -1267,7 +1284,9 @@ class CompiledSystem:
         ``nl_vals``/``nl_rhs_vals`` are aligned with the compiled
         nonlinear pattern (one :meth:`CompiledStamps.eval_nonlinear`
         result, or one row of a batched evaluation); ``fb`` carries the
-        fallback devices' stamps.
+        fallback devices' stamps.  The dense matrix is fresh; the sparse
+        one is this system's CSC matrix, refilled in place, unless
+        fallback stamps make a new one.
         """
         stamps = self.stamps
         rhs = self.rhs_base.copy()
@@ -1277,11 +1296,12 @@ class CompiledSystem:
             np.add.at(rhs, fb_rhs_rows, fb_rhs_vals)
 
         if self.sparse:
-            data = self.base_data.copy()
-            np.add.at(data, self.pattern.nl_pos, nl_vals)
-            matrix = csc_matrix(
-                (data, self.pattern.indices, self.pattern.indptr),
-                shape=(self.n, self.n))
+            if self._matrix is None:
+                self._work = np.empty_like(self.base_data)
+                self._matrix = self.pattern.matrix(self._work)
+            np.copyto(self._work, self.base_data)
+            np.add.at(self._work, self.pattern.nl_pos, nl_vals)
+            matrix = self._matrix
             if fb is not None:
                 rows, cols, vals = fb.matrix_arrays()
                 matrix = matrix + coo_matrix(

@@ -12,6 +12,9 @@ that identity rests on are pinned at the end of the file.
 """
 
 import os
+import tracemalloc
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,10 +29,12 @@ from repro.faults import (
     enumerate_defects,
     run_campaign,
 )
-from repro.faults.campaign import DEFAULT_BATCH_SIZE
+from repro.faults.campaign import DEFAULT_BATCH_SIZE, WINDOWS_PER_UNIT
+from repro.sim import dc as dc_module
 from repro.sim.batch import solve_batch
 from repro.sim.dc import (DeltaContext, _abs_tolerance, _converged,
                           operating_point)
+from repro.sim.mna import CompiledStamps
 from repro.sim.options import SimOptions
 from repro.telemetry import Telemetry
 from repro.verify import cross_check, load_scenario
@@ -274,6 +279,156 @@ def test_corpus_witness_cross_checks_clean():
                ENGINES_BY_NAME["compiled-low-rank"])
     result = cross_check(scenario, engines)
     assert result.ok, result.format()
+
+
+# ----------------------------------------------------------------------
+# The refilled replay window
+# ----------------------------------------------------------------------
+def _witness_catalog():
+    """The corpus witness circuit with a catalog around its diverging
+    pipe: pipes, terminal shorts and opens (two system sizes), one of
+    them failing the replay under the verify options."""
+    built = build_scenario(load_scenario(CORPUS_WITNESS))
+    defects = list(enumerate_defects(
+        built.circuit, kinds=("pipe", "terminal-short", "open"),
+        pipe_resistances=(2e3, 8e3)))
+    return built, defects
+
+
+def test_refilled_window_records_match_across_units():
+    """A small window over several units and a partial one, refilled
+    from each unit's queue around a member that fails the replay: the
+    records equal a window of one field for field, and the conventional
+    campaign's verdicts; a parallel run equals the serial one in its
+    records and all three batch counters."""
+    built, defects = _witness_catalog()
+    options = ENGINES_BY_NAME["compiled-low-rank"].options(VERIFY_OPTIONS)
+
+    def campaign(**kwargs):
+        return run_campaign(built.circuit, defects, _fresh_oracles(built),
+                            options=options, **kwargs)
+
+    unit = 2 * WINDOWS_PER_UNIT
+    assert len(defects) > 3 * unit and len(defects) % unit
+    assert any(defect.kind == "open" for defect in defects)
+    window = campaign(low_rank=True, batch_size=2)
+    assert window.solver_counts() == {"batched": len(defects) - 1,
+                                      "delta-fallback": 1}
+    assert window.batch_fallbacks == 1
+    alone = campaign(low_rank=True, batch_size=1)
+    assert [_record_core(a) for a in alone.records] == \
+           [_record_core(b) for b in window.records]
+    conventional = campaign()
+    assert [(r.verdicts, r.converged) for r in conventional.records] == \
+           [(r.verdicts, r.converged) for r in window.records]
+    parallel = campaign(low_rank=True, batch_size=2, parallel=True,
+                        workers=2)
+    assert [_record_core(a) for a in parallel.records] == \
+           [_record_core(b) for b in window.records]
+    assert (parallel.n_batched_solves, parallel.batch_occupancy,
+            parallel.batch_fallbacks) == (
+        window.n_batched_solves, window.batch_occupancy,
+        window.batch_fallbacks)
+
+
+def _greedy_window(counts, width):
+    """Replay iterations of ``width`` slots refilled in order from
+    members needing ``counts`` iterations each."""
+    queue, slots, iterations = list(counts), [], 0
+    while queue or slots:
+        admitted = width - len(slots)
+        slots, queue = slots + queue[:admitted], queue[admitted:]
+        iterations += 1
+        slots = [left - 1 for left in slots if left > 1]
+    return iterations
+
+
+def test_window_counters_follow_the_greedy_schedule(bench):
+    """Each unit's replay iterations are those of a greedy window over
+    its members' own iteration counts, and the occupancy is their sum:
+    fewer iterations than fixed batches of the window's width."""
+    circuit, defects, _ = bench
+    width = 4
+    unit = width * WINDOWS_PER_UNIT
+    assert len(defects) > 2 * unit
+    result = run_campaign(circuit, defects, _bench()[2], low_rank=True,
+                          batch_size=width)
+    assert result.solver_counts() == {"batched": len(defects)}
+    counts = [record.newton_iterations for record in result.records]
+    assert result.n_batched_solves == sum(
+        _greedy_window(counts[i:i + unit], width)
+        for i in range(0, len(counts), unit))
+    assert result.batch_occupancy == sum(counts)
+    assert result.n_batched_solves < sum(
+        max(counts[i:i + width]) for i in range(0, len(counts), width))
+
+
+def _context(circuit, options):
+    reference = operating_point(circuit, options)
+    return DeltaContext.build(circuit, options, reference.x.copy())
+
+
+def test_replay_deadline_counts_from_admission(bench, monkeypatch):
+    """A member's wall-clock budget starts when it enters the window: a
+    member admitted after a batch-wide deadline would have expired
+    still solves, and the budget still binds each member.  The clock
+    advances one second per replay iteration."""
+    circuit, defects, _ = bench
+    options = SimOptions()
+    context = _context(circuit, options)
+    views = _member_views(circuit, defects)[:2]
+    untimed, _ = solve_batch(context, views, options, window=1)
+    counts = [member.stats.iterations for member in untimed]
+    assert min(counts) >= 2
+
+    clock = [0.0]
+    evaluate = CompiledStamps.eval_nonlinear_batch
+
+    def ticking(self, *args):
+        clock[0] += 1.0
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(CompiledStamps, "eval_nonlinear_batch", ticking)
+    monkeypatch.setattr(dc_module, "time",
+                        SimpleNamespace(perf_counter=lambda: clock[0]))
+    budget = max(counts) + 0.5
+    assert sum(counts) - 1 > budget  # a batch-wide budget would expire
+    timed, counters = solve_batch(
+        context, views, replace(options, solve_deadline_s=budget), window=1)
+    assert [member.failure for member in timed] == [None, None]
+    for plain, member in zip(untimed, timed):
+        assert np.array_equal(plain.x, member.x)
+    assert counters.n_batched_solves == sum(counts)
+
+    clock[0] = 0.0
+    short = min(counts) - 1.5
+    timed, _ = solve_batch(context, views,
+                           replace(options, solve_deadline_s=short), window=1)
+    for member in timed:
+        assert member.x is None
+        assert "budget" in member.failure
+
+
+def test_window_memory_does_not_grow_with_the_unit(bench):
+    """Members are derived as they enter the window and freed as they
+    leave, so a unit of 16 windows peaks near one window's memory."""
+    circuit, defects, _ = bench
+    options = SimOptions()
+    context = _context(circuit, options)
+    views = _member_views(circuit, defects)
+    width = 8
+    unit = (views * WINDOWS_PER_UNIT)[:width * WINDOWS_PER_UNIT]
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            solve_batch(context, batch, options, window=width)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert WINDOWS_PER_UNIT == 16
+    assert peak(unit) <= 1.5 * peak(unit[:width])
 
 
 # ----------------------------------------------------------------------

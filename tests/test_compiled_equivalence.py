@@ -8,6 +8,10 @@ tests pin that contract; ``SimOptions(use_compiled=False)`` selects the
 legacy reference engine.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -110,6 +114,28 @@ def test_transient_equivalent():
     sparse = transient(chain.circuit,
                        options=SimOptions(sparse_threshold=SPARSE), **kwargs)
     assert np.allclose(legacy.states, sparse.states, atol=1e-6)
+
+
+def test_legacy_operating_point_ignores_the_hash_seed():
+    """The legacy engine is a reference across processes: its operating
+    point is byte-identical under two string hash seeds (a diode-wired
+    or plain BJT stamps its emitter partials in terminal order)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys; from repro.cml import NOMINAL, buffer_chain; "
+            "from repro.sim import operating_point; "
+            "from repro.sim.options import SimOptions; "
+            "chain = buffer_chain(NOMINAL, 3, 100e6); "
+            "sys.stdout.write(operating_point(chain.circuit, "
+            "SimOptions(use_compiled=False)).x.tobytes().hex())")
+    digests = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] and digests[0] == digests[1]
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ serial/parallel runs return the same records.
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 import repro.faults.campaign as campaign_module
@@ -227,6 +228,35 @@ def test_sparse_factorization_sites_agree(ila, monkeypatch):
                 <= 1e-12 * np.abs(dense).max())
     assert legacy.tobytes() == solve_direct(*legacy_system, True).tobytes()
     assert len({str(kwargs) for _, kwargs in settings}) == 1
+
+
+def test_conventional_sparse_iterates_match_fresh_matrices(ila):
+    """A conventional sparse system keeps one CSC matrix and refills it
+    in place each iteration; every Newton iterate equals the solve of a
+    freshly built matrix, bit for bit."""
+    structure = structure_for(ila.circuit)
+    structure.reset_device_states()
+    stamps = structure.compiled()
+    stamps.refresh()
+    system = stamps.build_system(SimOptions())
+    pattern = system.pattern
+    assert system.sparse
+    x = operating_point(ila.circuit).x * 0.9
+    kept = None
+    for _ in range(4):
+        nl_vals, nl_rhs_vals, _ = stamps.eval_nonlinear(x)
+        matrix, rhs = system.stamp(nl_vals, nl_rhs_vals)
+        assert kept is None or matrix is kept
+        kept = matrix
+        data = system.base_data.copy()
+        np.add.at(data, pattern.nl_pos, nl_vals)
+        fresh = csc_matrix((data, pattern.indices, pattern.indptr),
+                           shape=(system.n, system.n))
+        x_new = solve_direct(matrix, rhs, sparse=True)
+        assert x_new.tobytes() == solve_direct(fresh, rhs,
+                                               sparse=True).tobytes()
+        assert not np.array_equal(x_new, x)
+        x = x_new
 
 
 def test_delta_campaign_verdicts_identical_to_warm(bench):

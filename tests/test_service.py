@@ -143,8 +143,10 @@ class TestInProcessService:
 
     def test_parallel_low_rank_job_spreads_over_chunks(self, monkeypatch):
         # The balanced chunk size counts defects; a low-rank job's units
-        # are whole batches, so its chunks must still split the batches
-        # across the pool instead of handing every batch to one worker.
+        # are whole windows, so its chunks must still split the units
+        # across the pool instead of handing every unit to one worker.
+        # One window per unit gives this 102-defect job two units.
+        monkeypatch.setattr(campaign_module, "WINDOWS_PER_UNIT", 1)
         maps = []
         real_map = campaign_module.parallel_map
 
