@@ -3,12 +3,18 @@
 One fault campaign solves hundreds of operating points of circuits that
 differ from the fault-free one by a single defect.  :func:`solve_batch`
 solves them together without injecting, copying or compiling any
-circuit: every member is the compiled faulted system derived from the
-fault-free compile (:meth:`CompiledStamps.derive`).  Added conductances
-(pipes, shorts, bridges) keep the fault-free numbering; an open moves
-its terminal onto a fresh net and renumbers the unknowns as the injected
-circuit would.  Each member's tables come from the one pattern builder
-the compile uses, and each member is dense or sparse by its own size.
+circuit: every member is the compiled faulted system of the fault-free
+compile with the defect's conductances added.  Added conductances
+(pipes, shorts, bridges) keep the fault-free numbering, so such a member
+is the context's one fault-free member with the few matrix cells its
+conductances touch overridden (:meth:`CompiledStamps.overrides`), each
+cell's value the one the derived compile's linear base accumulates.  An
+open moves its terminal onto a fresh net and renumbers the unknowns as
+the injected circuit would; it, a compile with linear fallback
+components, and a sparse member that reaches a cell outside the
+fault-free CSC pattern take the derived build
+(:meth:`CompiledStamps.derive`), whose tables come from the one pattern
+builder the compile uses, dense or sparse by the member's own size.
 
 Members are solved by *replay Newton*: plain Newton from the fault-free
 operating point (in the member's numbering, the fresh net of an open at
@@ -22,8 +28,9 @@ iteration makes
   its own junction terminals, then
 * one stacked ``np.linalg.solve`` per system size over the dense
   members, and one factorization (:func:`~repro.sim.mna.factor_sparse`,
-  as the conventional solve) per sparse member, of the one CSC matrix
-  the member keeps for its whole solve and refills in place.
+  as the conventional solve) per sparse member, of a CSC matrix refilled
+  in place: a derived member's own, or the fault-free member's, which
+  the members on the fault-free pattern take in turn.
 
 A member that converges or fails leaves the window, and its slot takes
 the next member in line, so the window stays full until the members run
@@ -49,6 +56,7 @@ it enters the window.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -56,7 +64,7 @@ import numpy as np
 
 from .dc import (DeltaContext, NewtonStats, SolveDeadlineExceeded,
                  _abs_tolerance, _check_deadline, _converged, _deadline_for)
-from .mna import SingularMatrixError, solve_direct
+from .mna import CompiledSystem, SingularMatrixError, solve_direct
 from .options import SimOptions
 
 #: One batch member's defect, as its DC view: the ``(net_p, net_n, g)``
@@ -90,29 +98,34 @@ class BatchCounters:
 
 
 class _Member:
-    """What the replay reads of one member's derived faulted system.
+    """What the replay reads of one member's faulted system.
 
     ``base``/``rhs_base`` are its Newton-invariant matrix (flat dense
     cells, or CSC data) and RHS, each with one extra slot at the end;
     ``cells``/``rhs_cells`` send every device stamp slot of the batch
     evaluation to a matrix cell and an RHS row, ground slots to the
-    extra slot, which the solve never reads.  A sparse member's
-    ``matrix`` is its CSC matrix for the whole solve: its data is a view
-    of all but the extra slot of ``work``, which each iteration refills.
-    The derived tables themselves are not kept.
+    extra slot, which the solve never reads.  A member that only adds
+    conductances between existing nets shares every table with the
+    context's fault-free member and holds just ``overrides``, the base
+    cells its conductances touch and their values
+    (:meth:`CompiledStamps.overrides`); any other member is derived
+    (:meth:`CompiledStamps.derive`) and holds its own tables.  A sparse
+    member's ``matrix`` is the CSC matrix it is factored from, whose
+    data views all but the extra slot of ``work``, refilled each
+    iteration.  The members sharing the fault-free tables share that
+    buffer too: the replay refills and factors one sparse member at a
+    time.
     """
 
-    def __init__(self, context: DeltaContext, view: MemberView,
-                 options: SimOptions):
-        stamps = context.system.stamps.derive(view)
-        system = stamps.build_system(options)
+    def __init__(self, system: CompiledSystem, x0: np.ndarray):
+        stamps = system.stamps
         n = self.n = stamps.n
         self.n_nets = stamps.n_nets
         self.sparse = system.sparse
         self.renumber = stamps.renumber
-        self.x0 = (context.x_ref if stamps.origin is None
-                   else np.append(context.x_ref, 0.0)[stamps.origin])
+        self.x0 = x0
         self.terminals = stamps._j_terminals
+        self.overrides: Optional[Tuple[np.ndarray, np.ndarray]] = None
         rows, cols = stamps.device_rows, stamps.device_cols
         keep = (rows >= 0) & (cols >= 0)
         if system.sparse:
@@ -129,6 +142,32 @@ class _Member:
                                   stamps.device_rhs_rows, n)
         self.rhs_base = np.append(system.rhs_base, 0.0)
 
+    @classmethod
+    def for_view(cls, context: DeltaContext, view: MemberView,
+                 options: SimOptions) -> "_Member":
+        """``view``'s member: the context's fault-free member with the
+        cells its conductances touch overridden, or, when its system
+        differs in more than those cells, its derived build."""
+        stamps = context.system.stamps
+        overrides = stamps.overrides(view, context.linear_cells)
+        if overrides is not None:
+            if context.shared_member is None:
+                context.shared_member = cls(context.system, context.x_ref)
+            member = copy.copy(context.shared_member)
+            member.overrides = overrides
+            return member
+        derived = stamps.derive(view)
+        x0 = (context.x_ref if derived.origin is None
+              else np.append(context.x_ref, 0.0)[derived.origin])
+        return cls(derived.build_system(options), x0)
+
+    def write_base(self, out: np.ndarray) -> None:
+        """Write this member's base over the start of ``out``."""
+        out[:self.base.size] = self.base
+        if self.overrides is not None:
+            cells, values = self.overrides
+            out[cells] = values
+
     def solution(self, x: np.ndarray) -> np.ndarray:
         """A converged iterate in the fault-free numbering."""
         if self.renumber is None:
@@ -141,11 +180,12 @@ def solve_batch(context: DeltaContext, views: Sequence[MemberView],
                 ) -> Tuple[List[BatchMember], BatchCounters]:
     """Solve fault systems by stacked replay Newton, ``window`` at a time.
 
-    Every member is derived from ``context`` (the fault-free compiled
-    system and its reset limiting state) and the defect's DC view as it
-    enters the replay, and freed as it leaves.  At most ``window``
-    members (default: every view) iterate together; a member that
-    converges or fails hands its slot to the next view, in order.
+    Every member is built from ``context`` (the fault-free compiled
+    system, its reset limiting state and its shared fault-free member)
+    and the defect's DC view as it enters the replay, and freed as it
+    leaves.  At most ``window`` members (default: every view) iterate
+    together; a member that converges or fails hands its slot to the
+    next view, in order.
     Returns one :class:`BatchMember` per view, in order, plus the batch
     counters.  Never raises for a member-level failure: failed members
     carry ``x=None`` and count in ``batch_fallbacks``.
@@ -185,7 +225,7 @@ class _DenseStack:
                                   dtype=member.rhs_cells.dtype)
 
     def put(self, slot: int, member: _Member) -> None:
-        self.bases[slot, :member.base.size] = member.base
+        member.write_base(self.bases[slot])
         self.cells[slot] = member.cells
         self.rhs_bases[slot, :member.rhs_base.size] = member.rhs_base
         self.rhs_cells[slot] = member.rhs_cells
@@ -252,7 +292,7 @@ class _Window:
         self.members[slot] = None
         for index, view in self.queue:
             try:
-                member = _Member(self.context, view, options)
+                member = _Member.for_view(self.context, view, options)
             except Exception as error:  # the conventional rung records it
                 self.results[index].failure = (
                     f"no derived system: {type(error).__name__}: {error}")
@@ -357,7 +397,7 @@ class _Window:
                         fail(row, str(error))
             for row in np.flatnonzero(active_group < 0):
                 member = self.members[active[row]]
-                np.copyto(member.work, member.base)
+                member.write_base(member.work)
                 np.add.at(member.work, member.cells, vals[row])
                 rhs = member.rhs_base.copy()
                 np.add.at(rhs, member.rhs_cells, rhs_vals[row])

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ..circuit.netlist import Circuit
+from ..circuit.netlist import GROUND, Circuit
 from ..telemetry import telemetry_for
 from .mna import (MnaStamper, MnaStructure, SingularMatrixError, build_base,
                   stamp_nonlinear, structure_for)
@@ -111,7 +111,9 @@ class DcSolution:
 
     def voltage(self, net: str) -> float:
         """Voltage of ``net`` relative to ground."""
-        return self.structure.voltages_from(self.x)(net)
+        if net == GROUND:
+            return 0.0
+        return float(self.x[self.structure.net_index[net]])
 
     def voltages(self) -> Dict[str, float]:
         """All node voltages as a dict (ground excluded)."""
@@ -234,15 +236,30 @@ class DeltaContext:
     injected circuit starts from, so every defect's solve
     (:func:`repro.sim.batch.solve_batch`) replays from an identical
     starting point regardless of what was solved before it
-    (serial/parallel identity).
+    (serial/parallel identity).  The batch members that only add
+    conductances share one fault-free member, which the first batch on
+    the context builds, and override the cells of its linear base their
+    conductances touch (:attr:`linear_cells`).
     """
 
     def __init__(self, structure: MnaStructure, system, x_ref: np.ndarray,
-                 reset_limits: np.ndarray):
+                 reset_limits: np.ndarray, options: SimOptions):
         self.structure = structure
         self.system = system
         self.x_ref = x_ref
         self.reset_limits = reset_limits
+        self.options = options
+        #: The batch replay's member for the fault-free system itself
+        #: (see :mod:`repro.sim.batch`); ``None`` until a batch needs it.
+        self.shared_member = None
+
+    @functools.cached_property
+    def linear_cells(self):
+        """The fault-free linear base cell by cell, in accumulation order
+        (:meth:`~repro.sim.mna.CompiledStamps.linear_cells`); built
+        once, by the first batch that needs it."""
+        return self.system.stamps.linear_cells(self.options.gmin,
+                                               self.system.pattern)
 
     @classmethod
     def build(cls, circuit: Circuit, options: SimOptions,
@@ -256,7 +273,8 @@ class DeltaContext:
         # freshly compiled injected circuit starts from (operating_point
         # resets device states before plain Newton), so the replay can
         # reproduce the conventional path's trajectory bit for bit.
-        return cls(structure, system, x_ref.copy(), stamps.snapshot_limits())
+        return cls(structure, system, x_ref.copy(), stamps.snapshot_limits(),
+                   options)
 
     @classmethod
     def cached(cls, circuit: Circuit, options: SimOptions,

@@ -49,6 +49,7 @@ import copy
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1
 from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 
@@ -325,21 +326,29 @@ def _index_array(structure: MnaStructure, nets: Sequence[str]) -> np.ndarray:
     return np.array([structure.index(net) for net in nets], dtype=np.intp)
 
 
+#: The four cells a conductance between nets ``(a, b)`` stamps, as
+#: ``(row end, column end, sign)`` with ends ``0 = a``, ``1 = b``: the
+#: blocks of :func:`_conductance_pattern`, in its order.
+_CONDUCTANCE_BLOCKS = ((0, 0, 1.0), (1, 1, 1.0), (0, 1, -1.0), (1, 0, -1.0))
+
+
 def _conductance_pattern(idx_a: np.ndarray, idx_b: np.ndarray
-                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                         ) -> Tuple[np.ndarray, ...]:
     """COO pattern of ``g`` stamped between net pairs ``(a, b)``.
 
-    Returns ``(rows, cols, src, sign)`` with ground entries pruned:
-    per-element values are ``values[src] * sign``.
+    Laid out block by block (:data:`_CONDUCTANCE_BLOCKS`), each block
+    over every pair in order.  Returns ``(rows, cols, src, sign,
+    block)`` with ground entries pruned: per-element values are
+    ``values[src] * sign``, and ``block`` is each entry's block.
     """
-    m = len(idx_a)
-    ones = np.ones(m)
-    rows = np.concatenate([idx_a, idx_b, idx_a, idx_b])
-    cols = np.concatenate([idx_a, idx_b, idx_b, idx_a])
-    sign = np.concatenate([ones, ones, -ones, -ones])
-    src = np.tile(np.arange(m, dtype=np.intp), 4)
+    ends = (idx_a, idx_b)
+    rows = np.concatenate([ends[r] for r, _, _ in _CONDUCTANCE_BLOCKS])
+    cols = np.concatenate([ends[c] for _, c, _ in _CONDUCTANCE_BLOCKS])
+    sign = np.repeat([s for _, _, s in _CONDUCTANCE_BLOCKS], len(idx_a))
+    src = np.tile(np.arange(len(idx_a), dtype=np.intp), 4)
+    block = np.repeat(np.arange(4, dtype=np.intp), len(idx_a))
     keep = (rows >= 0) & (cols >= 0)
-    return rows[keep], cols[keep], src[keep], sign[keep]
+    return rows[keep], cols[keep], src[keep], sign[keep], block[keep]
 
 
 def _injection_pattern(idx_from: np.ndarray, idx_to: np.ndarray
@@ -353,6 +362,30 @@ def _injection_pattern(idx_from: np.ndarray, idx_to: np.ndarray
     src = np.tile(np.arange(m, dtype=np.intp), 2)
     keep = rows >= 0
     return rows[keep], src[keep], sign[keep]
+
+
+class _LinearCells(NamedTuple):
+    """A compile's linear base cell by cell, for
+    :meth:`CompiledStamps.overrides`.
+
+    Cells are keyed by their flat dense index ``row * n + col``.
+    ``shares[cell]`` holds a cell's contributions in the order
+    :meth:`CompiledStamps._linear_base` accumulates them, in five
+    groups: the resistors of each of the four conductance blocks
+    (:data:`_CONDUCTANCE_BLOCKS`), then the gmin shunts and
+    voltage-source incidences.  A derived compile appends its fault
+    conductances to the resistor segment, so each of its entries lands
+    at the end of its block's group.  ``slots`` maps every cell of a
+    sparse base's CSC pattern to its data position; ``None`` for a
+    dense base, whose positions are the keys themselves.
+    """
+
+    shares: Dict[int, Tuple[Sequence[float], ...]]
+    slots: Optional[Dict[int, int]]
+
+
+#: The shares of a cell the linear segment does not stamp.
+_NO_SHARES: Tuple[Sequence[float], ...] = ((), (), (), (), ())
 
 
 class CompanionSet:
@@ -370,7 +403,7 @@ class CompanionSet:
         self.pairs = list(pairs)
         idx_p = _index_array(structure, [p for p, _ in self.pairs])
         idx_n = _index_array(structure, [n for _, n in self.pairs])
-        self.rows, self.cols, self.src, self.sign = _conductance_pattern(
+        self.rows, self.cols, self.src, self.sign, _ = _conductance_pattern(
             idx_p, idx_n)
         self.rhs_rows, self.rhs_src, self.rhs_sign = _injection_pattern(
             idx_p, idx_n)
@@ -741,15 +774,15 @@ class CompiledStamps:
         a derived compile in the same numbering changes.
         """
         nets = self._nets
-        (self._res_rows, self._res_cols,
-         self._res_src, self._res_sign) = _conductance_pattern(
-            nets["res_a"], nets["res_b"])
+        (self._res_rows, self._res_cols, self._res_src, self._res_sign,
+         self._res_block) = _conductance_pattern(nets["res_a"],
+                                                 nets["res_b"])
         if not renumbered:
             return
 
         (self._gmin_rows, self._gmin_cols,
-         _, self._gmin_sign) = _conductance_pattern(nets["jct_p"],
-                                                    nets["jct_n"])
+         _, self._gmin_sign, _) = _conductance_pattern(nets["jct_p"],
+                                                       nets["jct_n"])
 
         vs_p, vs_n, vs_k = nets["vs_p"], nets["vs_n"], nets["vs_k"]
         ones = np.ones(len(vs_k))
@@ -1144,11 +1177,7 @@ class CompiledStamps:
         key = (gmin, pattern)
         if self._base is not None and self._base[0] == key:
             return self._base[1]
-        res_g = np.array([r.conductance for r in self._resistors])
-        if self._fault_g is not None:
-            res_g = np.concatenate([res_g, self._fault_g])
-        vals = np.concatenate([res_g[self._res_src] * self._res_sign,
-                               gmin * self._gmin_sign, self._vs_vals])
+        vals = self._linear_values(gmin)
         if pattern is None:
             base = np.zeros((self.n, self.n))
             np.add.at(base, self._linear_rows_cols(), vals)
@@ -1158,6 +1187,91 @@ class CompiledStamps:
         base.flags.writeable = False
         self._base = (key, base)
         return base
+
+    def _linear_values(self, gmin: float) -> np.ndarray:
+        """The linear segment's values, aligned with
+        :meth:`_linear_rows_cols`."""
+        res_g = np.array([r.conductance for r in self._resistors])
+        if self._fault_g is not None:
+            res_g = np.concatenate([res_g, self._fault_g])
+        return np.concatenate([res_g[self._res_src] * self._res_sign,
+                               gmin * self._gmin_sign, self._vs_vals])
+
+    def linear_cells(self, gmin: float,
+                     pattern: Optional[_CscPattern]) -> "_LinearCells":
+        """The linear base :meth:`_linear_base` builds with ``gmin`` on
+        ``pattern``, cell by cell in its accumulation order: what
+        :meth:`overrides` reads."""
+        rows, cols = self._linear_rows_cols()
+        groups = np.full(len(rows), 4)  # after the four resistor blocks
+        groups[:len(self._res_block)] = self._res_block
+        shares: Dict[int, Tuple[List[float], ...]] = {}
+        for cell, group, value in zip((rows * self.n + cols).tolist(),
+                                      groups.tolist(),
+                                      self._linear_values(gmin).tolist()):
+            shares.setdefault(cell, ([], [], [], [], []))[group].append(value)
+        slots = None
+        if pattern is not None:
+            pattern_cols = np.repeat(np.arange(self.n),
+                                     np.diff(pattern.indptr))
+            slots = {cell: slot for slot, cell in enumerate(
+                (pattern.indices.astype(np.intp) * self.n
+                 + pattern_cols).tolist())}
+        return _LinearCells({cell: tuple(map(tuple, groups))
+                             for cell, groups in shares.items()}, slots)
+
+    def overrides(self, view: Sequence[Tuple[object, object, float]],
+                  cells: "_LinearCells"
+                  ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The base cells ``derive(view)`` changes, with their values.
+
+        A view that only adds conductances between existing nets, on a
+        compile without linear fallback components, keeps this compile's
+        numbering, device tables and RHS, and on a sparse base whose CSC
+        pattern already holds every cell it touches, the pattern too.
+        Its derived system then differs from this one only in those
+        cells.  Returns their positions in the base ``cells`` describes
+        (flat dense index, or CSC data position) and the values the
+        derived linear base accumulates there, bit for bit: each cell's
+        shares with the view's conductances appended to their blocks'
+        groups, as :meth:`derive` appends them to the resistor segment.
+        ``None`` for any other view, which takes the derived build.
+        """
+        if self._linear_fallback:
+            return None
+        added: Dict[int, Tuple[List[float], ...]] = {}
+        for net_p, net_n, g in view:
+            if (isinstance(net_p, SplitTerminal)
+                    or isinstance(net_n, SplitTerminal)):
+                return None
+            ends = (self.structure.index(net_p), self.structure.index(net_n))
+            for block, (row, col, sign) in enumerate(_CONDUCTANCE_BLOCKS):
+                if ends[row] >= 0 and ends[col] >= 0:
+                    added.setdefault(ends[row] * self.n + ends[col],
+                                     ([], [], [], []))[block].append(
+                        float(g) * sign)
+        positions, values = [], []
+        for cell, joined in added.items():
+            if cells.slots is None:
+                position = cell
+            else:
+                position = cells.slots.get(cell)
+                if position is None:  # the derived pattern gains the cell
+                    return None
+            shares = cells.shares.get(cell, _NO_SHARES)
+            # One addition at a time, in np.add.at's order (never sum(),
+            # which compensates on Python 3.12+).
+            value = 0.0
+            for block in range(4):
+                for share in shares[block]:
+                    value += share
+                for share in joined[block]:
+                    value += share
+            for share in shares[4]:
+                value += share
+            positions.append(position)
+            values.append(value)
+        return np.array(positions, dtype=np.intp), np.array(values)
 
     def _sparse_pattern(self, extra, slot: Optional[str],
                         companions) -> _CscPattern:
@@ -1211,6 +1325,19 @@ def factor_sparse(matrix):
         raise SingularMatrixError(str(error)) from None
 
 
+def _raise_singular(error: str, flag: int) -> None:
+    raise SingularMatrixError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore",
+             divide="ignore", under="ignore")
+def _solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(matrix, rhs)`` of a float matrix and a 1-D
+    ``rhs``, bit for bit: the ``solve1`` gufunc it runs, under its error
+    policy (a singular matrix raises), without its argument handling."""
+    return _solve1(matrix, rhs, signature="dd->d")
+
+
 def solve_direct(matrix, rhs: np.ndarray, sparse: bool) -> np.ndarray:
     """One factorization and solve of an assembled dense or CSC matrix;
     raises :class:`SingularMatrixError` on a singular matrix or a
@@ -1218,10 +1345,7 @@ def solve_direct(matrix, rhs: np.ndarray, sparse: bool) -> np.ndarray:
     if sparse:
         x_new = factor_sparse(matrix).solve(rhs)
     else:
-        try:
-            x_new = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError as error:
-            raise SingularMatrixError(str(error)) from None
+        x_new = _solve_dense(matrix, rhs)
     if not np.isfinite(x_new).all():
         raise SingularMatrixError("solution contains non-finite values")
     return x_new

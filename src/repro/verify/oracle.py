@@ -89,8 +89,14 @@ DEFAULT_ENGINES: Tuple[EngineConfig, ...] = (
     EngineConfig("compiled-parallel", parallel=True),
 )
 
+#: Every engine ``--engines`` can name: the matrix, plus the sparse
+#: low-rank replay, which flips two axes and so is compared with
+#: ``compiled-sparse`` (``--engines compiled-sparse
+#: compiled-sparse-low-rank``), not with the baseline.
 ENGINES_BY_NAME: Dict[str, EngineConfig] = {
-    engine.name: engine for engine in DEFAULT_ENGINES}
+    engine.name: engine for engine in DEFAULT_ENGINES + (
+        EngineConfig("compiled-sparse-low-rank", sparse=True,
+                     low_rank=True),)}
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ that identity rests on are pinned at the end of the file.
 
 import os
 import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -34,7 +35,8 @@ from repro.sim import dc as dc_module
 from repro.sim.batch import solve_batch
 from repro.sim.dc import (DeltaContext, _abs_tolerance, _converged,
                           operating_point)
-from repro.sim.mna import CompiledStamps
+from repro.sim.mna import (CompiledStamps, SingularMatrixError, solve_direct,
+                           structure_for)
 from repro.sim.options import SimOptions
 from repro.telemetry import Telemetry
 from repro.verify import cross_check, load_scenario
@@ -454,6 +456,38 @@ def test_stacked_solve_matches_per_member_solves_bitwise(rng):
     stacked = np.linalg.solve(mats, rhs[..., None])[..., 0]
     for b in range(batch):
         assert np.array_equal(stacked[b], np.linalg.solve(mats[b], rhs[b]))
+
+
+def test_dense_direct_solve_is_numpy_solve_bitwise(rng):
+    """``solve_direct``'s dense solve, numpy's ``solve1`` gufunc without
+    the ``np.linalg.solve`` wrapper, is ``np.linalg.solve`` bit for bit
+    on perturbed Jacobians of the 8-stage paper chain, so the stacked
+    replay solve stays bitwise the conventional one."""
+    circuit = buffer_chain(NOMINAL, n_stages=8, frequency=100e6).circuit
+    x = operating_point(circuit).x
+    stamps = structure_for(circuit).compiled()
+    stamps.refresh()
+    system = stamps.build_system(SimOptions())
+    assert not system.sparse
+    for _ in range(40):
+        matrix, rhs, _ = system.assemble(
+            x + rng.normal(scale=0.05, size=x.shape))
+        assert (solve_direct(matrix, rhs, sparse=False).tobytes()
+                == np.linalg.solve(matrix, rhs).tobytes())
+
+
+def test_dense_direct_solve_of_singular_matrix_raises_without_warning():
+    """A singular dense matrix raises :class:`SingularMatrixError` with
+    ``np.linalg.solve``'s message, and warns nothing (the bare gufunc
+    warns of an invalid value and returns NaN)."""
+    singular, rhs = np.zeros((3, 3)), np.ones(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError) as error:
+            solve_direct(singular, rhs, sparse=False)
+        with pytest.raises(np.linalg.LinAlgError) as numpy_error:
+            np.linalg.solve(singular, rhs)
+    assert str(error.value) == str(numpy_error.value) == "Singular matrix"
 
 
 def test_stacked_solve_raises_on_singular_member(rng):

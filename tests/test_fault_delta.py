@@ -31,13 +31,14 @@ from repro.faults import (
     run_campaign,
 )
 from repro.faults.campaign import _warm_start_vector
+from repro.faults.catalog import ALL_KINDS
 from repro.faults.defects import ResistorOpen, ResistorShort, TerminalOpen
 from repro.faults.injector import inject
 from repro.sim import mna
-from repro.sim.batch import solve_batch
+from repro.sim.batch import _Member, solve_batch
 from repro.sim.dc import DeltaContext, operating_point
-from repro.sim.mna import (build_base, solve_direct, stamp_nonlinear,
-                           structure_for)
+from repro.sim.mna import (CompiledStamps, build_base, solve_direct,
+                           stamp_nonlinear, structure_for)
 from repro.sim.options import SimOptions
 from repro.testgen.circuits import ila_and_exor
 from repro.testgen.synthesis import synthesize
@@ -441,3 +442,141 @@ def test_delta_records_surface_solver_counters(bench):
     assert solved
     assert all(r.newton_iterations > 0 for r in solved)
     assert sum(r.n_factorizations for r in solved) > 0
+
+
+# ----------------------------------------------------------------------
+# Members on the shared fault-free system
+# ----------------------------------------------------------------------
+def _is_split(view):
+    return any(isinstance(end, SplitTerminal)
+               for p, n, _ in view for end in (p, n))
+
+
+def _touched(circuit, view):
+    """The ``(row, col, value)`` stamps of a view's conductances, ground
+    entries pruned."""
+    index = structure_for(circuit).index
+    for p, n, g in view:
+        a, b = index(p), index(n)
+        for row, col, value in ((a, a, g), (b, b, g), (a, b, -g),
+                                (b, a, -g)):
+            if row >= 0 and col >= 0:
+                yield row, col, value
+
+
+def _positions(system):
+    """Each matrix cell's position in ``system``'s base: its flat dense
+    index, or its CSC data position (``None``: outside the pattern)."""
+    if not system.sparse:
+        return lambda row, col: row * system.n + col
+    pattern = system.pattern
+    cols = np.repeat(np.arange(system.n), np.diff(pattern.indptr))
+    slots = {(row, col): slot for slot, (row, col) in enumerate(
+        zip(pattern.indices.tolist(), cols.tolist()))}
+    return lambda row, col: slots.get((row, col))
+
+
+def _shared_base_views(which, bench):
+    """``(circuit, options, views)``: the non-split views of the catalog
+    circuit, all eight kinds at two resistance sets (dense), or of the
+    3-stage bench with every kind, forced sparse."""
+    if which == "catalog":
+        circuit, options = _catalog_circuit(), SimOptions()
+        defects = {}
+        for pipes, oxide in (((2e3, 4e3), (1e3, 1e5, 1e7)),
+                             ((1.5e3, 3.3e3), (2.2e3, 4.7e5, 3.3e6))):
+            defects.update(dict.fromkeys(enumerate_defects(
+                circuit, kinds=ALL_KINDS, pipe_resistances=pipes,
+                oxide_resistances=oxide, wire_leak_resistances=(2e3, 2e4))))
+        assert {d.kind for d in defects} == set(ALL_KINDS)
+    else:
+        circuit, options = bench[0], SimOptions(sparse_threshold=1)
+        defects = enumerate_defects(circuit, kinds=ALL_KINDS)
+    views = [d.delta_conductances(circuit) for d in defects]
+    return circuit, options, [v for v in views if not _is_split(v)]
+
+
+@pytest.mark.parametrize("which", ["catalog", "sparse-chain"])
+def test_shared_base_members_equal_derived_builds(which, bench):
+    """A member that only adds conductances between existing nets is
+    the fault-free member with the cells its conductances touch
+    overridden, and that is its derived build byte for byte: the matrix
+    base (dense cells or CSC data), device cells, RHS base and cells,
+    junction terminals, warm start and, sparse, the CSC pattern.  The
+    override values follow the derived linear base's accumulation order:
+    adding the view's stamps to the finished fault-free base instead
+    misses on some members."""
+    circuit, options, views = _shared_base_views(which, bench)
+    reference = operating_point(circuit, options)
+    context = DeltaContext.build(circuit, options, reference.x)
+    stamps = context.system.stamps
+    position = _positions(context.system)
+    shared = shortcut_misses = 0
+    for view in views:
+        member = _Member.for_view(context, view, options)
+        derived = _Member(stamps.derive(view).build_system(options),
+                          context.x_ref)
+        assert (member.n, member.sparse) == (derived.n, derived.sparse)
+        assert member.sparse is context.system.sparse
+        base = np.empty_like(derived.base)
+        member.write_base(base)
+        assert base.tobytes() == derived.base.tobytes(), view
+        for name in ("cells", "rhs_base", "rhs_cells", "terminals", "x0"):
+            assert (getattr(member, name).tobytes()
+                    == getattr(derived, name).tobytes()), (view, name)
+        if member.sparse:
+            for name in ("indices", "indptr"):
+                assert np.array_equal(getattr(member.matrix, name),
+                                      getattr(derived.matrix, name))
+        if member.overrides is None:
+            continue
+        shared += 1
+        assert member.base is context.shared_member.base
+        shortcut = context.shared_member.base.copy()
+        for row, col, value in _touched(circuit, view):
+            shortcut[position(row, col)] += value
+        shortcut_misses += shortcut.tobytes() != derived.base.tobytes()
+    if which == "catalog":
+        assert shared == len(views) > 1000
+    else:
+        assert 0 < shared < len(views)
+    assert shortcut_misses > 0
+
+
+def test_split_and_outside_pattern_members_are_derived(bench, monkeypatch):
+    """Opens, and on a sparse system the members whose conductances
+    reach a cell outside the fault-free CSC pattern, take the derived
+    build (``CompiledStamps.derive``); every other member shares the
+    fault-free system.  A mixed forced-sparse campaign derives exactly
+    those, solves every defect in the batch and judges each as the
+    conventional campaign does."""
+    circuit, _, oracles = bench
+    options = SimOptions(sparse_threshold=1)
+    defects = list(enumerate_defects(circuit, kinds=ALL_KINDS))
+    views = [d.delta_conductances(circuit) for d in defects]
+    stamps = structure_for(circuit).compiled()
+    stamps.refresh()
+    position = _positions(stamps.build_system(options))
+    splits = sum(1 for view in views if _is_split(view))
+    outside = sum(1 for view in views if not _is_split(view) and any(
+        position(row, col) is None
+        for row, col, _ in _touched(circuit, view)))
+    assert splits and outside
+    assert any(d.kind == "bridge" for d, view in zip(defects, views)
+               if not _is_split(view))
+
+    calls = []
+    derive = CompiledStamps.derive
+
+    def counting(self, view):
+        calls.append(view)
+        return derive(self, view)
+
+    monkeypatch.setattr(CompiledStamps, "derive", counting)
+    low_rank = run_campaign(circuit, defects, oracles, options=options,
+                            low_rank=True)
+    assert len(calls) == splits + outside
+    assert low_rank.solver_counts() == {"batched": len(defects)}
+    conventional = run_campaign(circuit, defects, oracles, options=options)
+    assert [(r.verdicts, r.converged) for r in low_rank.records] == \
+           [(r.verdicts, r.converged) for r in conventional.records]

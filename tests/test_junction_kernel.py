@@ -39,7 +39,7 @@ class ReferenceStamps:
         self.d_p = _index_array(structure, [d.net("p") for d in diodes])
         self.d_n = _index_array(structure, [d.net("n") for d in diodes])
         (d_rows, d_cols, self.d_src,
-         self.d_sign) = _conductance_pattern(self.d_p, self.d_n)
+         self.d_sign, _) = _conductance_pattern(self.d_p, self.d_n)
         (d_rhs_rows, self.d_rhs_src,
          self.d_rhs_sign) = _injection_pattern(self.d_n, self.d_p)
         self.q_b = _index_array(structure, [q.net("b") for q in bjts])

@@ -64,6 +64,26 @@ class TestLinearCircuits:
         op = operating_point(circuit)
         assert op.differential("a", "b") == pytest.approx(1.5)
 
+    def test_voltage_reads_the_solution_vector(self):
+        """``voltage`` reads ``x`` at the net's index, ground reads 0.0,
+        and an unknown net raises the KeyError of the structure's
+        ``voltages_from`` accessor."""
+        circuit = Circuit()
+        circuit.add(VoltageSource("V1", "in", "0", 10.0))
+        circuit.add(Resistor("R1", "in", "mid", 1000))
+        circuit.add(Resistor("R2", "mid", "0", 3000))
+        op = operating_point(circuit)
+        accessor = op.structure.voltages_from(op.x)
+        for net, value in op.voltages().items():
+            assert type(op.voltage(net)) is float
+            assert op.voltage(net) == value == accessor(net)
+        assert op.voltage("0") == 0.0
+        with pytest.raises(KeyError) as error:
+            op.voltage("no_such_net")
+        with pytest.raises(KeyError) as expected:
+            accessor("no_such_net")
+        assert str(error.value) == str(expected.value)
+
     def test_stacked_voltage_sources(self):
         circuit = Circuit()
         circuit.add(VoltageSource("V1", "a", "0", 1.0))
