@@ -28,13 +28,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Dict, List, Mapping, Optional, Sequence, Set, \
     Tuple, Union
 
 from ..telemetry import Telemetry, from_env
 from . import dcalc
-from .dcalc import DValue, FIVE_VALUES, ONE, X, ZERO
-from .faultsim import StuckFault
+from .dcalc import DValue, FIVE_VALUES
+from .faultsim import PackedVectors, StuckFault
 from .logic import Gate, LogicNetwork, Value
 from .patterns import random_vectors
 
@@ -45,19 +46,31 @@ DEFAULT_BACKTRACK_LIMIT = 200
 #: produces the five module singletons, so identity is a safe key).
 _CODE_BY_ID = {id(v): c for c, v in enumerate(FIVE_VALUES)}
 
+#: The engine keeps each net's value as its code: 0, 1, D, D', X.
+_ZERO, _ONE, _X = (_CODE_BY_ID[id(v)]
+                   for v in (dcalc.ZERO, dcalc.ONE, dcalc.X))
+#: code -> good-machine value; code -> whether it is D or D'.
+_GOOD = tuple(v.good for v in FIVE_VALUES)
+_ERROR = tuple(v.is_error for v in FIVE_VALUES)
+#: stuck value -> (code -> code of the fault site carrying it).
+_FAULT_SITE = {stuck: tuple(_CODE_BY_ID[id(dcalc.fault_value(stuck, v.good))]
+                            for v in FIVE_VALUES)
+               for stuck in (False, True)}
+
 #: cell type -> flat 5-valued truth table (base-5 row index, first
 #: input most significant).  Shared across engines: a cell type always
 #: maps to the same ``logic_eval`` (see ``LogicNetwork.add_gate``).
 _TABLE_CACHE: Dict[str, List[DValue]] = {}
+#: The same tables over value codes.
+_CODE_TABLES: Dict[str, Tuple[int, ...]] = {}
 
 
 def _cell_table(cell_type: str, eval_fn, n_inputs: int) -> List[DValue]:
     """The precomputed five-valued truth table of one cell type.
 
     Replaces per-evaluation exhaustive X-completion (``_x_safe``) with
-    a flat list lookup — the PODEM inner loop simulates thousands of
-    gates per decision, so this is the difference between milliseconds
-    and minutes per target on ISCAS-sized networks.
+    a flat list lookup, so one gate evaluation in the PODEM inner loop
+    costs one index computation and one list read.
     """
     key = f"{cell_type}/{n_inputs}"
     table = _TABLE_CACHE.get(key)
@@ -74,6 +87,26 @@ def _cell_table(cell_type: str, eval_fn, n_inputs: int) -> List[DValue]:
                 eval_fn, [FIVE_VALUES[c] for c in codes]))
         _TABLE_CACHE[key] = table
     return table
+
+
+def _code_table(gate: Gate) -> Tuple[int, ...]:
+    """:func:`_cell_table` of ``gate``'s cell type, as value codes."""
+    key = f"{gate.cell_type}/{len(gate.inputs)}"
+    table = _CODE_TABLES.get(key)
+    if table is None:
+        table = _CODE_TABLES[key] = tuple(
+            _CODE_BY_ID[id(v)] for v in _cell_table(
+                gate.cell_type, gate.eval_fn, len(gate.inputs)))
+    return table
+
+
+def _row(codes: Sequence[int]) -> int:
+    """The truth-table row of one combination of input codes."""
+    row = 0
+    for code in codes:
+        row = row * 5 + code
+    return row
+
 
 #: PODEM call outcomes.
 DETECTED = "detected"
@@ -120,14 +153,101 @@ def _state_map(network: LogicNetwork, state: StateArg) -> Dict[str, Value]:
     return pinned
 
 
+class _Implication:
+    """The five-valued values of one PODEM search, kept event-driven.
+
+    ``values[net]`` is always what a full forward pass over ``cone``
+    would give under ``assignment``: decidable nets carry their decision
+    (X if undecided), pinned nets their constant, the fault site its
+    fault value, cone gates their table output, every other net X.
+    :meth:`assign` changes one decidable net and queues the cone gates
+    reading it; :meth:`settle` evaluates queued gates smallest position
+    (evaluation order) first, queueing a gate's readers only when its
+    output changes.
+    """
+
+    def __init__(self, engine: "PodemEngine", cone: List[int],
+                 fault: Optional[StuckFault]):
+        view = engine._view
+        self.engine = engine
+        self.cone = cone
+        self.fault = fault
+        self.values = [_X] * len(view.nets)
+        self.assignment: Dict[int, bool] = {}
+        self._site = -1
+        self._site_codes: Tuple[int, ...] = ()
+        for net, code in engine._pinned.items():
+            self.values[net] = code
+        if fault is not None:
+            self._site = view.index[fault.net]
+            self._site_codes = _FAULT_SITE[fault.value]
+            if self._site in engine._pinned:
+                self.values[self._site] = \
+                    self._site_codes[self.values[self._site]]
+        self._in_cone = bytearray(len(view.order))
+        for position in cone:
+            self._in_cone[position] = 1
+        # Every cone gate queued: the first settle is a full pass.
+        self._queue = list(cone)
+        self._queued = bytearray(self._in_cone)
+        self.settle()
+
+    def assign(self, net: int, value: Optional[bool]) -> None:
+        """Decide decidable ``net`` (``None``: undo its decision)."""
+        if value is None:
+            del self.assignment[net]
+            code = _X
+        else:
+            self.assignment[net] = value
+            code = _ONE if value else _ZERO
+        if net == self._site:
+            code = self._site_codes[code]
+        if code != self.values[net]:
+            self.values[net] = code
+            in_cone, queued = self._in_cone, self._queued
+            for reader in self.engine._view.readers[net]:
+                if in_cone[reader] and not queued[reader]:
+                    queued[reader] = 1
+                    heappush(self._queue, reader)
+
+    def settle(self) -> None:
+        """Evaluate the queued gates and everything their changes reach."""
+        view = self.engine._view
+        tables, inputs, output = self.engine._tables, view.inputs, view.output
+        readers, in_cone = view.readers, self._in_cone
+        values, queue, queued = self.values, self._queue, self._queued
+        site, site_codes = self._site, self._site_codes
+        while queue:
+            position = heappop(queue)
+            queued[position] = 0
+            row = 0
+            for net in inputs[position]:
+                row = row * 5 + values[net]
+            code = tables[position][row]
+            out = output[position]
+            if out == site:
+                code = site_codes[code]
+            if code != values[out]:
+                values[out] = code
+                for reader in readers[out]:
+                    if in_cone[reader] and not queued[reader]:
+                        queued[reader] = 1
+                        heappush(queue, reader)
+
+
 class PodemEngine:
     """PODEM over one (combinational view of a) logic network.
 
     ``pinned`` maps nets the engine must treat as constants — flip-flop
     outputs carrying the current state, or frame-0 state nets of an
-    unrolled network.  With ``free_state=True`` those nets become
+    unrolled network.  A pinned net is never a decision, even when it is
+    a primary input.  With ``free_state=True`` those nets become
     decision variables instead (used to tell *structurally* untestable
     targets from merely state-blocked ones).
+
+    The engine works on :meth:`LogicNetwork.compiled`: nets and gates
+    are integer indices, and each search keeps one :class:`_Implication`
+    that re-evaluates only the gates a decision reaches.
     """
 
     def __init__(self, network: LogicNetwork,
@@ -139,146 +259,118 @@ class PodemEngine:
         self.backtrack_limit = backtrack_limit
         self.stats = EngineStats()
 
-        self._order: List[Gate] = network.combinational_order()
-        self._order_index: Dict[str, int] = {
-            g.name: i for i, g in enumerate(self._order)}
-        self._driver: Dict[str, Gate] = {
-            g.output: g for g in self._order}
-        self._fanout: Dict[str, List[Gate]] = {}
-        for gate in self._order:
-            for net in gate.inputs:
-                self._fanout.setdefault(net, []).append(gate)
-        self._tables: Dict[str, List[DValue]] = {
-            g.name: _cell_table(g.cell_type, g.eval_fn, len(g.inputs))
-            for g in self._order}
-        #: fault net -> (reachable observed, cone, frontier gates).
+        view = self._view = network.compiled()
+        index = view.index
+        self._tables = [_code_table(gate) for gate in view.order]
+        #: fault site -> (reachable observed, cone, frontier gates).
         self._cone_cache: Dict[
-            str, Tuple[List[str], List[Gate], List[Gate]]] = {}
+            int, Tuple[List[int], List[int], List[int]]] = {}
 
-        state_nets = {g.output: g.state
-                      for g in network.sequential_gates()}
-        self._pinned: Dict[str, Value] = dict(state_nets)
+        pinned_nets: Dict[str, Value] = {
+            g.output: g.state for g in network.sequential_gates()}
         if pinned:
-            self._pinned.update(pinned)
-        self._decidable: List[str] = list(network.primary_inputs)
+            pinned_nets.update(pinned)
+        decidable = [net for net in network.primary_inputs
+                     if net not in pinned_nets]
         if free_state:
-            self._decidable += sorted(self._pinned)
-            self._pinned = {}
-        self._decidable_set: Set[str] = set(self._decidable)
+            decidable += sorted(pinned_nets)
+            pinned_nets = {}
+        # A net outside the network feeds no gate: pinning it is moot.
+        self._pinned: Dict[int, int] = {
+            index[net]: _CODE_BY_ID[id(dcalc.from_logic(value))]
+            for net, value in pinned_nets.items() if net in index}
+        self._decidable: Set[int] = {index[net] for net in decidable
+                                     if net in index}
 
         if observed is None:
             observed = list(network.primary_outputs)
-        self._observed: Set[str] = set(observed)
+        self._observed: Set[int] = {index[net] for net in observed
+                                    if net in index}
 
-        self._level: Dict[str, int] = {
-            net: 0 for net in self._decidable}
-        for net in self._pinned:
-            self._level[net] = 0
-        for gate in self._order:
-            self._level[gate.output] = 1 + max(
-                (self._level.get(net, 0) for net in gate.inputs),
-                default=0)
-
-    # ------------------------------------------------------------------
-    # Five-valued simulation
-    # ------------------------------------------------------------------
-    def _simulate(self, assignment: Dict[str, bool],
-                  fault: Optional[StuckFault],
-                  gates: Optional[List[Gate]] = None
-                  ) -> Dict[str, DValue]:
-        """Forward five-valued pass over ``gates`` (default: all).
-
-        Table-driven: each gate is one flat-list lookup instead of an
-        exhaustive X-completion of its boolean function.
-        """
-        if gates is None:
-            gates = self._order
-        values: Dict[str, DValue] = {}
+        # Levels (0 at every net no gate drives) and controllability:
+        # a net is controllable when it is decidable or some input of
+        # its driver is.  Backtrace and propagation objectives choose
+        # only controllable X inputs, so an X no decision can set (a
+        # pinned unknown state, an undriven net) is never chosen over
+        # one that can.
+        self._level = [0] * len(view.nets)
+        self._controllable = bytearray(len(view.nets))
         for net in self._decidable:
-            values[net] = dcalc.from_logic(assignment.get(net))
-        for net, value in self._pinned.items():
-            values[net] = dcalc.from_logic(value)
-        if fault is not None and fault.net in values:
-            values[fault.net] = dcalc.fault_value(
-                fault.value, values[fault.net].good)
-        tables = self._tables
-        codes = _CODE_BY_ID
-        for gate in gates:
-            row = 0
-            for net in gate.inputs:
-                row = row * 5 + codes[id(values.get(net, X))]
-            out = tables[gate.name][row]
-            if fault is not None and gate.output == fault.net:
-                out = dcalc.fault_value(fault.value, out.good)
-            values[gate.output] = out
-        return values
+            self._controllable[net] = 1
+        for ins, out in zip(view.inputs, view.output):
+            self._level[out] = 1 + max(self._level[net] for net in ins)
+            self._controllable[out] = any(
+                self._controllable[net] for net in ins)
 
     # ------------------------------------------------------------------
     # Cone restriction: per-target relevant gate lists
     # ------------------------------------------------------------------
-    def _fanin_gates(self, nets: Sequence[str]) -> List[Gate]:
+    def _fanin_gates(self, nets: Sequence[int]) -> List[int]:
         """Driving gates of the transitive fanin of ``nets``, in
         evaluation order."""
-        seen: Set[str] = set()
+        driver, inputs = self._view.driver, self._view.inputs
+        seen: Set[int] = set()
         stack = list(nets)
-        gates: List[Gate] = []
+        gates: List[int] = []
         while stack:
             net = stack.pop()
             if net in seen:
                 continue
             seen.add(net)
-            gate = self._driver.get(net)
-            if gate is None:
+            position = driver[net]
+            if position < 0:
                 continue
-            gates.append(gate)
-            stack.extend(gate.inputs)
-        gates.sort(key=lambda g: self._order_index[g.name])
+            gates.append(position)
+            stack.extend(inputs[position])
+        gates.sort()
         return gates
 
-    def _downstream_nets(self, net: str) -> Set[str]:
+    def _downstream_nets(self, net: int) -> Set[int]:
         """``net`` plus every net reachable through combinational
         fanout."""
+        readers, output = self._view.readers, self._view.output
         seen = {net}
         stack = [net]
         while stack:
-            for gate in self._fanout.get(stack.pop(), ()):
-                if gate.output not in seen:
-                    seen.add(gate.output)
-                    stack.append(gate.output)
+            for position in readers[stack.pop()]:
+                out = output[position]
+                if out not in seen:
+                    seen.add(out)
+                    stack.append(out)
         return seen
 
     # ------------------------------------------------------------------
     # Backtrace: objective (net, value) -> primary-input assignment
     # ------------------------------------------------------------------
-    def _backtrace(self, net: str, value: bool,
-                   values: Dict[str, DValue]
-                   ) -> Optional[Tuple[str, bool]]:
-        seen: Set[str] = set()
+    def _backtrace(self, net: int, value: bool, values: List[int]
+                   ) -> Optional[Tuple[int, bool]]:
+        seen: Set[int] = set()
         while True:
-            if net in self._decidable_set:
+            if net in self._decidable:
                 return net, value
             if net in seen:  # combinational loops are impossible, but
                 return None  # stay safe against pathological backtrace
             seen.add(net)
-            gate = self._driver.get(net)
-            if gate is None:  # pinned state / undriven net
+            position = self._view.driver[net]
+            if position < 0:  # pinned state / undriven net
                 return None
-            step = self._backtrace_step(gate, value, values)
+            step = self._backtrace_step(position, value, values)
             if step is None:
                 return None
             net, value = step
 
-    def _backtrace_step(self, gate: Gate, value: bool,
-                        values: Dict[str, DValue]
-                        ) -> Optional[Tuple[str, bool]]:
-        """Choose one X input of ``gate`` (and its value) toward the
-        objective ``gate.output == value``."""
-        ins = gate.inputs
-        vals = [values.get(net, X) for net in ins]
-        unknown = [i for i, v in enumerate(vals) if v.good is None]
+    def _backtrace_step(self, position: int, value: bool,
+                        values: List[int]) -> Optional[Tuple[int, bool]]:
+        """Choose one controllable X input of gate ``position`` (and its
+        value) toward the objective ``output == value``."""
+        ins = self._view.inputs[position]
+        goods = [_GOOD[values[net]] for net in ins]
+        controllable = self._controllable
+        unknown = [i for i, good in enumerate(goods)
+                   if good is None and controllable[ins[i]]]
         if not unknown:
             return None
-        cell = gate.cell_type
+        cell = self._view.order[position].cell_type
         levels = self._level
         if cell in ("buffer", "inverter"):
             return ins[0], (value if cell == "buffer" else not value)
@@ -289,91 +381,99 @@ class PodemEngine:
             # infeasibility surfaces before effort is spent on the rest.
             controlling = (value is False) == (cell == "and2")
             choose = min if controlling else max
-            pick = choose(unknown, key=lambda i: levels.get(ins[i], 0))
+            pick = choose(unknown, key=lambda i: levels[ins[i]])
             return ins[pick], value
         if cell == "xor2":
-            pick = min(unknown, key=lambda i: levels.get(ins[i], 0))
-            known = [v.good for v in vals if v.good is not None]
+            pick = min(unknown, key=lambda i: levels[ins[i]])
+            known = [good for good in goods if good is not None]
             if known:
                 return ins[pick], (value != known[0])
             return ins[pick], value
         if cell == "mux2":
-            a, b, sel = vals
-            if sel.good is not None:
-                target = 1 if sel.good else 0
-                if vals[target].good is None:
+            sel = goods[2]
+            if sel is not None:
+                target = 1 if sel else 0
+                if target in unknown:
                     return ins[target], value
                 return None
             # Select the data input that already carries the objective
             # value (or the first unknown one) by steering the select.
-            for index, want in ((0, False), (1, True)):
-                if vals[index].good is not None \
-                        and vals[index].good == value:
-                    return ins[2], want
+            if 2 in unknown:
+                for index, want in ((0, False), (1, True)):
+                    if goods[index] is not None and goods[index] == value:
+                        return ins[2], want
             return ins[unknown[0]], value
         # Unknown cell type: try each candidate value of the first X
         # input and keep one that does not fix the output wrongly.
         index = unknown[0]
+        table = self._tables[position]
         for candidate in (value, not value):
-            trial = list(vals)
-            trial[index] = ONE if candidate else ZERO
-            out = dcalc.dcalc_eval(gate.eval_fn, trial)
-            if out.good is None or out.good == value:
+            trial = [values[net] for net in ins]
+            trial[index] = _ONE if candidate else _ZERO
+            good = _GOOD[table[_row(trial)]]
+            if good is None or good == value:
                 return ins[index], candidate
         return ins[index], value
 
     # ------------------------------------------------------------------
     # Propagation machinery (detection mode)
     # ------------------------------------------------------------------
-    def _d_frontier(self, values: Dict[str, DValue],
-                    gates: Optional[List[Gate]] = None) -> List[Gate]:
-        if gates is None:
-            gates = self._order
+    def _d_frontier(self, values: List[int], gates: List[int]
+                    ) -> List[int]:
+        inputs, output = self._view.inputs, self._view.output
         frontier = [
-            gate for gate in gates
-            if values.get(gate.output, X) is X
-            and any(values.get(net, X).is_error for net in gate.inputs)]
-        frontier.sort(key=lambda g: self._level[g.output])
+            position for position in gates
+            if values[output[position]] == _X
+            and any(_ERROR[values[net]] for net in inputs[position])]
+        frontier.sort(key=lambda position: self._level[output[position]])
         return frontier
 
-    def _x_path_exists(self, values: Dict[str, DValue]) -> bool:
-        """Can any fault effect still reach an observed net?"""
-        start = [net for net, v in values.items() if v.is_error]
+    def _x_path_exists(self, values: List[int], start: List[int]) -> bool:
+        """Can any fault effect still reach an observed net?
+
+        ``start`` holds every net that may carry ``D``/``D'`` (the fault
+        site and the gates downstream of it)."""
+        start = [net for net in start if _ERROR[values[net]]]
         if any(net in self._observed for net in start):
             return True
-        seen: Set[str] = set(start)
+        readers, output = self._view.readers, self._view.output
+        seen: Set[int] = set(start)
         queue = deque(start)
         while queue:
             net = queue.popleft()
-            for gate in self._fanout.get(net, ()):
-                out = gate.output
+            for position in readers[net]:
+                out = output[position]
                 if out in seen:
                     continue
-                out_value = values.get(out, X)
-                if out_value is X or out_value.is_error:
+                code = values[out]
+                if code == _X or _ERROR[code]:
                     if out in self._observed:
                         return True
                     seen.add(out)
                     queue.append(out)
         return False
 
-    def _propagation_objective(self, values: Dict[str, DValue],
-                               gates: Optional[List[Gate]] = None
-                               ) -> Optional[Tuple[str, bool]]:
+    def _propagation_objective(self, values: List[int],
+                               frontier: List[int]
+                               ) -> Optional[Tuple[int, bool]]:
         """Next objective advancing the D-frontier, or None if stuck."""
-        for gate in self._d_frontier(values, gates):
-            vals = [values.get(net, X) for net in gate.inputs]
-            candidates = [i for i, v in enumerate(vals) if v is X]
-            fallback: Optional[Tuple[str, bool]] = None
-            for index in candidates:
+        controllable = self._controllable
+        for position in frontier:
+            ins = self._view.inputs[position]
+            table = self._tables[position]
+            codes = [values[net] for net in ins]
+            fallback: Optional[Tuple[int, bool]] = None
+            for index, net in enumerate(ins):
+                if codes[index] != _X or not controllable[net]:
+                    continue
                 for candidate in (True, False):
-                    trial = list(vals)
-                    trial[index] = ONE if candidate else ZERO
-                    out = dcalc.dcalc_eval(gate.eval_fn, trial)
-                    if out.is_error:
-                        return gate.inputs[index], candidate
-                    if out is X and fallback is None:
-                        fallback = (gate.inputs[index], candidate)
+                    trial = list(codes)
+                    trial[index] = _ONE if candidate else _ZERO
+                    out = table[_row(trial)]
+                    if _ERROR[out]:
+                        return net, candidate
+                    if out == _X and fallback is None:
+                        fallback = (net, candidate)
             if fallback is not None:
                 return fallback
         return None
@@ -384,36 +484,38 @@ class PodemEngine:
     def justify(self, net: str, value: bool) -> AtpgResult:
         """Find an input vector driving ``net`` to ``value``."""
         target = f"{net}={int(value)}"
-        cone = self._fanin_gates([net])
+        node = self._view.index[net]
+        cone = self._fanin_gates([node])
 
-        def status(values: Dict[str, DValue]) -> str:
-            good = values.get(net, X).good
+        def status(values: List[int]) -> str:
+            good = _GOOD[values[node]]
             if good is None:
                 return "open"
             return "success" if good == value else "fail"
 
-        def objective(values: Dict[str, DValue]
-                      ) -> Optional[Tuple[str, bool]]:
-            return net, value
+        def objective(values: List[int]) -> Optional[Tuple[int, bool]]:
+            return node, value
 
         return self._search(target, None, status, objective, cone)
 
     def detect(self, fault: StuckFault) -> AtpgResult:
         """Find a vector detecting ``fault`` at an observed net."""
         target = fault.describe()
-        cached = self._cone_cache.get(fault.net)
+        site = self._view.index[fault.net]
+        cached = self._cone_cache.get(site)
         if cached is None:
-            downstream = self._downstream_nets(fault.net)
+            downstream = self._downstream_nets(site)
             reachable = [net for net in self._observed
                          if net in downstream]
             # Only the fanin cones of the reachable observed nets
             # (which include the fault site's own cone and every side
             # input along the propagation paths) influence detection.
-            cone = self._fanin_gates(reachable + [fault.net])
-            frontier_gates = [g for g in cone
-                              if g.output in downstream]
+            cone = self._fanin_gates(reachable + [site])
+            output = self._view.output
+            frontier_gates = [position for position in cone
+                              if output[position] in downstream]
             cached = (reachable, cone, frontier_gates)
-            self._cone_cache[fault.net] = cached
+            self._cone_cache[site] = cached
         reachable, cone, frontier_gates = cached
         if not reachable:
             # No observed net is structurally downstream of the fault
@@ -421,35 +523,40 @@ class PodemEngine:
             self.stats.podem_calls += 1
             self.stats.untestable += 1
             return AtpgResult(status=UNTESTABLE, target=target)
+        # Every net that can carry the fault effect.
+        carriers = [site] + [self._view.output[position]
+                             for position in frontier_gates]
+        #: The D-frontier of the values ``status`` last saw, which the
+        #: ``objective`` call that follows it reads.
+        frontier: List[int] = []
 
-        def status(values: Dict[str, DValue]) -> str:
-            if any(values.get(net, X).is_error for net in reachable):
+        def status(values: List[int]) -> str:
+            if any(_ERROR[values[net]] for net in reachable):
                 return "success"
-            site = values.get(fault.net, X)
-            if site.good is not None and site.good == fault.value:
+            good = _GOOD[values[site]]
+            if good is not None and good == fault.value:
                 return "fail"  # activation impossible under assignment
-            if site.good is None:
+            if good is None:
                 return "open"  # activation still pending
-            if not self._d_frontier(values, frontier_gates):
+            frontier[:] = self._d_frontier(values, frontier_gates)
+            if not frontier:
                 return "fail"
-            if not self._x_path_exists(values):
+            if not self._x_path_exists(values, carriers):
                 return "fail"
             return "open"
 
-        def objective(values: Dict[str, DValue]
-                      ) -> Optional[Tuple[str, bool]]:
-            site = values.get(fault.net, X)
-            if site.good is None:
-                return fault.net, (not fault.value)
-            return self._propagation_objective(values, frontier_gates)
+        def objective(values: List[int]) -> Optional[Tuple[int, bool]]:
+            if values[site] == _X:
+                return site, (not fault.value)
+            return self._propagation_objective(values, frontier)
 
         return self._search(target, fault, status, objective, cone)
 
     def _search(self, target: str, fault: Optional[StuckFault],
-                status, objective,
-                gates: Optional[List[Gate]] = None) -> AtpgResult:
+                status, objective, cone: List[int]) -> AtpgResult:
         self.stats.podem_calls += 1
-        assignment: Dict[str, bool] = {}
+        implication = _Implication(self, cone, fault)
+        values, assignment = implication.values, implication.assignment
         decisions: List[List] = []  # [net, value, alternative_tried]
         backtracks = 0
 
@@ -460,15 +567,16 @@ class PodemEngine:
                 self.stats.untestable += 1
             else:
                 self.stats.aborted += 1
-            return AtpgResult(status=kind, target=target,
-                              vector=(dict(assignment)
-                                      if kind == DETECTED else None),
+            vector = None
+            if kind == DETECTED:
+                nets = self._view.nets
+                vector = {nets[net]: value
+                          for net, value in assignment.items()}
+            return AtpgResult(status=kind, target=target, vector=vector,
                               backtracks=backtracks)
 
         while True:
-            values = self._simulate(assignment, fault, gates)
             state = status(values)
-            advanced = False
             if state == "success":
                 return outcome(DETECTED)
             if state == "open":
@@ -476,25 +584,25 @@ class PodemEngine:
                 if goal is not None:
                     step = self._backtrace(goal[0], goal[1], values)
                     if step is not None and step[0] not in assignment:
-                        assignment[step[0]] = step[1]
+                        implication.assign(step[0], step[1])
                         decisions.append([step[0], step[1], False])
-                        advanced = True
-            if advanced:
-                continue
+                        implication.settle()
+                        continue
             # Dead end: flip the deepest untried decision.
             while decisions:
                 net, value, tried = decisions.pop()
-                del assignment[net]
+                implication.assign(net, None)
                 if not tried:
                     backtracks += 1
                     self.stats.backtracks += 1
                     if backtracks > self.backtrack_limit:
                         return outcome(ABORTED)
-                    assignment[net] = not value
+                    implication.assign(net, not value)
                     decisions.append([net, not value, True])
                     break
             else:
                 return outcome(UNTESTABLE)
+            implication.settle()
 
 
 # ----------------------------------------------------------------------
@@ -755,8 +863,11 @@ def _generate_tests_impl(network, faults, observed, backtrack_limit,
     # Phase 3: escalating random mop-up.  Aborted targets are almost
     # always redundant faults the budget could not *prove* untestable,
     # but any detectable stragglers (aborted or simply unlucky) are
-    # cheap to rescue with bit-parallel screening — one kept vector per
-    # catch, batch size quadrupling while catches keep coming.
+    # cheap to rescue with bit-parallel screening.  Up to four rounds,
+    # each batch four times the last, run for as long as undetected
+    # faults remain; each round keeps the first vector catching each
+    # newly caught fault.  The batches are drawn packed, so only kept
+    # vectors become dicts.
     detects = fault_detect_matrix(network, vectors, faults,
                                   observed=observed)
     leftovers = [f for f in faults if not detects.get(f, 0)]
@@ -765,8 +876,7 @@ def _generate_tests_impl(network, faults, observed, backtrack_limit,
     for _ in range(4):
         if not leftovers or not random_phase:
             break
-        extra = [{pi: bool(rng.getrandbits(1)) for pi in inputs}
-                 for _ in range(batch)]
+        extra = PackedVectors.draw(rng, inputs, batch)
         caught = fault_detect_matrix(network, extra, leftovers,
                                      observed=observed)
         useful: Set[int] = set()
@@ -774,7 +884,7 @@ def _generate_tests_impl(network, faults, observed, backtrack_limit,
             if mask:
                 useful.add((mask & -mask).bit_length() - 1)
         if useful:
-            vectors.extend(extra[i] for i in sorted(useful))
+            vectors.extend(extra.vector(i) for i in sorted(useful))
             leftovers = [f for f in leftovers if not caught[f]]
             rescued = True
         batch *= 4

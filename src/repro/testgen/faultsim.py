@@ -11,10 +11,12 @@ paper's detectors complement — the analog campaign
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from itertools import repeat
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..telemetry import Telemetry, from_env
-from .logic import LogicNetwork, Value
+from .logic import CompiledNetwork, LogicNetwork, Value
 
 
 @dataclass(frozen=True)
@@ -185,24 +187,87 @@ def observability_gain(network: LogicNetwork,
 # ----------------------------------------------------------------------
 # Bit-parallel fault simulation (combinational)
 # ----------------------------------------------------------------------
-def _bit_eval(gate, values: Dict[str, int], mask: int) -> int:
-    """One gate over bit-packed vectors (bit j = vector j's value)."""
-    ins = [values[net] for net in gate.inputs]
-    cell = gate.cell_type
-    if cell == "buffer":
-        return ins[0]
-    if cell == "inverter":
-        return ~ins[0] & mask
-    if cell == "and2":
-        return ins[0] & ins[1]
-    if cell == "or2":
-        return ins[0] | ins[1]
-    if cell == "xor2":
-        return ins[0] ^ ins[1]
-    if cell == "mux2":
-        a, b, s = ins
-        return (a & ~s) | (b & s)
-    # Generic fallback: evaluate the boolean function per vector.
+#: Byte 0 -> ASCII "0", byte 1 -> ASCII "1": one bool per byte to the
+#: digits of a base-2 literal.
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _pack_column(column: bytes) -> int:
+    """The integer whose bit ``j`` is ``column[j]`` (each 0 or 1)."""
+    return int(column[::-1].translate(_BINARY_DIGITS), 2) if column else 0
+
+
+@dataclass(frozen=True)
+class PackedVectors:
+    """``count`` fully specified vectors, one integer per primary input:
+    bit ``j`` of ``bits[pi]`` is vector ``j``'s value of ``pi``.
+
+    The form :func:`fault_detect_matrix` simulates; passing it directly
+    skips building (and re-packing) one dict per vector.
+    """
+
+    count: int
+    bits: Dict[str, int]
+
+    @classmethod
+    def draw(cls, rng, inputs: Sequence[str], count: int
+             ) -> "PackedVectors":
+        """``count`` random vectors, drawing ``rng.getrandbits(1)`` in the
+        order ``[{pi: bool(rng.getrandbits(1)) for pi in inputs} for _ in
+        range(count)]`` does, so both forms hold the same vectors and
+        leave ``rng`` in the same state."""
+        width = len(inputs)
+        draws = bytes(map(rng.getrandbits, repeat(1, count * width)))
+        return cls(count, {pi: _pack_column(draws[i::width])
+                           for i, pi in enumerate(inputs)})
+
+    def vector(self, j: int) -> Dict[str, bool]:
+        """Vector ``j`` as a dict, in primary-input order."""
+        return {pi: bool(bits >> j & 1) for pi, bits in self.bits.items()}
+
+
+def _pack(network: LogicNetwork,
+          vectors: Sequence[Dict[str, bool]]) -> PackedVectors:
+    bits: Dict[str, int] = {}
+    for pi in network.primary_inputs:
+        column = [vector.get(pi) for vector in vectors]
+        for j, value in enumerate(column):
+            if not isinstance(value, bool):
+                raise ValueError(
+                    f"vector {j} does not assign a boolean to {pi!r}")
+        bits[pi] = _pack_column(bytes(column))
+    return PackedVectors(len(vectors), bits)
+
+
+def _bit_evaluators(view: CompiledNetwork, mask: int
+                    ) -> List[Callable[[List[int]], int]]:
+    """Per gate position, its output as a function of the per-net
+    bit-packed values (bit j = vector j's value)."""
+    evaluators: List[Callable[[List[int]], int]] = []
+    for gate, ins in zip(view.order, view.inputs):
+        cell = gate.cell_type
+        if cell == "buffer":
+            evaluator = (lambda v, a=ins[0]: v[a])
+        elif cell == "inverter":
+            evaluator = (lambda v, a=ins[0]: ~v[a] & mask)
+        elif cell == "and2":
+            evaluator = (lambda v, a=ins[0], b=ins[1]: v[a] & v[b])
+        elif cell == "or2":
+            evaluator = (lambda v, a=ins[0], b=ins[1]: v[a] | v[b])
+        elif cell == "xor2":
+            evaluator = (lambda v, a=ins[0], b=ins[1]: v[a] ^ v[b])
+        elif cell == "mux2":
+            evaluator = (lambda v, a=ins[0], b=ins[1], s=ins[2]:
+                         (v[a] & ~v[s]) | (v[b] & v[s]))
+        else:
+            evaluator = (lambda v, gate=gate, ins=ins:
+                         _bit_eval_generic(gate, [v[i] for i in ins], mask))
+        evaluators.append(evaluator)
+    return evaluators
+
+
+def _bit_eval_generic(gate, ins: List[int], mask: int) -> int:
+    """Any boolean cell over bit-packed vectors, one vector at a time."""
     out = 0
     bit = 0
     probe = mask
@@ -216,17 +281,22 @@ def _bit_eval(gate, values: Dict[str, int], mask: int) -> int:
 
 
 def fault_detect_matrix(network: LogicNetwork,
-                        vectors: Sequence[Dict[str, bool]],
+                        vectors: Union[Sequence[Dict[str, bool]],
+                                       PackedVectors],
                         faults: Optional[Sequence[StuckFault]] = None,
                         observed: Optional[Sequence[str]] = None
                         ) -> Dict[StuckFault, int]:
     """Which vectors detect which faults, bit-parallel.
 
     Packs the whole vector set into one arbitrary-precision integer per
-    net (bit ``j`` = vector ``j``) and runs one pass per fault over the
-    fault's downstream cone only, so cost scales with faults x cone
-    size, not faults x vectors x gates.  Returns ``fault -> bitmask``
-    of detecting vector indices (0 = undetected).
+    net (bit ``j`` = vector ``j``; ``vectors`` may already be
+    :class:`PackedVectors`) and simulates the fault-free network once.
+    Each fault is then event-driven: a fault whose stuck value equals
+    the fault-free value on every vector is never activated and costs
+    nothing more; otherwise only gates with an input that differs from
+    its fault-free value are evaluated, so cost scales with the gates
+    each fault actually disturbs, not faults x cone size.  Returns
+    ``fault -> bitmask`` of detecting vector indices (0 = undetected).
 
     Combinational networks with fully specified boolean vectors only —
     this is the ATPG confirmation/compaction kernel, not a replacement
@@ -243,62 +313,58 @@ def fault_detect_matrix(network: LogicNetwork,
     if not observed:
         raise ValueError("nothing to observe")
 
-    order = network.combinational_order()
-    n = len(vectors)
-    mask = (1 << n) - 1
+    view = network.compiled()
+    packed = (vectors if isinstance(vectors, PackedVectors)
+              else _pack(network, vectors))
+    mask = (1 << packed.count) - 1
 
-    golden: Dict[str, int] = {}
+    golden: List[Optional[int]] = [None] * len(view.nets)
     for pi in network.primary_inputs:
-        bits = 0
-        for j, vector in enumerate(vectors):
-            value = vector.get(pi)
-            if not isinstance(value, bool):
-                raise ValueError(
-                    f"vector {j} does not assign a boolean to {pi!r}")
-            if value:
-                bits |= 1 << j
-        golden[pi] = bits
-    for gate in order:
-        golden[gate.output] = _bit_eval(gate, golden, mask)
+        if pi not in packed.bits:
+            raise ValueError(f"packed vectors assign nothing to {pi!r}")
+        golden[view.index[pi]] = packed.bits[pi] & mask
+    output, readers = view.output, view.readers
+    for ins in view.inputs:
+        for net in ins:
+            if golden[net] is None and view.driver[net] < 0:
+                raise KeyError(view.nets[net])  # a net nothing drives
+    evaluate = _bit_evaluators(view, mask)
+    for position, evaluator in enumerate(evaluate):
+        golden[output[position]] = evaluator(golden)
 
-    fanout: Dict[str, List] = {}
-    order_index = {gate.name: i for i, gate in enumerate(order)}
-    for gate in order:
-        for net in gate.inputs:
-            fanout.setdefault(net, []).append(gate)
-
-    cone_cache: Dict[str, List] = {}
-
-    def cone(net: str) -> List:
-        """Gates downstream of ``net``, in evaluation order."""
-        if net in cone_cache:
-            return cone_cache[net]
-        seen, queue, gates = {net}, [net], []
-        while queue:
-            current = queue.pop()
-            for gate in fanout.get(current, ()):
-                if gate.output not in seen:
-                    seen.add(gate.output)
-                    queue.append(gate.output)
-                    gates.append(gate)
-        gates.sort(key=lambda g: order_index[g.name])
-        cone_cache[net] = gates
-        return gates
-
+    is_observed = bytearray(len(view.nets))
+    if faults:  # an unknown observed net raises once a fault needs it
+        for net in observed:
+            is_observed[view.index[net]] = 1
+    current = list(golden)  # fault-free values, patched per fault
     results: Dict[StuckFault, int] = {}
     for fault in faults:
-        stuck = mask if fault.value else 0
-        if golden.get(fault.net) is None:
+        site = view.index.get(fault.net)
+        if site is None:
             raise KeyError(f"fault site {fault.net!r} not in network")
-        faulty: Dict[str, int] = {fault.net: stuck}
-        for gate in cone(fault.net):
-            if gate.output == fault.net:
-                continue
-            merged = {net: faulty.get(net, golden[net])
-                      for net in gate.inputs}
-            faulty[gate.output] = _bit_eval(gate, merged, mask)
+        stuck = mask if fault.value else 0
+        if golden[site] == stuck:  # never activated
+            results[fault] = 0
+            continue
+        current[site] = stuck
+        changed = [site]
+        queue = list(readers[site])  # ascending: already a heap
+        queued = set(queue)
+        while queue:
+            position = heappop(queue)
+            value = evaluate[position](current)
+            out = output[position]
+            if value != current[out]:
+                current[out] = value
+                changed.append(out)
+                for reader in readers[out]:
+                    if reader not in queued:
+                        queued.add(reader)
+                        heappush(queue, reader)
         detected = 0
-        for net in observed:
-            detected |= faulty.get(net, golden[net]) ^ golden[net]
+        for net in changed:
+            if is_observed[net]:
+                detected |= current[net] ^ golden[net]
+            current[net] = golden[net]
         results[fault] = detected & mask
     return results

@@ -44,6 +44,30 @@ def _x_safe(eval_fn: Callable[..., Tuple[bool, ...]],
     return outcomes.pop()
 
 
+@dataclass(frozen=True)
+class CompiledNetwork:
+    """The combinational view of a network over integer net indices.
+
+    Gate ``p`` is ``order[p]``, the ``p``-th combinational gate in
+    evaluation order, so a gate's readers always have larger positions
+    than the gate: processing queued positions smallest first evaluates
+    them in a valid order.  Nets are the primary inputs, then every gate
+    output, then any net a gate reads that nothing drives.
+    """
+
+    nets: List[str]
+    index: Dict[str, int]
+    order: List["Gate"]
+    #: Per gate position: its input nets and its output net.
+    inputs: List[Tuple[int, ...]]
+    output: List[int]
+    #: Per net: positions of the combinational gates reading it,
+    #: ascending and each once.
+    readers: List[Tuple[int, ...]]
+    #: Per net: position of its combinational driver, or -1.
+    driver: List[int]
+
+
 @dataclass
 class Gate:
     """One gate instance in a logic network."""
@@ -78,6 +102,7 @@ class LogicNetwork:
         self.primary_inputs: List[str] = []
         self.primary_outputs: List[str] = []
         self._order: Optional[List[Gate]] = None
+        self._compiled: Optional[CompiledNetwork] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -87,6 +112,7 @@ class LogicNetwork:
             raise ValueError(f"duplicate primary input {net!r}")
         self.primary_inputs.append(net)
         self._order = None
+        self._compiled = None
         return net
 
     def add_output(self, net: str) -> str:
@@ -119,6 +145,7 @@ class LogicNetwork:
                     is_sequential=(cell_type == "dff"))
         self.gates[name] = gate
         self._order = None
+        self._compiled = None
         return gate
 
     # ------------------------------------------------------------------
@@ -173,6 +200,32 @@ class LogicNetwork:
                 "a dff")
         self._order = [self.gates[name] for name in order]
         return self._order
+
+    def compiled(self) -> CompiledNetwork:
+        """The network compiled to integer net indices (cached until
+        the next input or gate is added)."""
+        if self._compiled is not None:
+            return self._compiled
+        order = self.combinational_order()
+        names = dict.fromkeys(self.signals())
+        for gate in order:
+            names.update(dict.fromkeys(gate.inputs))
+        nets = list(names)
+        index = {net: i for i, net in enumerate(nets)}
+        inputs = [tuple(index[net] for net in gate.inputs)
+                  for gate in order]
+        output = [index[gate.output] for gate in order]
+        readers: List[List[int]] = [[] for _ in nets]
+        driver = [-1] * len(nets)
+        for position, ins in enumerate(inputs):
+            driver[output[position]] = position
+            for net in dict.fromkeys(ins):
+                readers[net].append(position)
+        self._compiled = CompiledNetwork(
+            nets=nets, index=index, order=order, inputs=inputs,
+            output=output, readers=[tuple(r) for r in readers],
+            driver=driver)
+        return self._compiled
 
     def sequential_gates(self) -> List[Gate]:
         return [g for g in self.gates.values() if g.is_sequential]
