@@ -14,14 +14,15 @@ parametric excursion class that both classic methods miss.
 The campaign runs with the fault-tolerant execution layer armed the way
 a long batch job would: a per-defect solver deadline (a defect whose
 solve runs dry on the whole degradation ladder is quarantined with a
-reason instead of aborting the sweep) and a JSONL checkpoint, so
-rerunning this script after killing it resumes where it stopped (see
+reason instead of aborting the sweep) and a result store directory that
+takes each finished defect's record as it comes, so rerunning this
+script after killing it resumes where it stopped (see
 docs/robustness.md).
 
 Run with:  python examples/fault_campaign.py
 """
 
-import os
+import shutil
 
 from repro.cml import NOMINAL, buffer_chain
 from repro.dft import build_shared_monitor
@@ -35,7 +36,7 @@ from repro.faults import (
 from repro.sim import SimOptions
 
 TECH = NOMINAL
-CHECKPOINT = "fault_campaign_checkpoint.jsonl"
+STORE = "fault_campaign_store"
 
 
 def main() -> None:
@@ -57,15 +58,14 @@ def main() -> None:
     result = run_campaign(
         chain.circuit, defects, oracles,
         options=SimOptions(solve_deadline_s=30.0),
-        checkpoint=CHECKPOINT,
-        resume=os.path.exists(CHECKPOINT))
-    if result.n_resumed:
-        print(f"(resumed {result.n_resumed} records from {CHECKPOINT})")
+        store=STORE)
+    if result.n_store_hits:
+        print(f"(resumed: {result.n_store_hits} records from {STORE}/)")
     print(result.format())
     for record in result.quarantined():
         print(f"quarantined {record.defect.describe()}: "
               f"{record.quarantine_reason}")
-    os.remove(CHECKPOINT)
+    shutil.rmtree(STORE)
 
     escapes = result.escapes()
     print(f"\nEscaping every static oracle: {len(escapes)} defects, e.g.:")

@@ -6,16 +6,13 @@ Usage::
     python -m repro run fig4 table1
     python -m repro run all
     python -m repro export-spice --stages 8 --pipe 4e3 chain.cir
-    python -m repro campaign --stages 4 --parallel --checkpoint run.jsonl
-    python -m repro campaign --checkpoint run.jsonl --resume
-    python -m repro campaign --store results/ --parallel
+    python -m repro campaign --stages 4 --parallel --store results/
     python -m repro verify --seed 0 --budget 60s
     python -m repro verify --replay tests/corpus/shared_monitor_pipe.json
     python -m repro serve --port 8765 --store results/
     python -m repro report run.jsonl
     python -m repro trace export run.jsonl -o run.perfetto.json
     python -m repro trace export run.jsonl -o run.folded --format collapsed
-    python -m repro top 127.0.0.1:8765
 """
 
 from __future__ import annotations
@@ -120,16 +117,12 @@ def _cmd_campaign(args) -> int:
     result = run_campaign(chain.circuit, defects, oracles,
                           options=options, low_rank=args.low_rank,
                           parallel=args.parallel, workers=args.workers,
-                          chunk_size=args.chunk_size,
-                          checkpoint=args.checkpoint, resume=args.resume,
-                          store=args.store)
+                          chunk_size=args.chunk_size, store=args.store)
     elapsed = time.time() - started
 
     print(result.format())
     line = (f"[{len(result.records)} defects in {elapsed:.1f} s"
             f" ({args.stages}-stage chain)")
-    if result.n_resumed:
-        line += f", {result.n_resumed} resumed from checkpoint"
     if args.store is not None:
         line += (f", store: {result.n_store_hits} hit(s) /"
                  f" {result.n_store_misses} miss(es)")
@@ -282,91 +275,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _scrape_stats(host: str, port: int, timeout: float = 5.0) -> dict:
-    """One ``stats`` round-trip against a live campaign service."""
-    import json
-    import socket
-
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.sendall(b'{"op":"stats"}\n')
-        handle = sock.makefile("rb")
-        line = handle.readline()
-    if not line:
-        raise ConnectionError("service closed the connection")
-    return json.loads(line)
-
-
-def _render_top(stats: dict, previous: dict, interval: float) -> str:
-    """One frame of the live-service dashboard."""
-    lines = ["repro service dashboard"
-             f" — {time.strftime('%H:%M:%S')}"
-             f" (uptime {stats.get('uptime_s', 0):.0f}s,"
-             f" trace {stats.get('trace_id', '-')})",
-             ""]
-
-    def rate(key: str) -> str:
-        if not previous or interval <= 0:
-            return "-"
-        delta = stats.get(key, 0) - previous.get(key, 0)
-        return f"{delta / interval:.2f}/s"
-
-    rows = [
-        ("jobs submitted", stats.get("jobs_submitted", 0), rate(
-            "jobs_submitted")),
-        ("jobs completed", stats.get("jobs_completed", 0), rate(
-            "jobs_completed")),
-        ("jobs failed", stats.get("jobs_failed", 0), ""),
-        ("jobs running", stats.get("jobs_running", 0), ""),
-        ("queue depth", stats.get("queue_depth", 0),
-         f"max {stats.get('max_queue_depth', 0)}"),
-        ("defects solved", stats.get("defects_total", 0), rate(
-            "defects_total")),
-        ("workers", stats.get("workers", 0), ""),
-    ]
-    store = stats.get("store")
-    if store:
-        lookups = store.get("hits", 0) + store.get("misses", 0)
-        hit_rate = store.get("hits", 0) / lookups if lookups else 0.0
-        rows.extend([
-            ("store records", store.get("records", 0), ""),
-            ("store hit rate", f"{hit_rate:.1%}",
-             f"{store.get('hits', 0)} hit(s) /"
-             f" {store.get('misses', 0)} miss(es)"),
-        ])
-    width = max(len(label) for label, _, _ in rows)
-    for label, value, extra in rows:
-        suffix = f"  {extra}" if extra else ""
-        lines.append(f"  {label:<{width}}  {value}{suffix}")
-    return "\n".join(lines)
-
-
-def _cmd_top(args) -> int:
-    host, _, port = args.address.rpartition(":")
-    if not host or not port.isdigit():
-        print(f"expected host:port, got {args.address!r}", file=sys.stderr)
-        return 2
-
-    previous: dict = {}
-    while True:
-        try:
-            stats = _scrape_stats(host, int(port))
-        except (OSError, ValueError) as error:
-            print(f"cannot reach service at {args.address}: {error}",
-                  file=sys.stderr)
-            return 1
-        frame = _render_top(stats, previous, args.interval)
-        if args.once:
-            print(frame)
-            return 0
-        # ANSI clear-screen + home keeps the dashboard in place.
-        print("\x1b[2J\x1b[H" + frame, flush=True)
-        previous = stats
-        try:
-            time.sleep(args.interval)
-        except KeyboardInterrupt:
-            return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -410,13 +318,6 @@ def main(argv=None) -> int:
                           help="solve pipes, shorts and bridges in "
                                "batches on the shared fault-free system "
                                "instead of injecting each defect")
-    campaign.add_argument("--checkpoint", default=None, metavar="JSONL",
-                          help="append completed records to this JSONL "
-                               "checkpoint as they finish")
-    campaign.add_argument("--resume", nargs="?", const=True, default=False,
-                          metavar="JSONL",
-                          help="skip defects already solved in the given "
-                               "checkpoint (defaults to --checkpoint)")
     campaign.add_argument("--deadline", type=float, default=0.0,
                           metavar="SECONDS",
                           help="per-defect solver wall-clock budget "
@@ -428,8 +329,9 @@ def main(argv=None) -> int:
                                "(0 = wait forever)")
     campaign.add_argument("--store", default=None, metavar="DIR",
                           help="content-addressed result store: serve "
-                               "already-solved defects from cache and "
-                               "write fresh ones back")
+                               "already-solved defects from it and write "
+                               "each finished unit back, so rerunning a "
+                               "killed campaign resumes it")
 
     atpg = sub.add_parser(
         "atpg",
@@ -529,16 +431,6 @@ def main(argv=None) -> int:
     trace_report.add_argument("trace", metavar="TRACE.jsonl")
     trace_report.add_argument("--markdown", action="store_true")
 
-    top = sub.add_parser(
-        "top",
-        help="live terminal dashboard for a running campaign service")
-    top.add_argument("address", metavar="HOST:PORT",
-                     help="service address, e.g. 127.0.0.1:8765")
-    top.add_argument("--interval", type=float, default=2.0,
-                     help="poll interval in seconds (default 2)")
-    top.add_argument("--once", action="store_true",
-                     help="print one frame and exit (no screen clearing)")
-
     args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()
@@ -558,8 +450,6 @@ def main(argv=None) -> int:
         return _cmd_report(args)
     if args.command == "trace":
         return _cmd_trace(args)
-    if args.command == "top":
-        return _cmd_top(args)
     return 2  # pragma: no cover
 
 

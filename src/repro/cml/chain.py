@@ -89,10 +89,6 @@ class BufferChain:
                 return instance
         raise KeyError("chain has no stage named 'DUT'")
 
-    def stage_output(self, index: int) -> Tuple[str, str]:
-        """``(op, opb)`` nets of stage ``index`` (0-based)."""
-        return self.output_nets[index]
-
     def taps(self) -> List[str]:
         """Measurement nets in paper order: input then all stage outputs."""
         return [self.input_nets[0]] + [p for p, _ in self.output_nets]

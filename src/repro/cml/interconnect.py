@@ -88,11 +88,6 @@ class LowSwingLink:
     #: Names of every component the link added.
     elements: List[str]
 
-    @property
-    def driver_tail(self) -> str:
-        """The driver's current-source transistor (a prime defect site)."""
-        return f"{self.name}.DRV.Q3"
-
 
 def attach_low_swing_link(circuit: Circuit, net_p: str, net_n: str,
                           name: str = "LNK",

@@ -35,10 +35,6 @@ class RingOscillator:
     instances: List[CellInstance]
     tap: Tuple[str, str]
 
-    def expected_period(self, stage_delay: float) -> float:
-        """Ideal period for a given per-stage delay."""
-        return 2.0 * self.n_stages * stage_delay
-
 
 def ring_oscillator(tech: CmlTechnology = NOMINAL, n_stages: int = 5,
                     kick_current: float = 50e-6,

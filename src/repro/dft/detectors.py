@@ -28,7 +28,7 @@ variant-3 load of :mod:`repro.dft.comparator`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..circuit.components import Capacitor, Resistor
@@ -54,9 +54,6 @@ class DetectorConfig:
     detector_area_v2: float = 1.0
     #: Area multiple of the diode load device.
     load_area: float = 1.0
-
-    def with_load_cap(self, value: float) -> "DetectorConfig":
-        return replace(self, load_cap=value)
 
 
 DEFAULT_CONFIG = DetectorConfig()

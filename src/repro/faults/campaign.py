@@ -14,11 +14,11 @@ transient experiments in :mod:`repro.analysis`.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -206,10 +206,6 @@ class CampaignResult:
 
     records: List[FaultRecord] = field(default_factory=list)
     oracle_names: List[str] = field(default_factory=list)
-    #: Records reused from a checkpoint rather than re-solved (resume).
-    #: Excluded from equality: a resumed result that reproduces the same
-    #: records *is* the same result.
-    n_resumed: int = field(default=0, compare=False)
     #: Low-rank engine observability, populated by ``low_rank=True``
     #: runs and excluded from equality (how the records were computed is
     #: not part of the result).  ``n_batched_solves`` counts batched
@@ -514,9 +510,10 @@ DEFAULT_BATCH_SIZE = 64
 #: times ``batch_size`` defects, all solved by one window that refills
 #: from the unit's queue, so only the unit's last iterations run below
 #: the window's width.  Small enough that a parallel campaign still gets
-#: several units to spread across workers and that checkpoints and
-#: ``progress`` follow the campaign closely: at about 2,000 defects/s on
-#: the 8-stage paper chain, a full unit is about half a second of work.
+#: several units to spread across workers and that the store and
+#: ``progress`` follow the campaign closely (a killed campaign loses at
+#: most its units in flight): at about 2,000 defects/s on the 8-stage
+#: paper chain, a full unit is about half a second of work.
 WINDOWS_PER_UNIT = 16
 
 #: Batch counters every unit of work reports (zeros off the low-rank path).
@@ -658,178 +655,72 @@ def _unit_records(unit: Sequence[Defect], oracles: Sequence[Oracle],
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing: append-only JSONL of completed records, keyed by defect
-# identity, so a crashed campaign resumes instead of restarting.
+# Record entries: the JSON form a record takes in the result store.
 # ---------------------------------------------------------------------------
 
-#: Checkpoint schema version; bump on incompatible record changes.
-CHECKPOINT_SCHEMA = 1
+#: Version of a record entry's shape; bump on an incompatible change.
+_RECORD_SCHEMA = 1
 
-#: FaultRecord fields serialized verbatim (everything except the defect
-#: object, which the resuming campaign supplies, and ``verdicts``, which
-#: needs a dict copy).
-_RECORD_FIELDS = ("converged", "newton_iterations", "solver",
-                  "n_factorizations", "gmin_steps", "source_steps",
-                  "quarantined", "quarantine_reason")
+#: The FaultRecord fields an entry carries: every field but the defect,
+#: which the campaign looking the entry up supplies.
+_RECORD_FIELDS = tuple(f.name for f in fields(FaultRecord)
+                       if f.name != "defect")
 
 
 def defect_key(defect: Defect) -> str:
-    """Stable identity a checkpoint keys completed records by.
+    """Stable identity of a defect within a campaign.
 
     ``describe()`` encodes the site and the model value (resistance),
     and ``kind`` disambiguates classes with overlapping descriptions —
     together they are unique within any catalog
-    :func:`~repro.faults.catalog.enumerate_defects` produces.
+    :func:`~repro.faults.catalog.enumerate_defects` produces.  With the
+    campaign fingerprint it makes the record's store address
+    (:func:`repro.store.result_key`).
     """
     return f"{defect.kind}|{defect.describe()}"
 
 
+def _copied(value: Any) -> Any:
+    """A dict field gets its own copy, so an entry never shares one
+    with a record."""
+    return dict(value) if isinstance(value, dict) else value
+
+
 def _record_to_entry(record: FaultRecord) -> Dict[str, Any]:
-    entry: Dict[str, Any] = {
-        "type": "record", "schema": CHECKPOINT_SCHEMA,
-        "key": defect_key(record.defect),
-        "verdicts": dict(record.verdicts),
-    }
+    entry: Dict[str, Any] = {"type": "record", "schema": _RECORD_SCHEMA,
+                             "key": defect_key(record.defect)}
     for name in _RECORD_FIELDS:
-        entry[name] = getattr(record, name)
+        entry[name] = _copied(getattr(record, name))
     return entry
 
 
-def _record_from_entry(entry: Dict[str, Any], defect: Defect) -> FaultRecord:
-    return FaultRecord(defect=defect, verdicts=dict(entry["verdicts"]),
-                       **{name: entry[name] for name in _RECORD_FIELDS})
-
-
-class CheckpointMismatch(ValueError):
-    """A checkpoint belongs to a different campaign.
-
-    Raised when a resume (or an append) targets a checkpoint whose
-    header fingerprint — the content hash of (netlist, solver options,
-    oracles, namespace) recorded when the file was created — does not
-    match the running campaign.  Without this check two campaigns whose
-    defect catalogs overlap in :func:`defect_key` space (the same pipe
-    site exists in every variant of a netlist) would silently exchange
-    records.  Headers without a fingerprint (pre-store checkpoints)
-    are accepted for backward compatibility.
-    """
-
-
-def checkpoint_header(path: Union[str, os.PathLike]
-                      ) -> Optional[Dict[str, Any]]:
-    """The header entry of a checkpoint file, or ``None``.
-
-    Tolerant like :func:`load_checkpoint`: a missing file, torn lines,
-    or a headerless legacy checkpoint all return ``None`` rather than
-    raising.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(entry, dict) and entry.get("type") == "header":
-                    return entry
-    except OSError:
+def _record_from_entry(entry: Dict[str, Any],
+                       defect: Defect) -> Optional[FaultRecord]:
+    """The record ``entry`` holds, or ``None`` when it has another
+    schema or lacks a field (the defect is then solved again)."""
+    if (entry.get("schema") != _RECORD_SCHEMA
+            or any(name not in entry for name in _RECORD_FIELDS)):
         return None
-    return None
+    return FaultRecord(defect=defect, **{name: _copied(entry[name])
+                                         for name in _RECORD_FIELDS})
 
 
-def _check_checkpoint_fingerprint(path: Union[str, os.PathLike],
-                                  fingerprint: Optional[str]) -> None:
-    """Refuse to mix records across campaigns (see CheckpointMismatch)."""
-    if fingerprint is None:
+@contextlib.contextmanager
+def _profiled(tel: Optional[Telemetry], options: SimOptions, span):
+    """Sample the enclosed steps when the options ask for a profile;
+    the profile event correlates to the campaign span it covered."""
+    profiler = profiler_for(options) if tel is not None else None
+    if profiler is None:
+        yield
         return
-    header = checkpoint_header(path)
-    recorded = header.get("fingerprint") if header else None
-    if recorded is not None and recorded != fingerprint:
-        raise CheckpointMismatch(
-            f"checkpoint {path} was written by a different campaign "
-            f"(fingerprint {recorded[:12]}.. != {fingerprint[:12]}..): "
-            "same defect keys would alias across netlists/options; use a "
-            "fresh checkpoint path or the original circuit and options")
-
-
-def load_checkpoint(path: Union[str, os.PathLike]) -> Dict[str, Dict[str, Any]]:
-    """Completed-record entries of a campaign checkpoint, keyed by defect.
-
-    Tolerant by design: a missing file is an empty checkpoint, and a
-    torn tail line (the process died mid-write) is skipped, so a resume
-    never trips over the crash that made it necessary.  Later entries
-    for the same key win.
-    """
+    profiler.start()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError:
-        return {}
-    entries: Dict[str, Dict[str, Any]] = {}
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn write from a crash; everything before it holds
-        if (isinstance(entry, dict) and entry.get("type") == "record"
-                and entry.get("schema") == CHECKPOINT_SCHEMA
-                and "key" in entry and "verdicts" in entry
-                and all(name in entry for name in _RECORD_FIELDS)):
-            entries[entry["key"]] = entry
-    return entries
-
-
-class _CheckpointWriter:
-    """Append-only JSONL writer, one flushed line per completed record.
-
-    Keys already present in the file (a resumed run appending to its own
-    checkpoint) are skipped, so the file never accumulates duplicates
-    and the writer is safe to feed from both the resumed-record replay
-    and the live ``on_result`` stream.
-    """
-
-    def __init__(self, path: Union[str, os.PathLike],
-                 n_defects: int, oracle_names: Sequence[str],
-                 fingerprint: Optional[str] = None):
-        self.path = path
-        if os.path.exists(path):
-            _check_checkpoint_fingerprint(path, fingerprint)
-        self._written = set(load_checkpoint(path))
-        new_file = not self._written and not os.path.exists(path)
-        self._handle = open(path, "a", encoding="utf-8")
-        # A crash can leave a torn final line with no newline; appending
-        # straight after it would corrupt the first new record too.
-        if self._handle.tell() > 0:
-            with open(path, "rb") as check:
-                check.seek(-1, os.SEEK_END)
-                if check.read(1) != b"\n":
-                    self._handle.write("\n")
-        if new_file:
-            header = {"type": "header", "schema": CHECKPOINT_SCHEMA,
-                      "n_defects": n_defects,
-                      "oracles": list(oracle_names)}
-            if fingerprint is not None:
-                header["fingerprint"] = fingerprint
-            self._emit(header)
-
-    def _emit(self, entry: Dict[str, Any]) -> None:
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
-
-    def write(self, record: FaultRecord) -> None:
-        key = defect_key(record.defect)
-        if key in self._written:
-            return
-        self._written.add(key)
-        self._emit(_record_to_entry(record))
-
-    def close(self) -> None:
-        self._handle.close()
+        yield
+    finally:
+        profiler.stop()
+        tel.tracer.emit(profiler.to_event(span_id=span.span_id,
+                                          trace_id=tel.tracer.trace_id))
+        span.set(profile_samples=profiler.n_samples)
 
 
 def run_campaign(circuit: Circuit, defects: Sequence[Defect],
@@ -842,8 +733,6 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
                  workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
                  progress: Optional[Callable[[int, int, float], None]] = None,
-                 checkpoint: Optional[Union[str, os.PathLike]] = None,
-                 resume: Union[bool, str, os.PathLike] = False,
                  store: Optional[Union[ResultStore, str, os.PathLike]] = None,
                  store_namespace: str = ""
                  ) -> CampaignResult:
@@ -862,31 +751,24 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
     never the sweep (see :func:`repro.parallel.parallel_map`,
     ``options.chunk_timeout_s`` / ``max_chunk_retries``).
 
-    ``checkpoint`` (a JSONL path) appends every completed record the
-    moment the parent process sees it, keyed by defect identity
-    (:func:`defect_key`).  ``resume`` skips defects already recorded:
-    ``resume=True`` reads the ``checkpoint`` file itself, or pass an
-    explicit path.  A resumed campaign returns records identical to an
-    uninterrupted run's, in the original defect order, and keeps
-    appending the newly solved defects to ``checkpoint``.  Checkpoint
-    headers record the campaign's content fingerprint; resuming (or
-    appending to) a checkpoint written by a different campaign —
-    different netlist, solver options, or oracle configuration — raises
-    :class:`CheckpointMismatch` instead of silently aliasing records by
-    defect key.
-
     ``store`` (a :class:`repro.store.ResultStore` or a directory path)
-    memoizes solves *across* campaigns: every record is addressed by a
+    is the campaign's record log.  Every record is addressed by a
     content hash of (netlist, solver-relevant options, oracles,
-    ``store_namespace``, defect), looked up before solving and written
-    back after — so re-running an identical campaign (another CLI
-    invocation, a verify sweep, a service job) is served from cache,
-    field-identical to a fresh solve, and never recomputed.
-    Quarantined records are *not* cached: a transient worker crash must
-    not poison future runs.  Store traffic is reported on
-    :attr:`CampaignResult.n_store_hits` / ``n_store_misses`` /
-    ``n_store_puts``; ``store_namespace`` partitions otherwise-identical
-    campaigns (the verify matrix passes the engine name).
+    ``store_namespace``, defect): it is looked up before solving, and
+    each finished unit of work's records are written the moment the
+    parent process sees them.  So re-running an identical campaign
+    (another CLI invocation, a verify sweep, a service job) is served
+    from the store, field-identical to a fresh solve, and re-running a
+    killed one resumes it: only the defects it had not finished are
+    solved.  A campaign that differs in netlist, solver options,
+    oracles or namespace has other addresses and never sees these
+    records.  Quarantined records are *not* stored: a transient worker
+    crash must not poison future runs, so a rerun retries them.  Store
+    traffic is reported on :attr:`CampaignResult.n_store_hits` /
+    ``n_store_misses`` / ``n_store_puts``; ``store_namespace``
+    partitions otherwise-identical campaigns (the verify matrix passes
+    the engine name).  A store opened here from a path is closed on
+    return.
 
     ``warm_start`` seeds every faulty solve from the fault-free
     operating point (mapped by net name, see :func:`_warm_start_vector`),
@@ -923,9 +805,8 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
     defect order.
 
     ``progress`` (when given) is called from the parent process as
-    ``progress(defects_done, defects_total, elapsed_seconds)`` after
-    every finished unit of work; checkpoint records are streamed at
-    the same points.
+    ``progress(defects_done, defects_to_solve, elapsed_seconds)`` after
+    every finished unit of work, once its records are in the store.
 
     With telemetry enabled (``options.telemetry`` or ``REPRO_TRACE``)
     the run traces the full ``campaign → defect → analysis →
@@ -933,213 +814,146 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
     parent trace, and flushes a campaign-wide metrics snapshot at the
     end; render it with :class:`repro.telemetry.RunReport`.
     """
+    # Plan: validate, fingerprint, size the units of work.
     if batch_size is not None:
         if not low_rank:
             raise ValueError("batch_size applies only with low_rank=True")
         if batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, "
                              f"got {batch_size}")
-    tel = telemetry_for(options)
     defects = list(defects)
-    if tel is None:
-        return _run_campaign_impl(circuit, defects, oracles, options,
-                                  warm_start, low_rank, batch_size,
-                                  parallel, workers,
-                                  chunk_size, progress, checkpoint, resume,
-                                  store, store_namespace, None, None)
-    profiler = profiler_for(options)
-    with tel.span("campaign", n_defects=len(defects),
-                  oracles=[oracle.name for oracle in oracles],
-                  warm_start=warm_start, low_rank=low_rank,
-                  parallel=parallel) as span:
-        if profiler is not None:
-            profiler.start()
-        try:
-            result = _run_campaign_impl(circuit, defects, oracles, options,
-                                        warm_start, low_rank, batch_size,
-                                        parallel, workers,
-                                        chunk_size, progress, checkpoint,
-                                        resume, store, store_namespace,
-                                        tel, span)
-        finally:
-            if profiler is not None:
-                profiler.stop()
-                # The profile correlates to the campaign span it covered.
-                tel.tracer.emit(profiler.to_event(
-                    span_id=span.span_id, trace_id=tel.tracer.trace_id))
-                span.set(profile_samples=profiler.n_samples)
-        aggregate = result.aggregate_stats()
-        if low_rank:
-            span.set(n_batched_solves=result.n_batched_solves,
-                     batch_occupancy=result.batch_occupancy,
-                     batch_fallbacks=result.batch_fallbacks)
-        span.set(n_converged=sum(1 for r in result.records if r.converged),
-                 solver_counts=result.solver_counts(),
-                 newton_iterations=aggregate.iterations,
-                 n_solver_failed=len(result.solver_failed()),
-                 n_quarantined=len(result.quarantined()),
-                 n_resumed=result.n_resumed,
-                 # Campaign-wide cache activity: parent-process delta
-                 # plus every worker process's shipped delta (chunk
-                 # boundaries make the split vary run to run; the sum
-                 # is what reuse actually bought the campaign).
-                 mna_cache_delta=dict(result.mna_cache_stats))
-        if store is not None:
-            span.set(n_store_hits=result.n_store_hits,
-                     n_store_misses=result.n_store_misses,
-                     n_store_puts=result.n_store_puts)
-            tel.metrics.counter("campaign.store_hits").add(
-                result.n_store_hits)
-            tel.metrics.counter("campaign.store_misses").add(
-                result.n_store_misses)
-            tel.metrics.counter("campaign.store_puts").add(
-                result.n_store_puts)
-        tel.metrics.counter("campaign.defects").add(len(result.records))
-        for solver_kind, count in result.solver_counts().items():
-            tel.metrics.counter(f"campaign.solves.{solver_kind}").add(count)
-        if result.solver_failed():
-            tel.metrics.counter("campaign.solver_failed").add(
-                len(result.solver_failed()))
-        if result.quarantined():
-            tel.metrics.counter("campaign.quarantined").add(
-                len(result.quarantined()))
-        if result.n_resumed:
-            tel.metrics.counter("campaign.resumed").add(result.n_resumed)
-        tel.flush_metrics()
-        return result
+    window = batch_size or DEFAULT_BATCH_SIZE
+    unit_size = window * WINDOWS_PER_UNIT if low_rank else 1
+    tel = telemetry_for(options)
+    with contextlib.ExitStack() as scope:
+        if store is not None and not isinstance(store, ResultStore):
+            store = ResultStore(store)
+            scope.callback(store.close)
+        span = None if tel is None else scope.enter_context(tel.span(
+            "campaign", n_defects=len(defects),
+            oracles=[oracle.name for oracle in oracles],
+            warm_start=warm_start, low_rank=low_rank, parallel=parallel))
+        with _profiled(tel, options, span):
+            cache_before = dict(CACHE_STATS)
+            fingerprint = (None if store is None else campaign_fingerprint(
+                circuit, options, oracles, store_namespace))
+
+            # Lookup: what an earlier run of this campaign finished.
+            records: List[Optional[FaultRecord]] = [None] * len(defects)
+            if store is not None:
+                for index, defect in enumerate(defects):
+                    entry = store.get(result_key(fingerprint,
+                                                 defect_key(defect)))
+                    if entry is not None:
+                        records[index] = _record_from_entry(entry, defect)
+            todo = [index for index, record in enumerate(records)
+                    if record is None]
+            if span is not None:
+                span.set(n_todo=len(todo))
+
+            # Sink: store each finished unit's records, then report it.
+            n_done = n_puts = 0
+            started = time.perf_counter()
+
+            def sink(unit_records: List[FaultRecord]) -> None:
+                nonlocal n_done, n_puts
+                if store is not None:
+                    for record in unit_records:
+                        # A quarantine (a crash, a deadline) is retried
+                        # by a rerun, not stored.
+                        if not record.quarantined and store.put(
+                                result_key(fingerprint,
+                                           defect_key(record.defect)),
+                                _record_to_entry(record)):
+                            n_puts += 1
+                n_done += len(unit_records)
+                if progress is not None:
+                    progress(n_done, len(todo),
+                             time.perf_counter() - started)
+
+            # Solve: the store's misses, unit by unit.
+            fresh, batch_totals, worker_cache = _solve_todo(
+                circuit, [defects[index] for index in todo], oracles,
+                options, warm_start, low_rank, window, unit_size,
+                parallel, workers, chunk_size, sink, tel, span)
+            for index, record in zip(todo, fresh):
+                records[index] = record
+            result = CampaignResult(
+                records=records,
+                oracle_names=[oracle.name for oracle in oracles],
+                n_batched_solves=batch_totals["n_batched_solves"],
+                batch_occupancy=batch_totals["batch_occupancy"],
+                batch_fallbacks=batch_totals["batch_fallbacks"],
+                n_store_hits=(0 if store is None
+                              else len(defects) - len(todo)),
+                n_store_misses=0 if store is None else len(todo),
+                n_store_puts=n_puts,
+                mna_cache_stats={
+                    key: CACHE_STATS[key] - cache_before[key]
+                    + worker_cache.get(key, 0) for key in CACHE_STATS})
+        if tel is not None:
+            _trace_campaign(tel, span, result, low_rank, store is not None)
+    return result
 
 
-def _valid_record_entry(entry: Any) -> bool:
-    """Schema check for an entry about to round-trip into a record."""
-    return (isinstance(entry, dict)
-            and entry.get("schema") == CHECKPOINT_SCHEMA
-            and "verdicts" in entry
-            and all(name in entry for name in _RECORD_FIELDS))
-
-
-def _run_campaign_impl(circuit: Circuit, defects: List[Defect],
-                       oracles: Sequence[Oracle], options: SimOptions,
-                       warm_start: bool, low_rank: bool,
-                       batch_size: Optional[int], parallel: bool,
-                       workers: Optional[int], chunk_size: Optional[int],
-                       progress: Optional[Callable[[int, int, float], None]],
-                       checkpoint, resume, store, store_namespace,
-                       tel, span) -> CampaignResult:
-    oracle_names = [oracle.name for oracle in oracles]
-    cache_before = dict(CACHE_STATS)
-
-    store_obj: Optional[ResultStore] = None
-    if store is not None:
-        store_obj = (store if isinstance(store, ResultStore)
-                     else ResultStore(store))
-    # The fingerprint scopes both the store's content addresses and the
-    # checkpoint header; skip the (cheap but nonzero) canonicalization
-    # when nothing durable is in play.
-    fingerprint = None
-    if store_obj is not None or checkpoint is not None or resume:
-        fingerprint = campaign_fingerprint(circuit, options, oracles,
-                                           store_namespace)
-
-    # Resume: reuse checkpointed records; only the remainder is solved.
-    resumed: Dict[str, FaultRecord] = {}
-    if resume:
-        resume_path = checkpoint if resume is True else resume
-        if resume_path is None:
-            raise ValueError("resume=True requires a checkpoint path")
-        _check_checkpoint_fingerprint(resume_path, fingerprint)
-        entries = load_checkpoint(resume_path)
-        for defect in defects:
-            entry = entries.get(defect_key(defect))
-            if entry is not None:
-                resumed[defect_key(defect)] = _record_from_entry(entry,
-                                                                 defect)
-
-    # Store: serve whatever an earlier campaign already solved.
-    cached: Dict[str, FaultRecord] = {}
-    n_store_misses = 0
-    if store_obj is not None:
-        for defect in defects:
-            key = defect_key(defect)
-            if key in resumed:
-                continue
-            entry = store_obj.get(result_key(fingerprint, key))
-            if entry is not None and _valid_record_entry(entry):
-                cached[key] = _record_from_entry(entry, defect)
-            else:
-                n_store_misses += 1
-
-    todo = [d for d in defects
-            if defect_key(d) not in resumed and defect_key(d) not in cached]
-    if span is not None:
-        span.set(n_todo=len(todo))
-
-    writer = None
-    if checkpoint is not None:
-        writer = _CheckpointWriter(checkpoint, n_defects=len(defects),
-                                   oracle_names=oracle_names,
-                                   fingerprint=fingerprint)
-        for record in list(resumed.values()) + list(cached.values()):
-            # No-op when resuming from this same file; carries records
-            # forward when resuming from a different one or when the
-            # store served them.
-            writer.write(record)
-    try:
-        records_todo, batch_totals, worker_cache = _solve_todo(
-            circuit, todo, oracles, options, warm_start, low_rank,
-            batch_size, parallel, workers, chunk_size, progress, writer,
-            tel, span)
-    finally:
-        if writer is not None:
-            writer.close()
-
-    fresh = {defect_key(d): r for d, r in zip(todo, records_todo)}
-    records = [resumed.get(defect_key(d)) or cached.get(defect_key(d))
-               or fresh[defect_key(d)] for d in defects]
-
-    n_store_puts = 0
-    if store_obj is not None:
-        for record in records:
-            if record.quarantined:
-                continue  # a transient crash must not poison the cache
-            if store_obj.put(result_key(fingerprint,
-                                        defect_key(record.defect)),
-                             _record_to_entry(record)):
-                n_store_puts += 1
-
-    mna_cache_stats = {key: CACHE_STATS[key] - cache_before[key]
-                       + worker_cache.get(key, 0) for key in CACHE_STATS}
-    return CampaignResult(records=records, oracle_names=oracle_names,
-                          n_resumed=len(resumed),
-                          n_batched_solves=batch_totals["n_batched_solves"],
-                          batch_occupancy=batch_totals["batch_occupancy"],
-                          batch_fallbacks=batch_totals["batch_fallbacks"],
-                          n_store_hits=len(cached),
-                          n_store_misses=n_store_misses,
-                          n_store_puts=n_store_puts,
-                          mna_cache_stats=mna_cache_stats)
+def _trace_campaign(tel: Telemetry, span, result: CampaignResult,
+                    low_rank: bool, stored: bool) -> None:
+    """Annotate the finished campaign span and flush its metrics."""
+    aggregate = result.aggregate_stats()
+    if low_rank:
+        span.set(n_batched_solves=result.n_batched_solves,
+                 batch_occupancy=result.batch_occupancy,
+                 batch_fallbacks=result.batch_fallbacks)
+    span.set(n_converged=sum(1 for r in result.records if r.converged),
+             solver_counts=result.solver_counts(),
+             newton_iterations=aggregate.iterations,
+             n_solver_failed=len(result.solver_failed()),
+             n_quarantined=len(result.quarantined()),
+             # Campaign-wide cache activity: parent-process delta plus
+             # every worker process's shipped delta (chunk boundaries
+             # make the split vary run to run; the sum is what reuse
+             # actually bought the campaign).
+             mna_cache_delta=dict(result.mna_cache_stats))
+    if stored:
+        span.set(n_store_hits=result.n_store_hits,
+                 n_store_misses=result.n_store_misses,
+                 n_store_puts=result.n_store_puts)
+        tel.metrics.counter("campaign.store_hits").add(result.n_store_hits)
+        tel.metrics.counter("campaign.store_misses").add(
+            result.n_store_misses)
+        tel.metrics.counter("campaign.store_puts").add(result.n_store_puts)
+    tel.metrics.counter("campaign.defects").add(len(result.records))
+    for solver_kind, count in result.solver_counts().items():
+        tel.metrics.counter(f"campaign.solves.{solver_kind}").add(count)
+    if result.solver_failed():
+        tel.metrics.counter("campaign.solver_failed").add(
+            len(result.solver_failed()))
+    if result.quarantined():
+        tel.metrics.counter("campaign.quarantined").add(
+            len(result.quarantined()))
+    tel.flush_metrics()
 
 
 def _solve_todo(circuit: Circuit, todo: List[Defect],
                 oracles: Sequence[Oracle], options: SimOptions,
-                warm_start: bool, low_rank: bool,
-                batch_size: Optional[int], parallel: bool,
+                warm_start: bool, low_rank: bool, window: int,
+                unit_size: int, parallel: bool,
                 workers: Optional[int], chunk_size: Optional[int],
-                progress: Optional[Callable[[int, int, float], None]],
-                writer, tel, span
+                sink: Callable[[List[FaultRecord]], None], tel, span
                 ) -> Tuple[List[FaultRecord], Dict[str, int], Dict[str, int]]:
-    """Solve the not-yet-checkpointed defects.
+    """Solve the defects the store did not hold.
 
     The unit of work handed to :func:`repro.parallel.parallel_map` is a
-    list of defects — one defect each on the conventional path,
-    :data:`WINDOWS_PER_UNIT` windows of ``batch_size`` defects each with
+    list of ``unit_size`` defects — one defect on the conventional path,
+    :data:`WINDOWS_PER_UNIT` windows of ``window`` defects each with
     ``low_rank`` — so every unit keeps the same fault-tolerance
-    properties: chunk salvage, hung-worker quarantine, checkpoint
-    streaming.  Serial and parallel runs cut the same units, so their
-    records and batch counters agree.  Returns the fresh records in
-    ``todo`` order,
-    the accumulated batch counters (zeros off the low-rank path), and
-    the summed MNA-cache deltas shipped back from genuine worker
-    processes (the parent's own delta is accounted by the caller)."""
+    properties: chunk salvage, hung-worker quarantine, and ``sink``
+    receiving its records the moment the parent sees them.  Serial and
+    parallel runs cut the same units, so their records and batch
+    counters agree.  Returns the fresh records in ``todo`` order, the
+    accumulated batch counters (zeros off the low-rank path), and the
+    summed MNA-cache deltas shipped back from genuine worker processes
+    (the parent's own delta is accounted by the caller)."""
     batch_totals = dict.fromkeys(_BATCH_COUNTER_KEYS, 0)
     worker_cache = dict.fromkeys(CACHE_STATS, 0)
     if not todo:
@@ -1160,12 +974,10 @@ def _solve_todo(circuit: Circuit, todo: List[Defect],
                 {name: reference.branch_current(name)
                  for name in reference.structure.branch_index})
 
-    window = batch_size or DEFAULT_BATCH_SIZE
-    size = window * WINDOWS_PER_UNIT if low_rank else 1
-    units = [todo[i:i + size] for i in range(0, len(todo), size)]
+    units = [todo[i:i + unit_size] for i in range(0, len(todo), unit_size)]
     # ``chunk_size`` counts defects; a chunk holds whole units.
     if chunk_size is not None:
-        chunk_size = -(-chunk_size // size)
+        chunk_size = -(-chunk_size // unit_size)
     # Worker processes must not receive the parent's telemetry (sinks
     # hold open file handles and would not merge anyway); with tracing
     # on they get a capturing wrapper instead, and their traces are
@@ -1186,21 +998,11 @@ def _solve_todo(circuit: Circuit, todo: List[Defect],
     else:
         solve = functools.partial(_solve_unit, **kwargs)
 
-    start = time.perf_counter()
-    defects_done = 0
+    finished: List[Any] = [None] * len(units)
 
     def on_result(index: int, value) -> None:
-        nonlocal defects_done
-        unit_records, _ = _unit_records(units[index], oracles, value)
-        if writer is not None:
-            # Stream every finalized record to the checkpoint the moment
-            # the parent sees it — including quarantined ones, so a
-            # resume does not re-run a defect that already cost a hang.
-            for record in unit_records:
-                writer.write(record)
-        if progress is not None:
-            defects_done += len(unit_records)
-            progress(defects_done, len(todo), time.perf_counter() - start)
+        finished[index] = _unit_records(units[index], oracles, value)
+        sink(finished[index][0])
 
     raw = parallel_map(solve, units, workers=workers,
                        chunk_size=chunk_size, serial=not parallel,
@@ -1215,7 +1017,7 @@ def _solve_todo(circuit: Circuit, todo: List[Defect],
     records: List[FaultRecord] = []
     parent_id = span.span_id if span is not None else None
     parent_pid = os.getpid()
-    for unit, value in zip(units, raw):
+    for value, (unit_records, counters) in zip(raw, finished):
         if isinstance(value, _WorkerResult):
             if value.pid != parent_pid:
                 for key, amount in value.cache_delta.items():
@@ -1223,7 +1025,6 @@ def _solve_todo(circuit: Circuit, todo: List[Defect],
             if capture and value.events is not None:
                 tel.tracer.ingest(value.events, parent_id=parent_id)
                 tel.metrics.merge(value.metrics)
-        unit_records, counters = _unit_records(unit, oracles, value)
         records.extend(unit_records)
         for key in _BATCH_COUNTER_KEYS:
             batch_totals[key] += counters[key]

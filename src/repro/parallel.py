@@ -161,10 +161,11 @@ def parallel_map(func: Callable[[T], R], items: Sequence[T], *,
     every fallback stage — salvaged chunk results are never re-counted
     when the remainder of a map reruns serially.  ``on_result`` (when
     given) is called as ``on_result(index, value)`` from the parent
-    process the moment an item's value is final (checkpoint writers hook
-    this); like ``progress`` it fires in completion order, not index
-    order, and ``value`` may be a :class:`MapFailure` under
-    ``on_error="return"``.  Results are still returned in input order.
+    process the moment an item's value is final (a campaign writes each
+    finished unit's records to its result store from it); like
+    ``progress`` it fires in completion order, not index order, and
+    ``value`` may be a :class:`MapFailure` under ``on_error="return"``.
+    Results are still returned in input order.
 
     Fault tolerance (see the module docstring for the full ladder):
 

@@ -19,8 +19,7 @@ counters, a ``service.queue_depth`` gauge, and a ``service.job_wall_s``
 histogram, all renderable via :class:`repro.telemetry.RunReport`.  The
 ``stats`` wire op additionally returns the registry as Prometheus text
 exposition (:meth:`CampaignService.exposition`), making a live server
-scrapable; ``python -m repro top host:port`` renders the same stats as
-a terminal dashboard.
+scrapable.
 
 The solver work itself is synchronous, CPU-bound code; jobs run on the
 default thread-pool executor (one at a time by default — each job

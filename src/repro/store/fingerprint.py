@@ -33,9 +33,9 @@ FINGERPRINT_SCHEMA = 1
 
 #: :class:`~repro.sim.options.SimOptions` fields that can change what a
 #: record contains: the only fields the options fingerprint hashes, so
-#: adding or removing any other field leaves every store and checkpoint
-#: valid.  ``solve_deadline_s`` and ``retry_iteration_scale`` belong
-#: here: they can turn a slow solve into a quarantine.
+#: adding or removing any other field leaves every store valid.
+#: ``solve_deadline_s`` and ``retry_iteration_scale`` belong here: they
+#: can turn a slow solve into a quarantine.
 SOLVE_OPTION_FIELDS = frozenset({
     "reltol", "vntol", "abstol", "gmin", "max_nr_iterations",
     "gmin_start", "gmin_factor", "source_steps", "sparse_threshold",

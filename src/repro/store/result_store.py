@@ -5,14 +5,15 @@ per writer process (``segments/seg-<pid>-<token>.jsonl``).  Writers
 never share a file, so concurrent campaigns on the same store cannot
 interleave partial lines — the failure mode that advisory locks would
 otherwise have to paper over.  Readers merge all segments into one
-in-memory index at open (and on :meth:`refresh`), tolerating torn
-final lines the same way checkpoint resume does: a crash mid-append
-loses at most that one record.
+in-memory index at open (and on :meth:`refresh`), skipping torn final
+lines: a crash mid-append loses at most that one record.
 
 Entries are keyed by :func:`repro.store.fingerprint.result_key` — a
-hash of (campaign fingerprint, defect key) — and hold the exact
-checkpoint-schema record entry, so a cached record round-trips
-field-identically through :func:`~repro.faults.campaign.run_campaign`.
+hash of (campaign fingerprint, defect key) — and hold the campaign's
+record entry, so a cached record round-trips field-identically through
+:func:`~repro.faults.campaign.run_campaign`.  A campaign puts each unit
+of work's records as it finishes, so the store is also the campaign's
+resume log: rerunning a killed campaign serves what it had finished.
 Puts are idempotent: a key already present (in memory or written by a
 concurrent writer seen via ``refresh``) is skipped, which is what makes
 the store a dedup cache rather than a log.
@@ -29,6 +30,12 @@ from typing import Any, Dict, Iterator, Optional, Union
 
 STORE_SCHEMA = 1
 _SEGMENT_DIR = "segments"
+
+
+def _line(key: str, entry: Dict[str, Any]) -> str:
+    """One segment line holding ``entry`` under ``key``."""
+    return json.dumps({"type": "record", "schema": STORE_SCHEMA,
+                       "key": key, "entry": entry}, sort_keys=True) + "\n"
 
 
 class ResultStore:
@@ -136,11 +143,8 @@ class ResultStore:
             if key in self._index:
                 self.dedup_skips += 1
                 return False
-            line = json.dumps({"type": "record", "schema": STORE_SCHEMA,
-                               "key": key, "entry": entry},
-                              sort_keys=True)
             writer = self._writer()
-            writer.write(line + "\n")
+            writer.write(_line(key, entry))
             writer.flush()
             self._index[key] = entry
             self.puts += 1
@@ -152,62 +156,40 @@ class ResultStore:
         """Rewrite all live segments into one deduplicated segment.
 
         Returns the number of records retained.  Safe only when no
-        other process is writing (an admin operation, like checkpoint
-        GC) — concurrent writers' new segments are untouched, but
-        records they wrote during the rewrite window may be dropped
-        from the index until the next :meth:`refresh`.
+        other process is writing (an admin operation) — concurrent
+        writers' new segments are untouched, but records they wrote
+        during the rewrite window may be dropped from the index until
+        the next :meth:`refresh`.
         """
         with self._lock:
-            return self._compact_locked()
-
-    def _compact_locked(self) -> int:
-        self.refresh()
-        old_segments = sorted(self._segment_dir.glob("*.jsonl"))
-        token = uuid.uuid4().hex[:8]
-        compacted = self._segment_dir / f"seg-{os.getpid()}-{token}.jsonl"
-        with open(compacted, "w") as out:
-            for key in sorted(self._index):
-                out.write(json.dumps(
-                    {"type": "record", "schema": STORE_SCHEMA,
-                     "key": key, "entry": self._index[key]},
-                    sort_keys=True) + "\n")
-        for segment in old_segments:
-            if segment != compacted:
-                segment.unlink(missing_ok=True)
-        if self._segment_file is not None:
-            try:
-                self._segment_file.close()
-            except OSError:
-                pass
-            self._segment_file = None
-            self._segment_pid = None
-        return len(self._index)
+            self._rewrite(lambda key, entry: True)
+            return len(self._index)
 
     def evict(self, keep) -> int:
         """Drop every record whose key fails ``keep(key, entry)``,
         then compact.  Returns the number evicted."""
         with self._lock:
-            return self._evict_locked(keep)
+            return self._rewrite(keep)
 
-    def _evict_locked(self, keep) -> int:
+    def _rewrite(self, keep) -> int:
+        """Replace every segment by one holding the records ``keep``
+        accepts; returns the number dropped.  The writer is closed
+        first: its segment is unlinked with the rest, so a later
+        :meth:`put` opens a fresh one."""
+        self.close()
         self.refresh()
         before = len(self._index)
         self._index = {key: entry for key, entry in self._index.items()
                        if keep(key, entry)}
-        evicted = before - len(self._index)
         old_segments = sorted(self._segment_dir.glob("*.jsonl"))
         token = uuid.uuid4().hex[:8]
         compacted = self._segment_dir / f"seg-{os.getpid()}-{token}.jsonl"
         with open(compacted, "w") as out:
             for key in sorted(self._index):
-                out.write(json.dumps(
-                    {"type": "record", "schema": STORE_SCHEMA,
-                     "key": key, "entry": self._index[key]},
-                    sort_keys=True) + "\n")
+                out.write(_line(key, self._index[key]))
         for segment in old_segments:
-            if segment != compacted:
-                segment.unlink(missing_ok=True)
-        return evicted
+            segment.unlink(missing_ok=True)
+        return before - len(self._index)
 
     def stats(self) -> Dict[str, int]:
         return {"records": len(self._index), "hits": self.hits,

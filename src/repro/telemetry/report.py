@@ -156,11 +156,6 @@ class RunReport:
         return [span for span in self.named("defect")
                 if span["attrs"].get("quarantined")]
 
-    def resumed_count(self) -> int:
-        """Defects restored from a checkpoint instead of re-solved."""
-        return sum(span["attrs"].get("n_resumed", 0)
-                   for span in self.named("campaign"))
-
     def verification_summary(self) -> Optional[Dict[str, Any]]:
         """Aggregates of the differential-verification fuzz runs in the
         trace (``repro.verify`` spans/counters), or ``None`` if the
@@ -277,9 +272,6 @@ class RunReport:
         quarantined = self.quarantined_defects()
         if quarantined:
             summary.append(f"quarantined defects: {len(quarantined)}")
-        resumed = self.resumed_count()
-        if resumed:
-            summary.append(f"resumed from checkpoint: {resumed}")
         sections.append(heading + "\n" + "\n".join(
             ("- " if markdown else "  ") + line for line in summary))
 

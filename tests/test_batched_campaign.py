@@ -79,7 +79,7 @@ def _is_open(view):
 
 
 def _record_core(record):
-    """Everything checkpointable about a record."""
+    """Everything a store entry keeps of a record."""
     return (dict(record.verdicts), record.converged,
             record.newton_iterations, record.n_factorizations,
             record.gmin_steps, record.source_steps,
@@ -218,14 +218,14 @@ def test_batch_size_without_low_rank_is_rejected(bench):
 def test_batched_campaign_checkpoint_resume(bench, tmp_path):
     circuit, defects, _ = bench
     subset = defects[:20]
-    path = tmp_path / "batched.ckpt.jsonl"
+    store = tmp_path / "store"
     first = run_campaign(circuit, subset, _bench()[2], low_rank=True,
-                         checkpoint=path)
-    resumed = run_campaign(circuit, subset, _bench()[2], low_rank=True,
-                           checkpoint=path, resume=True)
-    assert resumed.n_resumed == len(subset)
+                         store=store)
+    rerun = run_campaign(circuit, subset, _bench()[2], low_rank=True,
+                         store=store)
+    assert rerun.n_store_hits == len(subset)
     assert [_record_core(r) for r in first.records] == \
-           [_record_core(r) for r in resumed.records]
+           [_record_core(r) for r in rerun.records]
 
 
 def test_batched_campaign_telemetry_counters(bench):

@@ -4,10 +4,12 @@ The acceptance scenario for the caching layer: a cold campaign misses
 and writes every record; a warm re-run — even from rebuilt circuit
 objects, as a fresh process would hold — serves every defect from the
 store *field-identically*; namespaces and electrical changes partition
-the cache; quarantined records never poison it; and the checkpoint
-fingerprint refuses resumes against a different campaign.
+the cache; quarantined records never poison it; and the campaign
+fingerprint in every address lets a campaign resume from its own
+records while campaigns whose defect keys collide never alias.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -15,11 +17,9 @@ import pytest
 from repro.cml import NOMINAL, buffer_chain
 from repro.dft import build_shared_monitor
 from repro.faults import (
-    CheckpointMismatch,
     FlagOracle,
     IddqOracle,
     LogicOracle,
-    checkpoint_header,
     defect_key,
     enumerate_defects,
     run_campaign,
@@ -27,7 +27,7 @@ from repro.faults import (
 from repro.sim import SimOptions
 from repro.sim.mna import CACHE_STATS
 from repro.sim.options import DEFAULT_OPTIONS
-from repro.store import ResultStore
+from repro.store import ResultStore, campaign_fingerprint, result_key
 from repro.telemetry import RunReport, Telemetry
 
 TECH = NOMINAL
@@ -153,21 +153,41 @@ class TestStoreRoundTrip:
         assert warm.n_store_hits == len(defects)
         assert warm.records == cold.records
 
-    def test_checkpoint_and_store_compose(self, setup, tmp_path):
+    def test_entry_json_shape_is_pinned(self, setup, tmp_path):
+        # Every existing store holds entries in exactly this shape: a
+        # campaign writes it, and an entry written in it is a hit.
         chain, oracles, defects = setup
-        store = ResultStore(tmp_path / "store")
-        path = str(tmp_path / "ckpt.jsonl")
-        run_campaign(chain.circuit, defects, oracles, store=store)
-        # Resumed-from-checkpoint records take precedence; the rest
-        # come from the store; nothing solves fresh.
-        warm = run_campaign(chain.circuit, defects, oracles, store=store,
-                            checkpoint=path)
-        assert warm.n_store_hits == len(defects)
-        resumed = run_campaign(chain.circuit, defects, oracles,
-                               store=store, checkpoint=path, resume=True)
-        assert resumed.n_resumed == len(defects)
-        assert resumed.n_store_hits == 0  # checkpoint satisfied them all
-        assert resumed.records == warm.records
+        fresh = run_campaign(chain.circuit, defects[:1], oracles)
+        record = fresh.records[0]
+        entry = {"type": "record", "schema": 1,
+                 "key": defect_key(record.defect),
+                 "verdicts": dict(record.verdicts),
+                 "converged": record.converged,
+                 "newton_iterations": record.newton_iterations,
+                 "solver": record.solver,
+                 "n_factorizations": record.n_factorizations,
+                 "gmin_steps": record.gmin_steps,
+                 "source_steps": record.source_steps,
+                 "quarantined": record.quarantined,
+                 "quarantine_reason": record.quarantine_reason}
+        address = result_key(
+            campaign_fingerprint(chain.circuit, DEFAULT_OPTIONS, oracles),
+            defect_key(record.defect))
+        written = tmp_path / "written"
+        run_campaign(chain.circuit, defects[:1], oracles, store=written)
+        [segment] = (written / "segments").glob("*.jsonl")
+        assert json.loads(segment.read_text()) == {
+            "type": "record", "schema": 1, "key": address, "entry": entry}
+
+        legacy = tmp_path / "legacy" / "segments"
+        legacy.mkdir(parents=True)
+        (legacy / "seg-1-legacy.jsonl").write_text(json.dumps(
+            {"type": "record", "schema": 1, "key": address,
+             "entry": entry}) + "\n")
+        served = run_campaign(chain.circuit, defects[:1], oracles,
+                              store=legacy.parent)
+        assert served.n_store_hits == 1
+        assert served.records == fresh.records
 
 
 class TestStoreTelemetry:
@@ -233,74 +253,38 @@ class TestWorkerCacheStats:
 
 
 class TestCheckpointFingerprint:
-    def test_header_carries_the_fingerprint(self, setup, tmp_path):
-        chain, oracles, defects = setup
-        path = str(tmp_path / "ckpt.jsonl")
-        run_campaign(chain.circuit, defects, oracles, checkpoint=path)
-        header = checkpoint_header(path)
-        assert header is not None
-        assert len(header["fingerprint"]) == 64
+    """The store is each campaign's checkpoint, and the campaign
+    fingerprint is part of every address: the same campaign resumes
+    from its records, and no other campaign can read them."""
 
     def test_same_campaign_resumes(self, setup, tmp_path):
         chain, oracles, defects = setup
-        path = str(tmp_path / "ckpt.jsonl")
-        baseline = run_campaign(chain.circuit, defects, oracles,
-                                checkpoint=path)
-        resumed = run_campaign(chain.circuit, defects, oracles,
-                               checkpoint=path, resume=True)
-        assert resumed.n_resumed == len(defects)
-        assert resumed.records == baseline.records
-
-    def test_mismatched_resume_is_refused(self, setup, tmp_path):
-        chain, oracles, defects = setup
-        path = str(tmp_path / "ckpt.jsonl")
-        run_campaign(chain.circuit, defects, oracles, checkpoint=path)
-        with pytest.raises(CheckpointMismatch):
-            run_campaign(chain.circuit, defects, oracles,
-                         options=SimOptions(gmin=1e-10),
-                         checkpoint=path, resume=True)
-
-    def test_mismatched_append_is_refused_too(self, setup, tmp_path):
-        # Even without --resume, appending a different campaign's
-        # records to an existing checkpoint would corrupt it.
-        chain, oracles, defects = setup
-        path = str(tmp_path / "ckpt.jsonl")
-        run_campaign(chain.circuit, defects, oracles, checkpoint=path)
-        with pytest.raises(CheckpointMismatch):
-            run_campaign(chain.circuit, defects, oracles,
-                         options=SimOptions(gmin=1e-10), checkpoint=path)
+        store = tmp_path / "store"
+        partial = run_campaign(chain.circuit, defects[:2], oracles,
+                               store=store)
+        resumed = run_campaign(chain.circuit, defects, oracles, store=store)
+        assert resumed.n_store_hits == 2
+        assert resumed.n_store_misses == len(defects) - 2
+        assert resumed.records[:2] == partial.records
+        assert resumed.records == run_campaign(chain.circuit, defects,
+                                               oracles).records
 
     def test_cross_campaign_keys_may_collide_but_fingerprints_refuse(
             self, setup, tmp_path):
         # Two campaigns over the same chain with different solver
-        # options share defect_keys — exactly the collision the
-        # fingerprint exists to catch.
+        # options share every defect_key; the fingerprint gives each
+        # its own store addresses, so one never reads the other's.
         chain, oracles, defects = setup
-        keys_a = {defect_key(d) for d in defects}
         chain2, oracles2, defects2 = _setup()
-        assert {defect_key(d) for d in defects2} == keys_a
-
-        path = str(tmp_path / "ckpt.jsonl")
-        run_campaign(chain.circuit, defects, oracles, checkpoint=path,
+        assert [defect_key(d) for d in defects2] == \
+            [defect_key(d) for d in defects]
+        store = tmp_path / "store"
+        run_campaign(chain.circuit, defects, oracles, store=store,
                      options=SimOptions(gmin=1e-12))
-        with pytest.raises(CheckpointMismatch, match="fingerprint"):
-            run_campaign(chain2.circuit, defects2, oracles2,
-                         checkpoint=path, resume=True,
-                         options=SimOptions(gmin=1e-10))
-
-    def test_legacy_headerless_checkpoint_still_resumes(self, setup,
-                                                        tmp_path):
-        chain, oracles, defects = setup
-        modern = tmp_path / "modern.jsonl"
-        run_campaign(chain.circuit, defects, oracles,
-                     checkpoint=str(modern))
-        # Strip the header: what a pre-fingerprint (or hand-rolled)
-        # checkpoint looks like.
-        lines = modern.read_text().splitlines(keepends=True)
-        legacy = tmp_path / "legacy.jsonl"
-        legacy.write_text("".join(
-            line for line in lines if '"type": "header"' not in line
-            and '"header"' not in line.split(",")[0]))
-        resumed = run_campaign(chain.circuit, defects, oracles,
-                               checkpoint=str(legacy), resume=True)
-        assert resumed.n_resumed == len(defects)
+        other_options = SimOptions(gmin=1e-10)
+        other = run_campaign(chain2.circuit, defects2, oracles2,
+                             store=store, options=other_options)
+        assert other.n_store_hits == 0
+        assert other.records == run_campaign(
+            chain2.circuit, defects2, oracles2,
+            options=other_options).records

@@ -1,8 +1,8 @@
-"""CLI round-trip: an interrupted checkpointed campaign resumed from
-its checkpoint must produce record-identical results to an unbroken
-run.  Exercises the real ``python -m repro campaign`` entry point via
-subprocess, including a simulated mid-run kill (truncated checkpoint
-with a torn final line)."""
+"""CLI round-trip: a campaign killed mid-run and rerun on the same
+result store must produce record-identical results to an unbroken run.
+Exercises the real ``python -m repro campaign`` entry point via
+subprocess, including a simulated mid-run kill (a partial store whose
+segment ends in a torn line)."""
 
 import json
 import os
@@ -10,8 +10,6 @@ import subprocess
 import sys
 
 import pytest
-
-from repro.faults import load_checkpoint
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 TOTAL_DEFECTS = 6
@@ -29,61 +27,70 @@ def _run_campaign(tmp_path, *extra):
                           capture_output=True, text=True, timeout=300)
 
 
-def _comparable(entries):
-    """Checkpoint records minus the run-specific performance fields."""
-    keep = ("verdicts", "converged", "solver", "quarantined")
-    return {key: {name: entry.get(name) for name in keep}
-            for key, entry in entries.items()}
+def _segment_lines(store):
+    return [line for segment in sorted((store / "segments").glob("*.jsonl"))
+            for line in segment.read_text().splitlines() if line]
+
+
+def _entries(store):
+    """Every record entry in ``store``'s segments, by store address."""
+    entries = {}
+    for line in _segment_lines(store):
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        entries[entry["key"]] = entry["entry"]
+    return entries
 
 
 @pytest.fixture(scope="module")
 def roundtrip(tmp_path_factory):
-    """One partial run + simulated kill + resume, one unbroken run."""
+    """One partial run + simulated kill + rerun, one unbroken run."""
     tmp_path = tmp_path_factory.mktemp("campaign_cli")
-    resumed_ck = tmp_path / "resumed.jsonl"
-    fresh_ck = tmp_path / "fresh.jsonl"
+    resumed_store = tmp_path / "resumed"
+    fresh_store = tmp_path / "fresh"
 
     partial = _run_campaign(tmp_path, "--limit", str(PARTIAL_DEFECTS),
-                            "--checkpoint", str(resumed_ck))
+                            "--store", str(resumed_store))
     assert partial.returncode == 0, partial.stderr
 
     # Simulate dying mid-write: append a torn (truncated) JSON line.
-    with open(resumed_ck, "a", encoding="utf-8") as handle:
+    [segment] = (resumed_store / "segments").glob("*.jsonl")
+    with open(segment, "a", encoding="utf-8") as handle:
         handle.write('{"type": "record", "schema"')
 
     resumed = _run_campaign(tmp_path, "--limit", str(TOTAL_DEFECTS),
-                            "--checkpoint", str(resumed_ck), "--resume")
+                            "--store", str(resumed_store))
     assert resumed.returncode == 0, resumed.stderr
 
     fresh = _run_campaign(tmp_path, "--limit", str(TOTAL_DEFECTS),
-                          "--checkpoint", str(fresh_ck))
+                          "--store", str(fresh_store))
     assert fresh.returncode == 0, fresh.stderr
-    return resumed, fresh, resumed_ck, fresh_ck
+    return resumed, fresh, resumed_store, fresh_store
 
 
 def test_resume_skips_completed_defects(roundtrip):
     resumed, _, _, _ = roundtrip
-    assert f"{PARTIAL_DEFECTS} resumed from checkpoint" in resumed.stdout
+    assert (f"store: {PARTIAL_DEFECTS} hit(s) / "
+            f"{TOTAL_DEFECTS - PARTIAL_DEFECTS} miss(es)") in resumed.stdout
 
 
 def test_resumed_equals_fresh_record_for_record(roundtrip):
-    _, _, resumed_ck, fresh_ck = roundtrip
-    resumed_entries = load_checkpoint(resumed_ck)
-    fresh_entries = load_checkpoint(fresh_ck)
+    _, _, resumed_store, fresh_store = roundtrip
+    resumed_entries = _entries(resumed_store)
     assert len(resumed_entries) == TOTAL_DEFECTS
-    assert sorted(resumed_entries) == sorted(fresh_entries)
-    assert _comparable(resumed_entries) == _comparable(fresh_entries)
+    assert resumed_entries == _entries(fresh_store)
 
 
 def test_torn_checkpoint_line_is_ignored(roundtrip):
-    """The injected torn line must not surface as a record, and every
-    surviving line must be valid JSON exactly once per defect."""
-    _, _, resumed_ck, _ = roundtrip
-    with open(resumed_ck, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle.read().splitlines() if line]
+    """The torn line injected into the store's segment must not surface
+    as a record, and every surviving line must be valid JSON exactly
+    once per defect."""
+    _, _, resumed_store, _ = roundtrip
     parsed = []
     torn = 0
-    for line in lines:
+    for line in _segment_lines(resumed_store):
         try:
             parsed.append(json.loads(line))
         except json.JSONDecodeError:
@@ -93,7 +100,7 @@ def test_torn_checkpoint_line_is_ignored(roundtrip):
     assert len(keys) == len(set(keys)) == TOTAL_DEFECTS
 
 
-def test_reports_match_between_resumed_and_fresh(roundtrip):
+def test_resumed_and_fresh_reports_match(roundtrip):
     """The human-readable coverage table (verdict section of stdout)
     must be identical whether or not the run was interrupted."""
     resumed, fresh, _, _ = roundtrip

@@ -3,7 +3,7 @@
 Examples are documentation that executes; this keeps them from rotting
 as the library evolves.  ``REPRO_EXAMPLE_FAST=1`` switches the heavy
 scripts onto reduced grids, and each example runs from a temporary
-working directory so dropped artifacts (checkpoints, result dirs)
+working directory so dropped artifacts (result stores, output files)
 never touch the repo.
 """
 

@@ -1,4 +1,4 @@
-"""Observability layer: trace propagation, exporters, profiler, top.
+"""Observability layer: trace propagation, exporters, profiler, CLI.
 
 Acceptance for the cross-process observability features: trace ids
 minted at the root survive through worker envelopes so every event of a
@@ -6,7 +6,7 @@ parallel campaign carries them; ``Tracer.ingest`` handles empty, nested
 and torn inputs; histograms answer quantiles within the sketch's
 relative-error bound; the Chrome/Perfetto and Prometheus exporters
 round-trip; the sampling profiler attributes self/total time sanely;
-and the CLI front ends (``report``, ``trace``, ``top``) drive it all.
+and the CLI front ends (``report``, ``trace``) drive it all.
 """
 
 import asyncio
@@ -500,29 +500,3 @@ class TestCli:
         from repro.__main__ import main
         assert main(["trace", "report", str(trace_file)]) == 0
         assert "campaign" in capsys.readouterr().out
-
-    def test_top_once_against_live_service(self, capsys):
-        from repro.__main__ import main
-        from repro.service import CampaignService
-
-        async def scenario():
-            service = CampaignService(workers=1)
-            server = await service.serve(port=0)
-            host, port = server.sockets[0].getsockname()[:2]
-            # The scrape opens a blocking socket; run it off-loop so the
-            # service event loop can answer.
-            code = await asyncio.to_thread(
-                main, ["top", f"{host}:{port}", "--once"])
-            server.close()
-            await server.wait_closed()
-            return code
-
-        assert asyncio.run(scenario()) == 0
-        out = capsys.readouterr().out
-        assert "jobs submitted" in out
-        assert "queue depth" in out
-
-    def test_top_refuses_bad_address(self, capsys):
-        from repro.__main__ import main
-        assert main(["top", "no-port-here", "--once"]) == 2
-        assert main(["top", "127.0.0.1:1", "--once"]) == 1

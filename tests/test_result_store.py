@@ -31,7 +31,7 @@ from repro.store import (
 
 #: ``options_fingerprint(SimOptions())``.  Pinned so that removing or
 #: adding an option no solve reads cannot silently invalidate every
-#: store and checkpoint.
+#: store.
 DEFAULT_OPTIONS_DIGEST = (
     "545017bb895f5ad5325bb38ef961ba096477d192eb44da018674d69243d65e82")
 
@@ -143,6 +143,24 @@ class TestStoreBasics:
         assert len(reopened) == 1
         assert reopened.get("keep") == ENTRY
         assert reopened.get("drop") is None
+
+    @pytest.mark.parametrize("rewrite", ["evict", "compact"])
+    def test_put_after_rewrite_persists(self, tmp_path, rewrite):
+        # The rewrite unlinks every segment, this writer's own included;
+        # a later put in the same process must land in a live segment.
+        store = ResultStore(tmp_path / "store")
+        store.put("keep", ENTRY)
+        store.put("drop", OTHER)
+        if rewrite == "evict":
+            store.evict(lambda key, entry: key == "keep")
+        else:
+            store.compact()
+        store.put("after", OTHER)
+        store.close()
+        reopened = ResultStore(tmp_path / "store")
+        assert reopened.get("keep") == ENTRY
+        assert reopened.get("after") == OTHER
+        assert ("drop" in reopened) == (rewrite == "compact")
 
     def test_read_only_store_creates_no_segment(self, tmp_path):
         path = tmp_path / "store"

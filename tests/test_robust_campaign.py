@@ -4,7 +4,7 @@ The acceptance scenario for the robustness layer: a campaign containing
 a defect that crashes its worker and a defect that hangs it still
 completes, every healthy defect gets its normal record, the offenders
 are quarantined with reasons — and a campaign killed mid-run resumes
-from its JSONL checkpoint to a record-identical result.
+from its result store to a record-identical result.
 """
 
 import multiprocessing
@@ -17,7 +17,6 @@ from repro.circuit import VoltageSource
 from repro.cml import NOMINAL, buffer_chain
 from repro.dft import build_shared_monitor
 from repro.faults import (
-    CHECKPOINT_SCHEMA,
     FAIL,
     FlagOracle,
     IddqOracle,
@@ -25,7 +24,6 @@ from repro.faults import (
     Pipe,
     defect_key,
     enumerate_defects,
-    load_checkpoint,
     run_campaign,
 )
 from repro.sim import SimOptions
@@ -186,103 +184,97 @@ class TestSolverDeadline:
         assert options.escalated().reltol == options.reltol
 
 
+def _kill_then_rerun(circuit, defects, oracles, store, killed_at,
+                     **engine):
+    """Run into ``store`` until ``progress`` reports ``killed_at``
+    defects done, die there, then rerun the same campaign."""
+
+    class Killed(RuntimeError):
+        pass
+
+    def die(done, total, elapsed):
+        if done >= killed_at:
+            raise Killed
+
+    with pytest.raises(Killed):
+        run_campaign(circuit, defects, oracles, store=store, progress=die,
+                     **engine)
+    return run_campaign(circuit, defects, oracles, store=store, **engine)
+
+
 class TestCheckpointResume:
+    """A campaign's result store is its checkpoint: every finished unit
+    is stored as the parent sees it, so a rerun resumes a killed run."""
+
     def test_roundtrip_is_record_identical(self, setup, tmp_path):
         chain, oracles, defects, baseline = setup
-        full = str(tmp_path / "full.jsonl")
-        result = run_campaign(chain.circuit, defects, oracles,
-                              checkpoint=full)
+        full = tmp_path / "full"
+        result = run_campaign(chain.circuit, defects, oracles, store=full)
         assert result.records == baseline.records
-        entries = load_checkpoint(full)
-        assert set(entries) == {defect_key(d) for d in defects}
+        [segment] = (full / "segments").glob("*.jsonl")
 
-        # Simulate a crash: keep the header + two records, plus a torn
-        # final line the killed process never finished writing.
-        with open(full, encoding="utf-8") as handle:
-            lines = handle.readlines()
-        partial = str(tmp_path / "partial.jsonl")
-        with open(partial, "w", encoding="utf-8") as handle:
-            handle.writelines(lines[:3])
-            handle.write('{"type": "record", "torn')
+        # Simulate a crash: two stored records, plus a torn final line
+        # the killed process never finished writing.
+        lines = segment.read_text().splitlines(keepends=True)
+        partial = tmp_path / "partial"
+        (partial / "segments").mkdir(parents=True)
+        (partial / "segments" / segment.name).write_text(
+            "".join(lines[:2]) + '{"type": "record", "torn')
 
         resumed = run_campaign(chain.circuit, defects, oracles,
-                               checkpoint=partial, resume=True)
+                               store=partial)
         assert resumed.records == baseline.records
-        assert resumed.n_resumed == 2
-        # The resumed run healed its own checkpoint: complete again.
-        assert set(load_checkpoint(partial)) == set(entries)
+        assert (resumed.n_store_hits, resumed.n_store_misses) == (2, 2)
+        assert resumed.n_store_puts == 2
 
-        # Resuming the now-complete checkpoint solves nothing anew.
-        again = run_campaign(chain.circuit, defects, oracles,
-                             checkpoint=partial, resume=True)
+        # The store is complete again: a rerun solves nothing anew.
+        again = run_campaign(chain.circuit, defects, oracles, store=partial)
         assert again.records == baseline.records
-        assert again.n_resumed == len(defects)
+        assert again.n_store_hits == len(defects)
 
     def test_kill_mid_run_then_resume(self, setup, tmp_path):
         chain, oracles, defects, baseline = setup
-        path = str(tmp_path / "killed.jsonl")
-
-        class Killed(RuntimeError):
-            pass
-
-        def die_after_two(done, total, elapsed):
-            if done == 2:
-                raise Killed
-
-        with pytest.raises(Killed):
-            run_campaign(chain.circuit, defects, oracles, checkpoint=path,
-                         progress=die_after_two)
-        assert len(load_checkpoint(path)) == 2
-
-        resumed = run_campaign(chain.circuit, defects, oracles,
-                               checkpoint=path, resume=True)
+        resumed = _kill_then_rerun(chain.circuit, defects, oracles,
+                                   tmp_path / "store", killed_at=2)
         assert resumed.records == baseline.records
-        assert resumed.n_resumed == 2
+        assert (resumed.n_store_hits, resumed.n_store_misses) == (2, 2)
 
-    def test_resume_from_separate_file(self, setup, tmp_path):
+    def test_kill_mid_run_then_resume_parallel(self, setup, tmp_path):
         chain, oracles, defects, baseline = setup
-        old = str(tmp_path / "old.jsonl")
-        new = str(tmp_path / "new.jsonl")
-        run_campaign(chain.circuit, defects, oracles, checkpoint=old)
-        carried = run_campaign(chain.circuit, defects, oracles,
-                               checkpoint=new, resume=old)
-        assert carried.records == baseline.records
-        assert carried.n_resumed == len(defects)
-        # The carried-forward records were replayed into the new file.
-        assert set(load_checkpoint(new)) == {defect_key(d)
-                                             for d in defects}
+        resumed = _kill_then_rerun(chain.circuit, defects, oracles,
+                                   tmp_path / "store", killed_at=2,
+                                   parallel=True, workers=WORKERS)
+        assert resumed.records == baseline.records
+        assert (resumed.n_store_hits, resumed.n_store_misses) == (2, 2)
 
-    def test_resume_true_requires_checkpoint(self, setup):
+    def test_kill_mid_run_then_resume_low_rank(self, setup, tmp_path):
+        # Units of 16 defects at batch_size=1: the kill lands after the
+        # first unit, and the rerun solves the second.
+        chain, oracles, _, _ = setup
+        defects = list(enumerate_defects(chain.circuit, kinds=("pipe",),
+                                         pipe_resistances=(4e3,)))
+        assert len(defects) > 16
+        engine = dict(low_rank=True, batch_size=1)
+        unbroken = run_campaign(chain.circuit, defects, oracles, **engine)
+        resumed = _kill_then_rerun(chain.circuit, defects, oracles,
+                                   tmp_path / "store", killed_at=16,
+                                   **engine)
+        assert resumed.records == unbroken.records
+        assert resumed.n_store_hits == 16
+        assert resumed.n_store_misses == len(defects) - 16
+
+    def test_rerun_retries_quarantined_defects(self, setup, tmp_path):
         chain, oracles, defects, _ = setup
-        with pytest.raises(ValueError, match="checkpoint"):
-            run_campaign(chain.circuit, defects, oracles, resume=True)
-
-    def test_loader_tolerates_garbage(self, tmp_path):
-        path = str(tmp_path / "garbage.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("not json at all\n")
-            handle.write('{"type": "header", "schema": '
-                         f'{CHECKPOINT_SCHEMA}}}\n')
-            handle.write('["a", "list", "entry"]\n')
-            handle.write('{"type": "record"}\n')  # no key
-            handle.write('{"type": "rec')
-        assert load_checkpoint(path) == {}
-        assert load_checkpoint(str(tmp_path / "missing.jsonl")) == {}
-
-    def test_quarantined_records_checkpoint_and_resume(self, setup,
-                                                       tmp_path):
-        chain, oracles, defects, _ = setup
-        path = str(tmp_path / "quarantine.jsonl")
+        store = tmp_path / "store"
         options = SimOptions(solve_deadline_s=1e-9)
         first = run_campaign(chain.circuit, defects, oracles,
-                             options=options, checkpoint=path)
-        # A resumed run must not pay for the quarantined defects again —
-        # their (all-FAIL, reason-carrying) records come from the file.
-        resumed = run_campaign(chain.circuit, defects, oracles,
-                               options=options, checkpoint=path,
-                               resume=True)
-        assert resumed.n_resumed == len(defects)
-        assert resumed.records == first.records
-        assert all(r.quarantined for r in resumed.records)
-        assert resumed.records[0].quarantine_reason == \
-            first.records[0].quarantine_reason
+                             options=options, store=store)
+        assert all(r.quarantined for r in first.records)
+        assert first.n_store_puts == 0
+        # Nothing was stored, so the rerun solves every defect again —
+        # and, the starvation being deterministic, gets the same records.
+        rerun = run_campaign(chain.circuit, defects, oracles,
+                             options=options, store=store)
+        assert rerun.n_store_hits == 0
+        assert rerun.n_store_misses == len(defects)
+        assert rerun.records == first.records
