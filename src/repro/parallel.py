@@ -165,7 +165,9 @@ def parallel_map(func: Callable[[T], R], items: Sequence[T], *,
     finished unit's records to its result store from it); like
     ``progress`` it fires in completion order, not index order, and
     ``value`` may be a :class:`MapFailure` under ``on_error="return"``.
-    Results are still returned in input order.
+    Results are still returned in input order.  An exception from either
+    hook stops the map: queued chunks are cancelled, and it propagates
+    once the chunks already running have finished.
 
     Fault tolerance (see the module docstring for the full ladder):
 
@@ -424,6 +426,7 @@ def _pool_phase(func, items: List[Any], spans: List[_Span], workers: int,
     hung: List[Tuple[_Span, int]] = []
     broken = False
     clean = True
+    stopped = False
 
     def submit(span: _Span):
         start, stop = span
@@ -493,9 +496,14 @@ def _pool_phase(func, items: List[Any], spans: List[_Span], workers: int,
                     leftover.append(
                         (future_span[future], attempts[future_span[future]]))
                 pending = set()
+    except BaseException:
+        # A ``finalize`` hook raised (how a campaign's ``progress``
+        # stops it): drop the queued chunks instead of solving them.
+        stopped = True
+        raise
     finally:
         if clean:
-            pool.shutdown(wait=True)
+            pool.shutdown(wait=True, cancel_futures=stopped)
         else:
             pool.shutdown(wait=False, cancel_futures=True)
             if hung:

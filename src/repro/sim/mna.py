@@ -28,7 +28,8 @@ Two assembly engines coexist:
   and reused by every Newton iteration and transient timestep, so each
   iteration only rewrites the value vector before refactorising.  Every
   sparse factorization is :func:`factor_sparse`: SuperLU ordered and
-  blocked for circuit matrices.
+  blocked for circuit matrices.  SciPy is imported inside the sparse
+  sites only, on the first sparse system, so dense runs never load it.
 
 Compiled artifacts are cached per circuit topology via
 :func:`structure_for`, keyed on :attr:`Circuit.topology_version`, which
@@ -46,15 +47,17 @@ companion stamps.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
-from scipy.sparse import coo_matrix, csc_matrix
-from scipy.sparse.linalg import splu
 
 from ..circuit.devices import Bjt, junction_current_vec, pnjlim_vec
 from ..circuit.netlist import GROUND, Circuit, Component, SplitTerminal
+
+if TYPE_CHECKING:
+    from scipy.sparse import csc_matrix
 
 
 class SingularMatrixError(RuntimeError):
@@ -277,6 +280,8 @@ class MnaStamper:
         """Freeze the current stamps as the per-iteration starting point."""
         self._base_rhs = self._rhs.copy()
         if self.sparse:
+            from scipy.sparse import coo_matrix
+
             matrix = coo_matrix(
                 (self._vals, (self._rows, self._cols)), shape=(self._n, self._n)
             )
@@ -297,6 +302,8 @@ class MnaStamper:
     def solve(self) -> np.ndarray:
         """Solve the assembled system; raises :class:`SingularMatrixError`."""
         if self.sparse:
+            from scipy.sparse import coo_matrix, csc_matrix
+
             if self._vals:
                 extra = coo_matrix(
                     (self._vals, (self._rows, self._cols)),
@@ -547,6 +554,8 @@ class _CscPattern:
     def matrix(self, data: np.ndarray) -> csc_matrix:
         """The CSC matrix on this pattern whose data *is* ``data``, not a
         copy: refilling ``data`` in place refills the matrix."""
+        from scipy.sparse import csc_matrix
+
         matrix = csc_matrix((data, self.indices, self.indptr),
                             shape=(self.n, self.n))
         if not np.shares_memory(matrix.data, data):
@@ -1318,6 +1327,8 @@ def factor_sparse(matrix):
     default, partial pivoting: voltage-source branch rows have zero
     diagonals.  Raises :class:`SingularMatrixError` on a singular matrix.
     """
+    from scipy.sparse.linalg import splu
+
     try:
         return splu(matrix, permc_spec=_PERMC_SPEC, relax=_RELAX,
                     panel_size=_PANEL_SIZE)
@@ -1427,6 +1438,8 @@ class CompiledSystem:
             np.add.at(self._work, self.pattern.nl_pos, nl_vals)
             matrix = self._matrix
             if fb is not None:
+                from scipy.sparse import coo_matrix
+
                 rows, cols, vals = fb.matrix_arrays()
                 matrix = matrix + coo_matrix(
                     (vals, (rows, cols)), shape=(self.n, self.n)).tocsc()

@@ -14,8 +14,10 @@ Unknowns propagate pessimistically through the cell evaluators.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 #: The 3-valued domain.
 Value = Optional[bool]
@@ -42,6 +44,19 @@ def _x_safe(eval_fn: Callable[..., Tuple[bool, ...]],
         if len(outcomes) > 1:
             return None
     return outcomes.pop()
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_logic(cell_type: str
+                ) -> Tuple[int, Callable[..., Tuple[bool, ...]]]:
+    """Input count and ``logic_eval`` of one cell type, read once from
+    its transistor-level template (see ``CELL_BUILDERS``)."""
+    from ..cml.cells import CELL_BUILDERS
+
+    template = CELL_BUILDERS[cell_type]()
+    if cell_type == "dff":
+        return 1, template.logic_eval  # clock is implicit at the logic level
+    return len(template.logic_inputs), template.logic_eval
 
 
 @dataclass(frozen=True)
@@ -99,6 +114,8 @@ class LogicNetwork:
     def __init__(self, name: str = ""):
         self.name = name
         self.gates: Dict[str, Gate] = {}
+        #: Every gate output: :meth:`add_gate` refuses a second driver.
+        self._driven: Set[str] = set()
         self.primary_inputs: List[str] = []
         self.primary_outputs: List[str] = []
         self._order: Optional[List[Gate]] = None
@@ -124,26 +141,22 @@ class LogicNetwork:
     def add_gate(self, name: str, cell_type: str, inputs: Sequence[str],
                  output: str) -> Gate:
         """Add a gate of a known CML cell type (see ``CELL_BUILDERS``)."""
-        from ..cml.cells import CELL_BUILDERS
-
         if name in self.gates:
             raise ValueError(f"duplicate gate name {name!r}")
         if cell_type not in self.COMBINATIONAL and cell_type != "dff":
             raise ValueError(f"unsupported cell type {cell_type!r}")
-        if any(gate.output == output for gate in self.gates.values()):
+        if output in self._driven:
             raise ValueError(f"net {output!r} already driven")
-        template = CELL_BUILDERS[cell_type]()
-        expected = len(template.logic_inputs)
-        if cell_type == "dff":
-            expected = 1  # clock is implicit at the logic level
+        expected, eval_fn = _cell_logic(cell_type)
         if len(inputs) != expected:
             raise ValueError(
                 f"{name}: {cell_type} takes {expected} inputs, got "
                 f"{len(inputs)}")
         gate = Gate(name=name, cell_type=cell_type, inputs=list(inputs),
-                    output=output, eval_fn=template.logic_eval,
+                    output=output, eval_fn=eval_fn,
                     is_sequential=(cell_type == "dff"))
         self.gates[name] = gate
+        self._driven.add(output)
         self._order = None
         self._compiled = None
         return gate
@@ -233,8 +246,7 @@ class LogicNetwork:
     def validate(self) -> List[str]:
         """Topology warnings: undriven nets, unread outputs."""
         warnings = []
-        driven = set(self.primary_inputs)
-        driven.update(g.output for g in self.gates.values())
+        driven = self._driven.union(self.primary_inputs)
         for gate in self.gates.values():
             for net in gate.inputs:
                 if net not in driven:

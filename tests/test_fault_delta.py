@@ -12,6 +12,7 @@ serial/parallel runs return the same records.
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
@@ -34,7 +35,6 @@ from repro.faults.campaign import _warm_start_vector
 from repro.faults.catalog import ALL_KINDS
 from repro.faults.defects import ResistorOpen, ResistorShort, TerminalOpen
 from repro.faults.injector import inject
-from repro.sim import mna
 from repro.sim.batch import _Member, solve_batch
 from repro.sim.dc import DeltaContext, operating_point
 from repro.sim.mna import (CompiledStamps, build_base, solve_direct,
@@ -215,7 +215,7 @@ def test_sparse_factorization_sites_agree(ila, monkeypatch):
         settings.append((matrix, sorted(kwargs.items())))
         return splu(matrix, **kwargs)
 
-    monkeypatch.setattr(mna, "splu", spy)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
     stamper = build_base(structure, SimOptions(use_compiled=False), None)
     stamp_nonlinear(structure, stamper, x)
     legacy = stamper.solve()

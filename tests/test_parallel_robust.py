@@ -51,6 +51,18 @@ def _hang(x):
     return 2 * x
 
 
+def _mark(item):
+    """Works briefly, then leaves one marker file for its item."""
+    directory, index = item
+    time.sleep(0.1)
+    open(os.path.join(directory, f"{index}.done"), "w").close()
+    return index
+
+
+class _Stop(Exception):
+    """Raised from a hook to stop a map."""
+
+
 class TestSerialPath:
     def test_plain_map(self):
         assert parallel_map(_double, range(5), serial=True) == \
@@ -137,6 +149,27 @@ class TestPoolSalvage:
         assert sorted(seen) == list(range(8))
         assert isinstance(seen[3], MapFailure)
         assert all(seen[i] == 2 * i for i in range(8) if i != 3)
+
+
+class TestHookRaises:
+    def test_raising_hook_cancels_queued_chunks(self, tmp_path):
+        """An exception from ``on_result`` (how a campaign's ``progress``
+        stops it) propagates once the chunks in flight finish: the
+        queued chunks never run, and no worker runs on afterwards."""
+        items = [(str(tmp_path), index) for index in range(40)]
+
+        def stop(index, value):
+            raise _Stop(index)
+
+        with pytest.raises(_Stop):
+            parallel_map(_mark, items, workers=WORKERS, chunk_size=1,
+                         on_result=stop)
+        marked = len(list(tmp_path.iterdir()))
+        # The first result, the chunks running and the pool's call queue
+        # (workers + 1), with slack for a slow parent.
+        assert 1 <= marked <= 10
+        time.sleep(0.3)
+        assert len(list(tmp_path.iterdir())) == marked
 
 
 @pytest.mark.timeout(60)

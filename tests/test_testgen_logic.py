@@ -7,16 +7,69 @@ import sys
 
 import pytest
 
+from repro.cml.cells import CELL_BUILDERS
 from repro.testgen import (
+    BENCHMARKS,
     LogicNetwork,
     full_adder,
+    iscas_like,
     johnson_counter,
     mux_select_tree,
     parity_tree,
+    random_network,
     ripple_adder,
     sequential_decider,
     shift_register,
 )
+from repro.testgen.atpg import unroll
+from repro.testgen.logic import Gate
+
+
+def _reference_add_gate(self, name, cell_type, inputs, output):
+    """``LogicNetwork.add_gate`` as a quadratic loop: scan every gate for
+    a second driver and build the cell's template for its metadata."""
+    if name in self.gates:
+        raise ValueError(f"duplicate gate name {name!r}")
+    if cell_type not in self.COMBINATIONAL and cell_type != "dff":
+        raise ValueError(f"unsupported cell type {cell_type!r}")
+    if any(gate.output == output for gate in self.gates.values()):
+        raise ValueError(f"net {output!r} already driven")
+    template = CELL_BUILDERS[cell_type]()
+    expected = 1 if cell_type == "dff" else len(template.logic_inputs)
+    if len(inputs) != expected:
+        raise ValueError(
+            f"{name}: {cell_type} takes {expected} inputs, got "
+            f"{len(inputs)}")
+    gate = Gate(name=name, cell_type=cell_type, inputs=list(inputs),
+                output=output, eval_fn=template.logic_eval,
+                is_sequential=(cell_type == "dff"))
+    self.gates[name] = gate
+    self._order = None
+    self._compiled = None
+    return gate
+
+
+def _layout(network):
+    """Everything a network holds, gate for gate; an evaluator is
+    compared by its code (each template builds its own function)."""
+    gates = [(g.name, g.cell_type, g.inputs, g.output, g.eval_fn.__code__,
+              g.is_sequential, g.state) for g in network.gates.values()]
+    return (network.name, network.primary_inputs, network.primary_outputs,
+            gates)
+
+
+#: Networks built through ``add_gate``: every benchmark, seeded random
+#: and ISCAS-like networks, and unrolled sequential benchmarks.
+NETWORK_BUILDERS = (
+    list(BENCHMARKS.items())
+    + [(f"random_{seed}", lambda seed=seed: random_network(seed, n_gates=40,
+                                                         n_inputs=4))
+       for seed in range(12)]
+    + [(f"iscas_like_{seed}", lambda seed=seed: iscas_like(seed, n_gates=150,
+                                                          n_inputs=12))
+       for seed in range(3)]
+    + [(f"{name}_x3", lambda name=name: unroll(BENCHMARKS[name](), 3).network)
+       for name in ("shift4", "johnson4", "gray3", "decider")])
 
 
 class TestNetworkConstruction:
@@ -94,6 +147,48 @@ class TestNetworkConstruction:
     def test_feedback_through_dff_allowed(self):
         net = shift_register(2)
         assert net.validate() == []
+
+    @pytest.mark.parametrize("name,build", NETWORK_BUILDERS,
+                             ids=[name for name, _ in NETWORK_BUILDERS])
+    def test_networks_match_the_reference_builder(self, name, build,
+                                                  monkeypatch):
+        network = build()
+        with monkeypatch.context() as patch:
+            patch.setattr(LogicNetwork, "add_gate", _reference_add_gate)
+            reference = build()
+        assert _layout(network) == _layout(reference)
+        assert ([g.name for g in network.combinational_order()]
+                == [g.name for g in reference.combinational_order()])
+
+    @pytest.mark.parametrize("call", [
+        ("G1", "buffer", ["a"], "y"),        # duplicate gate name
+        ("G9", "nand17", ["a"], "z"),        # unsupported cell type
+        ("G9", "inverter", ["a"], "x"),      # net driven by a gate
+        ("G9", "and2", ["a"], "z"),          # too few inputs
+        ("G9", "mux2", ["a", "b"], "z"),
+        ("G9", "dff", ["a", "b"], "z"),      # a dff's clock is implicit
+        ("G9", "buffer", [], "z"),
+        ("G9", "buffer", ["a"], "b"),        # a primary input: accepted
+    ])
+    def test_errors_match_the_reference_builder(self, call, monkeypatch):
+        def outcome(add_gate):
+            net = LogicNetwork()
+            net.add_input("a")
+            net.add_input("b")
+            with monkeypatch.context() as patch:
+                patch.setattr(LogicNetwork, "add_gate", add_gate)
+                net.add_gate("G1", "and2", ["a", "b"], "x")
+                try:
+                    net.add_gate(*call)
+                except ValueError as error:
+                    message = str(error)
+                else:
+                    message = None
+                # A refused gate leaves its output free.
+                net.add_gate("G8", "buffer", ["a"], "z")
+            return message, _layout(net)
+
+        assert outcome(LogicNetwork.add_gate) == outcome(_reference_add_gate)
 
     def test_undriven_input_warned(self):
         net = LogicNetwork()
