@@ -27,9 +27,9 @@ class Resistor(Component):
     #: entire linear stamp is the standard conductance pattern between
     #: ``p`` and ``n`` with value :attr:`conductance`, letting
     #: :class:`repro.sim.mna.CompiledStamps` pre-resolve its matrix
-    #: entries to integer indices.  Subclasses that override
-    #: :meth:`stamp_linear` with a different shape must reset this to
-    #: ``None`` to fall back to the generic stamping path.
+    #: entries to integer indices.  A subclass that overrides
+    #: :meth:`stamp_linear` with a different shape cannot be compiled
+    #: (see :attr:`repro.circuit.netlist.Component.stamp_kind`).
     stamp_kind = "conductance"
 
     MIN_RESISTANCE = 1e-6

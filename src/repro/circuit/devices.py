@@ -194,11 +194,6 @@ class Diode(Component):
     def reset_state(self) -> None:
         self._v_last = 0.0
 
-    def sync_state(self, voltages) -> None:
-        """Set the limiting memory to the exact bias point ``voltages``
-        (used by AC analysis to linearise without pnjlim interference)."""
-        self._v_last = voltages(self.net("p")) - voltages(self.net("n"))
-
     def junctions(self) -> List[Tuple[str, str, float]]:
         return [(self.net("p"), self.net("n"), self._vcrit)]
 
@@ -279,12 +274,6 @@ class Bjt(Component):
     def reset_state(self) -> None:
         self._vbe_last = 0.0
         self._vbc_last = 0.0
-
-    def sync_state(self, voltages) -> None:
-        """Set the limiting memory to the exact bias point ``voltages``."""
-        vb = voltages(self.net("b"))
-        self._vbe_last = vb - voltages(self.net("e"))
-        self._vbc_last = vb - voltages(self.net("c"))
 
     def junctions(self) -> List[Tuple[str, str, float]]:
         b = self.net("b")
@@ -427,13 +416,6 @@ class MultiEmitterBjt(Component):
     def reset_state(self) -> None:
         self._vbe_last = [0.0] * self.n_emitters
         self._vbc_last = 0.0
-
-    def sync_state(self, voltages) -> None:
-        """Set the limiting memory to the exact bias point ``voltages``."""
-        vb = voltages(self.net("b"))
-        self._vbe_last = [vb - voltages(self.net(t))
-                          for t in self.emitter_terminals()]
-        self._vbc_last = vb - voltages(self.net("c"))
 
     def junctions(self) -> List[Tuple[str, str, float]]:
         b = self.net("b")

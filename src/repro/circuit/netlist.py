@@ -75,10 +75,12 @@ class Component:
     """
 
     #: Compiled-stamping dispatch tags.  ``stamp_kind`` declares a known
-    #: linear stamp shape ("conductance", "vsource", "isource");
-    #: ``device_kind`` declares a known nonlinear model ("diode", "bjt").
-    #: ``None`` means the compiled engine falls back to calling the
-    #: component's own stamp methods through a collector adapter.
+    #: linear stamp shape ("conductance", "vsource", "isource"); a
+    #: component that overrides :meth:`stamp_linear` must declare one,
+    #: or the compiled engine refuses it (the legacy engine still stamps
+    #: it).  ``device_kind`` declares a known nonlinear model ("diode",
+    #: "bjt"); for ``None`` the compiled engine calls the device's own
+    #: :meth:`stamp_nonlinear` through a collector adapter.
     stamp_kind: Optional[str] = None
     device_kind: Optional[str] = None
 

@@ -10,7 +10,6 @@ Typical usage::
     swing = result.wave("op").swing()
 """
 
-from .ac import AcResult, ac_analysis, logspace_frequencies
 from .dcsweep import DcSweepResult, dc_sweep, hysteresis_sweep
 from .dc import (ConvergenceError, DcSolution, NewtonStats, SolveDeadlineExceeded,
                  kcl_residuals, operating_point)
@@ -24,7 +23,7 @@ from .report import (
     solver_stats_report,
     total_supply_power,
 )
-from .sweep import SweepPoint, SweepResult, run_cycles, sweep
+from .sweep import run_cycles
 from .transient import TransientResult, transient
 from .waveform import (
     Waveform,
@@ -34,9 +33,6 @@ from .waveform import (
 )
 
 __all__ = [
-    "ac_analysis",
-    "AcResult",
-    "logspace_frequencies",
     "SimOptions",
     "DEFAULT_OPTIONS",
     "operating_point",
@@ -62,8 +58,5 @@ __all__ = [
     "differential_crossings",
     "delay_between",
     "hysteresis_thresholds",
-    "sweep",
-    "SweepResult",
-    "SweepPoint",
     "run_cycles",
 ]

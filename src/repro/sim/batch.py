@@ -10,9 +10,8 @@ is the context's one fault-free member with the few matrix cells its
 conductances touch overridden (:meth:`CompiledStamps.overrides`), each
 cell's value the one the derived compile's linear base accumulates.  An
 open moves its terminal onto a fresh net and renumbers the unknowns as
-the injected circuit would; it, a compile with linear fallback
-components, and a sparse member that reaches a cell outside the
-fault-free CSC pattern take the derived build
+the injected circuit would; it, and a sparse member that reaches a cell
+outside the fault-free CSC pattern, take the derived build
 (:meth:`CompiledStamps.derive`), whose tables come from the one pattern
 builder the compile uses, dense or sparse by the member's own size.
 
@@ -276,7 +275,6 @@ class _Window:
         self.terminals = np.empty((size,) + stamps._j_terminals.shape,
                                   dtype=stamps._j_terminals.dtype)
         self.atol = np.empty((size, width))
-        self.is_net = np.zeros((size, width), dtype=bool)
         self.iterations = np.zeros(size, dtype=np.intp)
         self.deadlines: List[Optional[float]] = [None] * size
         #: A slot's system size when it is dense, -1 when sparse.
@@ -305,7 +303,6 @@ class _Window:
             self.terminals[slot] = member.terminals
             self.atol[slot] = _abs_tolerance(self.width, member.n_nets,
                                              options.vntol, options.abstol)
-            self.is_net[slot] = np.arange(self.width) < member.n_nets
             self.iterations[slot] = 0
             self.deadlines[slot] = _deadline_for(options)
             if member.sparse:
@@ -350,7 +347,6 @@ class _Window:
         """Stacked plain Newton until every view has left the window."""
         stamps = self.context.system.stamps  # the devices every member shares
         options = self.options
-        mvs = options.max_voltage_step
         for slot in range(len(self.members)):
             self.fill(slot)
         active = np.flatnonzero(self.occupied)
@@ -409,12 +405,6 @@ class _Window:
             finite = np.isfinite(x_next).all(axis=1)
             for row in np.flatnonzero(~finite & ~failed):
                 fail(row, "solution contains non-finite values")
-
-            if mvs > 0:
-                step = x_next - x_active
-                np.clip(step, -mvs, mvs, out=step)
-                x_next = np.where(self.is_net[active], x_active + step,
-                                  x_next)
 
             survivors = ~failed
             self.iterations[active[survivors]] += 1

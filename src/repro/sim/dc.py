@@ -14,13 +14,13 @@ import contextlib
 import functools
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..circuit.netlist import GROUND, Circuit
 from ..telemetry import telemetry_for
-from .mna import (MnaStamper, MnaStructure, SingularMatrixError, build_base,
+from .mna import (CompanionSet, MnaStructure, SingularMatrixError, build_base,
                   stamp_nonlinear, structure_for)
 from .options import DEFAULT_OPTIONS, SimOptions
 
@@ -151,9 +151,9 @@ def _device_run(structure: MnaStructure, options: SimOptions):
     Gathers device parameters and junction-limiting state into the
     compiled arrays once on entry, and writes the limiting state back to
     the devices once on exit, returned or raised, so the legacy path
-    (AC linearisation, KCL residual checks) sees exactly the state the
-    run left.  A run is one operating-point Newton solve or one whole
-    transient.  The legacy engine reads the devices directly.
+    (KCL residual checks) sees exactly the state the run left.  A run
+    is one operating-point Newton solve or one whole transient.  The
+    legacy engine reads the devices directly.
     """
     if not options.use_compiled:
         yield
@@ -171,7 +171,7 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
                   t: Optional[float] = None,
                   source_scale: float = 1.0,
                   gmin: Optional[float] = None,
-                  companions: Optional[Callable[[MnaStamper], None]] = None,
+                  companions: Optional[CompanionSet] = None,
                   stats: Optional[NewtonStats] = None,
                   deadline: Optional[float] = None) -> np.ndarray:
     """Run one Newton-Raphson solve; raises ConvergenceError on failure.
@@ -192,11 +192,6 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
         for iteration in range(options.max_nr_iterations):
             _check_deadline(deadline, iteration, "newton solve")
             x_new, limited = system.iterate(x)
-            if options.max_voltage_step > 0:
-                delta = x_new[:n_nets] - x[:n_nets]
-                np.clip(delta, -options.max_voltage_step,
-                        options.max_voltage_step, out=delta)
-                x_new[:n_nets] = x[:n_nets] + delta
             if stats is not None:
                 stats.iterations += 1
                 stats.n_factorizations += 1
@@ -211,11 +206,6 @@ def _newton_solve(structure: MnaStructure, options: SimOptions,
             stamper.clear_limited()
             stamp_nonlinear(structure, stamper, x)
             x_new = stamper.solve()
-            if options.max_voltage_step > 0:
-                delta = x_new[:n_nets] - x[:n_nets]
-                np.clip(delta, -options.max_voltage_step,
-                        options.max_voltage_step, out=delta)
-                x_new[:n_nets] = x[:n_nets] + delta
             if stats is not None:
                 stats.iterations += 1
                 stats.n_factorizations += 1

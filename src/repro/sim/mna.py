@@ -15,9 +15,9 @@ Two assembly engines coexist:
 
 * the **legacy stamping path** (:class:`MnaStamper`, :func:`build_base`,
   :func:`stamp_nonlinear`) resolves net names per stamp and loops over
-  components in Python.  It remains the reference implementation, the
-  AC-analysis backend, and the cross-check target of the equivalence
-  tests; select it with ``SimOptions(use_compiled=False)``.
+  components in Python.  It remains the reference implementation and
+  the cross-check target of the equivalence tests; select it with
+  ``SimOptions(use_compiled=False)``.
 * the **compiled path** (:class:`CompiledStamps` / :class:`CompiledSystem`)
   resolves every net and branch name to integer indices once per
   topology, prebuilds fixed-sparsity COO index arrays for the linear,
@@ -442,15 +442,14 @@ class CompanionSet:
 class _FallbackCollector:
     """Duck-typed :class:`MnaStamper` recording integer triplets.
 
-    Components without a compiled dispatch tag stamp through this
-    adapter; the triplets are merged into the compiled system, so exotic
-    elements stay correct at legacy-path speed without blocking the
-    vectorised fast path for everything else.
+    Nonlinear devices without a compiled model (``device_kind``) stamp
+    through this adapter; the triplets are merged into the compiled
+    system, so such devices stay correct at legacy-path speed without
+    blocking the vectorised fast path for everything else.
     """
 
-    def __init__(self, structure: MnaStructure, source_scale: float = 1.0):
+    def __init__(self, structure: MnaStructure):
         self.structure = structure
-        self.source_scale = source_scale
         self.rows: List[int] = []
         self.cols: List[int] = []
         self.vals: List[float] = []
@@ -470,30 +469,6 @@ class _FallbackCollector:
             self.rhs_rows.append(i)
             self.rhs_vals.append(value)
 
-    def conductance(self, net_a: str, net_b: str, g: float) -> None:
-        a = self.structure.index(net_a)
-        b = self.structure.index(net_b)
-        self._add(a, a, g)
-        self._add(b, b, g)
-        self._add(a, b, -g)
-        self._add(b, a, -g)
-
-    def current_source(self, net_from: str, net_to: str, i: float) -> None:
-        i *= self.source_scale
-        self._add_rhs(self.structure.index(net_from), -i)
-        self._add_rhs(self.structure.index(net_to), i)
-
-    def voltage_source(self, component: Component, net_p: str, net_n: str,
-                       value: float) -> None:
-        k = self.structure.branch_index[component.name]
-        p = self.structure.index(net_p)
-        n = self.structure.index(net_n)
-        self._add(p, k, 1.0)
-        self._add(n, k, -1.0)
-        self._add(k, p, 1.0)
-        self._add(k, n, -1.0)
-        self._add_rhs(k, value * self.source_scale)
-
     def nonlinear_current(self, net: str, i_op: float,
                           partials: Sequence[Tuple[str, float]],
                           bias: float) -> None:
@@ -511,19 +486,10 @@ class _FallbackCollector:
     def limited(self) -> bool:
         return self._limited
 
-    def clear_limited(self) -> None:
-        self._limited = False
-
     def matrix_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (np.asarray(self.rows, dtype=np.intp),
                 np.asarray(self.cols, dtype=np.intp),
                 np.asarray(self.vals, dtype=float))
-
-    def stamps(self, n: int) -> Tuple[np.ndarray, ...]:
-        """``(rows, cols, flat dense cells, values)`` in an ``n``-unknown
-        system."""
-        rows, cols, vals = self.matrix_arrays()
-        return rows, cols, rows * n + cols, vals
 
     def rhs_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         return (np.asarray(self.rhs_rows, dtype=np.intp),
@@ -531,7 +497,12 @@ class _FallbackCollector:
 
 
 class _CscPattern:
-    """Fixed CSC sparsity pattern plus COO-slot → data-slot scatter maps."""
+    """Fixed CSC sparsity pattern plus COO-slot → data-slot scatter maps.
+
+    A structurally singular pattern raises :class:`SingularMatrixError`
+    when it is built (:func:`check_structure`), so the matrices refilled
+    on it reach SuperLU unchecked.
+    """
 
     def __init__(self, n: int, static_rows: np.ndarray, static_cols: np.ndarray,
                  nl_rows: np.ndarray, nl_cols: np.ndarray, n_linear: int):
@@ -550,6 +521,7 @@ class _CscPattern:
         inv = inv.ravel()
         self.static_pos = inv[:len(static_rows)]
         self.nl_pos = inv[len(static_rows):]
+        check_structure(self.matrix(np.ones(self.nnz)))
 
     def matrix(self, data: np.ndarray) -> csc_matrix:
         """The CSC matrix on this pattern whose data *is* ``data``, not a
@@ -717,7 +689,6 @@ class CompiledStamps:
         self._resistors: List[Component] = []
         self._vsources: List[Component] = []
         self._isources: List[Component] = []
-        self._linear_fallback: List[Component] = []
         for component in circuit:
             kind = component.stamp_kind
             if kind == "conductance":
@@ -727,7 +698,11 @@ class CompiledStamps:
             elif kind == "isource":
                 self._isources.append(component)
             elif type(component).stamp_linear is not Component.stamp_linear:
-                self._linear_fallback.append(component)
+                raise TypeError(
+                    f"{component.name}: {type(component).__name__} stamps "
+                    f"a linear part without a compiled stamp_kind "
+                    f"('conductance', 'vsource' or 'isource'); declare "
+                    f"one, or solve with SimOptions(use_compiled=False)")
 
         self._diodes: List[Component] = []
         self._bjts: List[Component] = []
@@ -864,8 +839,8 @@ class CompiledStamps:
         nets = dict(self._nets)
         resolve = self.structure.index
         if splits:
-            if self._linear_fallback or self._nonlinear_fallback:
-                raise ValueError("components without a compiled stamp "
+            if self._nonlinear_fallback:
+                raise ValueError("devices without a compiled model "
                                  "resolve nets by name: inject to split")
             (split,) = splits
             if self._terminal_map is None:
@@ -932,8 +907,8 @@ class CompiledStamps:
     def store_states(self) -> None:
         """Write limiting state back to the devices.
 
-        Keeps the legacy path (AC linearisation, KCL residual checks)
-        seeing exactly the state a compiled run would have left.
+        Keeps the legacy path (KCL residual checks) seeing exactly the
+        state a compiled run would have left.
         """
         nd, mq = self._n_diodes, len(self._bjts)
         limits = self._limits.tolist()
@@ -1092,17 +1067,14 @@ class CompiledStamps:
     # ------------------------------------------------------------------
     def build_system(self, options, t: Optional[float] = None,
                      source_scale: float = 1.0,
-                     companions=None) -> "CompiledSystem":
+                     companions: Optional[CompanionSet] = None
+                     ) -> "CompiledSystem":
         """Assemble the Newton-invariant base for one solve.
 
         Starts from the run's linear base (:meth:`_linear_base`) and
-        stamps on a copy what changes per build, in order: the
-        ``companions`` — ``None``, a :class:`CompanionSet` (compiled
-        fast path) or any legacy callable taking a stamper — then the
-        components without a compiled stamp.  The RHS (sources at ``t``,
-        then the same two) is built afresh.
+        stamps the transient ``companions``, if any, on a copy.  The RHS
+        (sources at ``t``, then the companions) is built afresh.
         """
-        structure = self.structure
         n = self.n
         sparse = n >= options.sparse_threshold
 
@@ -1119,46 +1091,15 @@ class CompiledStamps:
             np.add.at(rhs, self._is_rhs_rows,
                       is_values[self._is_rhs_src] * self._is_rhs_sign)
 
-        # What this build stamps on the linear base, in order:
-        # ``(rows, cols, flat dense cells, values)`` per source.
-        extra: List[Tuple[np.ndarray, ...]] = []
-        cacheable = not self._linear_fallback
-        pattern_slot = None
-        if companions is None:
-            pattern_slot = "self"
-        elif isinstance(companions, CompanionSet):
-            extra.append((companions.rows, companions.cols, companions.cells,
-                          companions.matrix_values()))
-            np.add.at(rhs, companions.rhs_rows, companions.rhs_values())
-            pattern_slot = "companions"
-        else:  # arbitrary legacy callable
-            collector = _FallbackCollector(structure, source_scale)
-            companions(collector)
-            extra.append(collector.stamps(n))
-            np.add.at(rhs, *collector.rhs_arrays())
-            cacheable = False
-
-        if self._linear_fallback:
-            collector = _FallbackCollector(structure, source_scale)
-            for component in self._linear_fallback:
-                component.stamp_linear(collector, t)
-            extra.append(collector.stamps(n))
-            np.add.at(rhs, *collector.rhs_arrays())
-
-        pattern = None
-        if sparse:
-            pattern = self._sparse_pattern(
-                extra, pattern_slot if cacheable else None, companions)
+        pattern = self._sparse_pattern(companions) if sparse else None
         base = self._linear_base(options.gmin, pattern)
-        if extra:
+        if companions is not None:
+            np.add.at(rhs, companions.rhs_rows, companions.rhs_values())
             base = base.copy()
-            flat = base.reshape(-1)  # dense cells, or the CSC data
-            start = pattern.n_linear if sparse else 0
-            for _, _, cells, vals in extra:
-                if sparse:
-                    cells = pattern.static_pos[start:start + len(vals)]
-                    start += len(vals)
-                np.add.at(flat, cells, vals)
+            # Dense cells, or the CSC data after the linear segment's.
+            cells = (companions.cells if pattern is None
+                     else pattern.static_pos[pattern.n_linear:])
+            np.add.at(base.reshape(-1), cells, companions.matrix_values())
         return CompiledSystem(self, sparse, base, rhs, pattern)
 
     def _linear_rows_cols(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -1234,10 +1175,10 @@ class CompiledStamps:
                   ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """The base cells ``derive(view)`` changes, with their values.
 
-        A view that only adds conductances between existing nets, on a
-        compile without linear fallback components, keeps this compile's
-        numbering, device tables and RHS, and on a sparse base whose CSC
-        pattern already holds every cell it touches, the pattern too.
+        A view that only adds conductances between existing nets keeps
+        this compile's numbering, device tables and RHS, and on a sparse
+        base whose CSC pattern already holds every cell it touches, the
+        pattern too.
         Its derived system then differs from this one only in those
         cells.  Returns their positions in the base ``cells`` describes
         (flat dense index, or CSC data position) and the values the
@@ -1246,8 +1187,6 @@ class CompiledStamps:
         groups, as :meth:`derive` appends them to the resistor segment.
         ``None`` for any other view, which takes the derived build.
         """
-        if self._linear_fallback:
-            return None
         added: Dict[int, Tuple[List[float], ...]] = {}
         for net_p, net_n, g in view:
             if (isinstance(net_p, SplitTerminal)
@@ -1282,26 +1221,29 @@ class CompiledStamps:
             values.append(value)
         return np.array(positions, dtype=np.intp), np.array(values)
 
-    def _sparse_pattern(self, extra, slot: Optional[str],
-                        companions) -> _CscPattern:
+    def _sparse_pattern(self, companions: Optional[CompanionSet]
+                        ) -> _CscPattern:
         """The CSC pattern + scatter maps of the linear segment followed
-        by ``extra``'s entries; cached (symbolic-analysis reuse) in
-        ``slot``: ``"self"`` (no companions), ``"companions"`` (on the
-        :class:`CompanionSet`) or ``None`` (not cached)."""
-        if slot == "self" and self._pattern_nocomp is not None:
-            return self._pattern_nocomp
-        if slot == "companions":
+        by the ``companions``' entries, built once (symbolic-analysis
+        reuse) and cached on this compile, or with companions on the
+        :class:`CompanionSet`."""
+        if companions is None:
+            if self._pattern_nocomp is not None:
+                return self._pattern_nocomp
+        else:
             cached = companions._pattern_cache
             if cached is not None and cached[0] == id(self):
                 return cached[1]
         rows, cols = self._linear_rows_cols()
-        pattern = _CscPattern(
-            self.n, np.concatenate([rows] + [e[0] for e in extra]),
-            np.concatenate([cols] + [e[1] for e in extra]),
-            self.nl_rows, self.nl_cols, n_linear=len(rows))
-        if slot == "self":
+        n_linear = len(rows)
+        if companions is not None:
+            rows = np.concatenate([rows, companions.rows])
+            cols = np.concatenate([cols, companions.cols])
+        pattern = _CscPattern(self.n, rows, cols, self.nl_rows,
+                              self.nl_cols, n_linear)
+        if companions is None:
             self._pattern_nocomp = pattern
-        elif slot == "companions":
+        else:
             companions._pattern_cache = (id(self), pattern)
         return pattern
 
@@ -1313,7 +1255,26 @@ _RELAX = 1
 _PANEL_SIZE = 1
 
 
-def factor_sparse(matrix):
+def check_structure(matrix) -> None:
+    """Raise :class:`SingularMatrixError` when every matrix on the
+    sparsity pattern of the square sparse ``matrix`` is singular.
+
+    That is when its structural rank, the size of a maximum matching of
+    rows to columns over the stored entries, falls short, as a
+    voltage-source loop makes it.  SuperLU set up as
+    :func:`factor_sparse` sets it up can crash the interpreter on such
+    a matrix instead of reporting it singular.
+    """
+    from scipy.sparse.csgraph import structural_rank
+
+    n = matrix.shape[0]
+    rank = structural_rank(matrix)
+    if rank < n:
+        raise SingularMatrixError(
+            f"structurally singular matrix: structural rank {rank} of {n}")
+
+
+def factor_sparse(matrix, checked: bool = False):
     """SuperLU factorization of a CSC circuit matrix; every sparse
     factorization goes through here.
 
@@ -1326,9 +1287,14 @@ def factor_sparse(matrix):
     relaxed supernodes and panels.  The pivot threshold keeps its
     default, partial pivoting: voltage-source branch rows have zero
     diagonals.  Raises :class:`SingularMatrixError` on a singular matrix.
+    The pattern is checked first (:func:`check_structure`) unless
+    ``checked`` says it already was, as a :class:`_CscPattern`'s is
+    when it is built.
     """
     from scipy.sparse.linalg import splu
 
+    if not checked:
+        check_structure(matrix)
     try:
         return splu(matrix, permc_spec=_PERMC_SPEC, relax=_RELAX,
                     panel_size=_PANEL_SIZE)
@@ -1352,9 +1318,11 @@ def _solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def solve_direct(matrix, rhs: np.ndarray, sparse: bool) -> np.ndarray:
     """One factorization and solve of an assembled dense or CSC matrix;
     raises :class:`SingularMatrixError` on a singular matrix or a
-    non-finite solution."""
+    non-finite solution.  A CSC matrix's pattern must be checked
+    already (:func:`check_structure`): a compiled system's or batch
+    member's is, when it is built."""
     if sparse:
-        x_new = factor_sparse(matrix).solve(rhs)
+        x_new = factor_sparse(matrix, checked=True).solve(rhs)
     else:
         x_new = _solve_dense(matrix, rhs)
     if not np.isfinite(x_new).all():
@@ -1421,7 +1389,7 @@ class CompiledSystem:
         result, or one row of a batched evaluation); ``fb`` carries the
         fallback devices' stamps.  The dense matrix is fresh; the sparse
         one is this system's CSC matrix, refilled in place, unless
-        fallback stamps make a new one.
+        fallback stamps make a new one, whose pattern is checked here.
         """
         stamps = self.stamps
         rhs = self.rhs_base.copy()
@@ -1443,6 +1411,7 @@ class CompiledSystem:
                 rows, cols, vals = fb.matrix_arrays()
                 matrix = matrix + coo_matrix(
                     (vals, (rows, cols)), shape=(self.n, self.n)).tocsc()
+                check_structure(matrix)
         else:
             matrix = self.base_dense.copy()
             np.add.at(matrix.reshape(-1), stamps.nl_cells, nl_vals)

@@ -40,8 +40,6 @@ class SimOptions:
     integration: str = "trap"
     #: Maximum times a transient step is halved on NR failure.
     max_step_halvings: int = 10
-    #: Optional clamp on per-iteration node-voltage updates (0 disables).
-    max_voltage_step: float = 0.0
     #: Use the compiled (vectorised, pattern-cached) stamping engine.
     #: ``False`` selects the legacy per-component stamping loop — kept as
     #: the reference implementation for equivalence tests and debugging.

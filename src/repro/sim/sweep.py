@@ -1,91 +1,16 @@
-"""Parameter-sweep helpers for the frequency/pipe-value characterisations.
+"""Stimulus-synchronised transient runs.
 
-The paper's evaluation figures are all sweeps: Fig. 5 sweeps stimulus
-frequency for several pipe resistances; Figs. 8 and 10 sweep frequency,
-pipe value and load capacitance; Fig. 14 sweeps the number of gates sharing
-one detector load.  :func:`sweep` is a small generic driver that rebuilds
-the circuit for each parameter point (circuits are cheap; engine state is
-per-circuit, so rebuilding guarantees independence) and applies a
-measurement function to each transient result.
+Figs. 5, 8 and 10 sweep stimulus frequency, pipe resistance and load
+capacitance.  Each experiment loops over its own grid and simulates
+every point with :func:`run_cycles`, which ties the time step to the
+stimulus period.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
-
-import itertools
-
 from ..circuit.netlist import Circuit
-from ..parallel import parallel_map
 from .options import DEFAULT_OPTIONS, SimOptions
 from .transient import TransientResult, transient
-
-
-@dataclass
-class SweepPoint:
-    """One parameter combination with its measured values."""
-
-    params: Dict[str, Any]
-    measures: Dict[str, float]
-
-    def __getitem__(self, key: str):
-        if key in self.params:
-            return self.params[key]
-        return self.measures[key]
-
-
-@dataclass
-class SweepResult:
-    """All points of a sweep, with convenient series extraction."""
-
-    points: List[SweepPoint] = field(default_factory=list)
-
-    def series(self, x: str, y: str, **fixed) -> List[tuple]:
-        """``(x, y)`` pairs for the points matching the ``fixed`` params."""
-        pairs = []
-        for point in self.points:
-            if all(point.params.get(k) == v for k, v in fixed.items()):
-                pairs.append((point[x], point[y]))
-        return sorted(pairs)
-
-    def param_values(self, name: str) -> List[Any]:
-        """Distinct values taken by parameter ``name``, in sweep order."""
-        seen: Dict[Any, None] = {}
-        for point in self.points:
-            seen.setdefault(point.params.get(name), None)
-        return list(seen)
-
-
-def _sweep_point(task) -> SweepPoint:
-    """Module-level point worker so the process pool can pickle it."""
-    build, run, measure, params = task
-    circuit = build(**params)
-    sim_result = run(circuit, params)
-    return SweepPoint(params=params, measures=measure(sim_result, params))
-
-
-def sweep(build: Callable[..., Circuit],
-          grid: Dict[str, Sequence[Any]],
-          run: Callable[[Circuit, Dict[str, Any]], TransientResult],
-          measure: Callable[[TransientResult, Dict[str, Any]], Dict[str, float]],
-          *, parallel: bool = False,
-          workers: Optional[int] = None) -> SweepResult:
-    """Run a full-factorial sweep.
-
-    ``build(**params)`` constructs the circuit, ``run(circuit, params)``
-    simulates it, ``measure(result, params)`` extracts scalar measures.
-    Points are independent by construction (each gets a fresh circuit),
-    so ``parallel=True`` fans them out over a process pool when the
-    three callables are picklable (module-level functions); closures
-    fall back to the serial path automatically.
-    """
-    names = list(grid)
-    tasks = [(build, run, measure, dict(zip(names, combo)))
-             for combo in itertools.product(*(grid[name] for name in names))]
-    points = parallel_map(_sweep_point, tasks, workers=workers,
-                          serial=not parallel)
-    return SweepResult(points=list(points))
 
 
 def run_cycles(circuit: Circuit, frequency: float, cycles: float = 3.0,

@@ -39,8 +39,8 @@ FINGERPRINT_SCHEMA = 1
 SOLVE_OPTION_FIELDS = frozenset({
     "reltol", "vntol", "abstol", "gmin", "max_nr_iterations",
     "gmin_start", "gmin_factor", "source_steps", "sparse_threshold",
-    "integration", "max_step_halvings", "max_voltage_step",
-    "use_compiled", "solve_deadline_s", "retry_iteration_scale",
+    "integration", "max_step_halvings", "use_compiled",
+    "solve_deadline_s", "retry_iteration_scale",
 })
 
 #: :class:`~repro.sim.options.SimOptions` fields that steer *execution*

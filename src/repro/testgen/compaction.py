@@ -146,19 +146,3 @@ def greedy_compact(detects: Mapping[StuckFault, int],
         uncovered -= gain
         del per_vector[best]
     return sorted(selected)
-
-
-def compact_vectors(network: LogicNetwork,
-                    vectors: Sequence[Dict[str, bool]],
-                    faults: Optional[Sequence[StuckFault]] = None,
-                    observed: Optional[Sequence[str]] = None
-                    ) -> List[Dict[str, bool]]:
-    """Greedy-compact a vector set, preserving its detected-fault set."""
-    from .faultsim import fault_detect_matrix
-
-    if not vectors:
-        return []
-    detects = fault_detect_matrix(network, vectors, faults,
-                                  observed=observed)
-    keep = greedy_compact(detects, len(vectors))
-    return [dict(vectors[i]) for i in keep]

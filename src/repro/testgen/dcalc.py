@@ -29,7 +29,7 @@ tests pin the resulting truth tables per cell type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from .logic import Value, _x_safe
 
@@ -113,46 +113,3 @@ def dcalc_eval(eval_fn: Callable[..., Tuple[bool, ...]],
     good = _x_safe(eval_fn, [v.good for v in inputs])
     faulty = _x_safe(eval_fn, [v.faulty for v in inputs])
     return from_pair(good, faulty)
-
-
-def truth_table(eval_fn: Callable[..., Tuple[bool, ...]],
-                n_inputs: int) -> Dict[Tuple[str, ...], str]:
-    """The full five-valued truth table of a cell, keyed by symbols.
-
-    Exponential in ``n_inputs`` (5^n rows) — a test/documentation aid,
-    not an engine primitive.
-    """
-    table: Dict[Tuple[str, ...], str] = {}
-
-    def rec(prefix):
-        if len(prefix) == n_inputs:
-            table[tuple(v.symbol for v in prefix)] = \
-                dcalc_eval(eval_fn, prefix).symbol
-            return
-        for value in FIVE_VALUES:
-            rec(prefix + [value])
-
-    rec([])
-    return table
-
-
-def controlling_assignments(eval_fn: Callable[..., Tuple[bool, ...]],
-                            n_inputs: int, index: int,
-                            ) -> Optional[Tuple[bool, ...]]:
-    """Non-controlling values for every input except ``index``.
-
-    Returns an assignment of the *other* inputs under which the output
-    follows input ``index`` (possibly inverted) — the side-input values
-    that propagate a ``D`` through the cell.  ``None`` when no such
-    assignment exists (the cell never passes that input through).
-    """
-    others = [i for i in range(n_inputs) if i != index]
-    for mask in range(1 << len(others)):
-        candidate: list = [None] * n_inputs
-        for bit, position in enumerate(others):
-            candidate[position] = bool((mask >> bit) & 1)
-        low, high = list(candidate), list(candidate)
-        low[index], high[index] = False, True
-        if eval_fn(*low)[0] != eval_fn(*high)[0]:
-            return tuple(candidate[i] for i in others)
-    return None

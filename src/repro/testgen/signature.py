@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .logic import LogicNetwork, Value
-from .patterns import LFSR_TAPS, random_vectors
+from .patterns import LFSR_TAPS
 
 
 class Misr:
@@ -108,28 +108,3 @@ def bist_session(network: LogicNetwork,
         misr.clock([values.get(net) for net in observed])
     return BistResult(signature=misr.signature, valid=misr.valid,
                       cycles=misr.cycles, observed=list(observed))
-
-
-def stuck_output_detected(network: LogicNetwork, stuck_net: str,
-                          stuck_value: bool, n_vectors: int = 64,
-                          seed: int = 23) -> bool:
-    """Signature-detectability of a stuck output (logic-level check).
-
-    Runs the golden session and a faulty session where ``stuck_net`` is
-    forced to ``stuck_value`` after every evaluation; returns True when
-    the signatures differ.  This is the gate-level sanity layer under
-    the analog detector experiments.
-    """
-    vectors = random_vectors(network.primary_inputs, n_vectors, seed=seed)
-    golden = bist_session(network, vectors)
-
-    observed = list(network.primary_outputs)
-    network.reset(False)
-    misr = Misr(width=16)
-    forces = {stuck_net: stuck_value}
-    for vector in vectors:
-        values = network.step(vector, forces=forces)
-        misr.clock([values.get(net) for net in observed])
-    faulty = BistResult(signature=misr.signature, valid=misr.valid,
-                        cycles=misr.cycles, observed=observed)
-    return not faulty.matches(golden)

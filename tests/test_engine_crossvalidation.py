@@ -2,8 +2,10 @@
 
 Production confidence comes from agreement between implementations that
 share no code path: dense vs sparse linear algebra, backward Euler vs
-trapezoidal integration, transient vs DC-sweep hysteresis, edge-timed vs
-ring-oscillator delay, and a divide-by-2 built from the synthesized DFF.
+trapezoidal integration, and a divide-by-2 built from the synthesized
+DFF.  Two more cross-checks live beside the code they check: transient
+vs DC-sweep hysteresis in ``test_dcsweep.py`` and edge-timed vs
+ring-oscillator delay in ``test_oscillator_variation.py``.
 """
 
 import numpy as np

@@ -3,12 +3,12 @@
 A compiled solve run (one operating-point Newton solve, one whole
 transient) stamps the resistor, gmin and voltage-source part of the
 matrix once; every system build of the run copies that base and stamps
-the companions and the fallback components on top.  ``np.add.at``
-accumulates in index order, so this must equal assembling each system in
-one accumulation over all its segments, as every build did before the
-base was shared.  These tests pin every built system to that reference,
-array for array, and pin the run boundaries: a new run sees a changed
-gmin, and a derived compile never reads its parent's base.
+the companions on top.  ``np.add.at`` accumulates in index order, so
+this must equal assembling each system in one accumulation over all its
+segments, as every build did before the base was shared.  These tests
+pin every built system to that reference, array for array, and pin the
+run boundaries: a new run sees a changed gmin, and a derived compile
+never reads its parent's base.
 """
 
 import importlib
@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_matrix
 
-from repro.circuit import CurrentSource, Pulse, Resistor
+from repro.circuit import Resistor
 from repro.cml import NOMINAL, buffer_chain
 from repro.faults import Pipe, inject
 from repro.sim import operating_point, transient
 from repro.sim.mna import (CompanionSet, CompiledStamps, _CscPattern,
-                           _FallbackCollector, structure_for)
+                           structure_for)
 from repro.sim.options import SimOptions
 
 transient_module = importlib.import_module("repro.sim.transient")
@@ -39,9 +39,9 @@ DT = 20e-12
 def reference_system(stamps, options, t=None, source_scale=1.0,
                      companions=None):
     """One build assembled in a single accumulation over the concatenated
-    segments: resistors, gmin shunts, voltage-source incidences,
-    companions, then the fallback components.  Returns ``(dense matrix
-    or CSC data, rhs, CSC pattern or None)``."""
+    segments: resistors, gmin shunts, voltage-source incidences, then
+    companions.  Returns ``(dense matrix or CSC data, rhs, CSC pattern
+    or None)``."""
     n = stamps.n
     res_g = np.array([r.conductance for r in stamps._resistors])
     if stamps._fault_g is not None:
@@ -66,26 +66,11 @@ def reference_system(stamps, options, t=None, source_scale=1.0,
             source_scale)
         np.add.at(rhs, stamps._is_rhs_rows,
                   currents[stamps._is_rhs_src] * stamps._is_rhs_sign)
-    collectors = []
-    if isinstance(companions, CompanionSet):
+    if companions is not None:
         rows.append(companions.rows)
         cols.append(companions.cols)
         vals.append(companions.matrix_values())
         np.add.at(rhs, companions.rhs_rows, companions.rhs_values())
-    elif companions is not None:
-        collector = _FallbackCollector(stamps.structure, source_scale)
-        companions(collector)
-        collectors.append(collector)
-    if stamps._linear_fallback:
-        collector = _FallbackCollector(stamps.structure, source_scale)
-        for component in stamps._linear_fallback:
-            component.stamp_linear(collector, t)
-        collectors.append(collector)
-    for collector in collectors:
-        for target, array in zip((rows, cols, vals),
-                                 collector.matrix_arrays()):
-            target.append(array)
-        np.add.at(rhs, *collector.rhs_arrays())
     rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
     if n >= options.sparse_threshold:
         pattern = _CscPattern(n, rows, cols, stamps.nl_rows,
@@ -172,56 +157,27 @@ def test_every_transient_system_equals_reference_assembly(
 
 
 class _GenericResistor(Resistor):
-    """A resistor stamped through the fallback collector."""
+    """A resistor that declares no compiled stamp."""
 
     stamp_kind = None
 
 
-class _GenericCurrentSource(CurrentSource):
-    """A current source stamped through the fallback collector."""
-
-    stamp_kind = None
-
-
-@SOLVERS
-def test_fallback_component_systems_equal_reference_assembly(options,
-                                                             builds):
-    """Components without a compiled stamp stamp on top of the run's
-    base, after the companions, in the operating point and every
-    timestep."""
+def test_linear_component_without_stamp_kind_is_refused():
+    """The compiled engine stamps a linear part only through a declared
+    ``stamp_kind``: compiling a component that overrides
+    ``stamp_linear`` without one raises, naming it.  The legacy engine
+    still stamps it."""
     chain = buffer_chain(NOMINAL, 2, 1e9)
     circuit = chain.circuit
     out_p, out_n = chain.output_nets[-1]
     circuit.add(_GenericResistor("RX", out_p, out_n, 20e3))
-    circuit.add(_GenericCurrentSource(
-        "IX", out_p, "0", Pulse(0.0, 20e-6, delay=0.3e-9, rise=0.1e-9,
-                                fall=0.1e-9, width=0.5e-9, period=0.0)))
-    stamps = structure_for(circuit).compiled()
-    assert [c.name for c in stamps._linear_fallback] == ["RX", "IX"]
-    transient(circuit, T_STOP, DT, options)
-    assert any(c is None for c in builds)
-    assert sum(isinstance(c, CompanionSet) for c in builds) >= 100
-
-
-@SOLVERS
-def test_legacy_companions_hook_systems_equal_reference_assembly(
-        options, builds, monkeypatch):
-    """A companions hook that is a plain callable taking a stamper
-    stamps on top of the run's base too."""
-    newton = transient_module._newton_solve
-    hooks = []
-
-    def through_callable(*args, companions=None, **kwargs):
-        def hook(stamper):
-            companions(stamper)
-
-        hooks.append(hook)
-        return newton(*args, companions=hook, **kwargs)
-
-    monkeypatch.setattr(transient_module, "_newton_solve", through_callable)
-    transient(_chain(), T_STOP, DT, options)
-    assert len(hooks) >= 100
-    assert [c for c in builds if c is not None] == hooks
+    with pytest.raises(TypeError, match="RX"):
+        operating_point(circuit)
+    reference = buffer_chain(NOMINAL, 2, 1e9).circuit
+    reference.add(Resistor("RX", out_p, out_n, 20e3))
+    legacy = SimOptions(use_compiled=False)
+    assert (operating_point(circuit, legacy).x.tobytes()
+            == operating_point(reference, legacy).x.tobytes())
 
 
 def test_base_follows_gmin_and_solver_within_a_run(builds):

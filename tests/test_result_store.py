@@ -33,7 +33,7 @@ from repro.store import (
 #: adding an option no solve reads cannot silently invalidate every
 #: store.
 DEFAULT_OPTIONS_DIGEST = (
-    "545017bb895f5ad5325bb38ef961ba096477d192eb44da018674d69243d65e82")
+    "848940099109593c8eeeda45eecaae6163ea1b3b407a04b2addd7a82ffda2167")
 
 ENTRY = {"schema": 1, "key": "pipe:X1.Q1:4000.0", "converged": True,
          "solver": "warm-full", "verdicts": {"logic": "pass"}}

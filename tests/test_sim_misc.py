@@ -1,5 +1,5 @@
-"""Coverage of the smaller engine pieces: options, sweep driver,
-reporting helpers, transient step-halving and source edge cases."""
+"""Coverage of the smaller engine pieces: options, reporting helpers,
+transient step-halving and source edge cases."""
 
 
 import pytest
@@ -21,7 +21,7 @@ from repro.circuit import (
     Sine,
     VoltageSource,
 )
-from repro.sim import SimOptions, run_cycles, sweep, transient
+from repro.sim import SimOptions, run_cycles, transient
 from repro.sim.options import DEFAULT_OPTIONS
 
 
@@ -39,39 +39,6 @@ class TestOptions:
 
     def test_defaults_are_shared_instance(self):
         assert DEFAULT_OPTIONS.reltol == 1e-3
-
-
-class TestSweepDriver:
-    def test_factorial_grid(self):
-        def build(r, v):
-            circuit = Circuit()
-            circuit.add(VoltageSource("V1", "in", "0", v))
-            circuit.add(Resistor("R1", "in", "out", r))
-            circuit.add(Resistor("R2", "out", "0", 1000))
-            return circuit
-
-        def run(circuit, params):
-            return transient(circuit, 1e-9, 1e-10)
-
-        def measure(result, params):
-            return {"vout": result.wave("out").values[-1]}
-
-        result = sweep(build, {"r": [1000, 3000], "v": [1.0, 2.0]},
-                       run, measure)
-        assert len(result.points) == 4
-        series = result.series("v", "vout", r=1000)
-        assert series == [(1.0, pytest.approx(0.5)),
-                          (2.0, pytest.approx(1.0))]
-        assert result.param_values("r") == [1000, 3000]
-
-    def test_point_getitem(self):
-        from repro.sim.sweep import SweepPoint
-
-        point = SweepPoint(params={"f": 1.0}, measures={"y": 2.0})
-        assert point["f"] == 1.0
-        assert point["y"] == 2.0
-        with pytest.raises(KeyError):
-            point["zap"]
 
 
 class TestReportingHelpers:

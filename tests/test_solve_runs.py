@@ -7,7 +7,7 @@ and writes the limiting state back to the devices once, when it returns
 or raises.  Mutating a device, a resistor or a source between runs must
 therefore take effect exactly as on a freshly built circuit, and the
 devices must hold the state the compiled arrays ended with, because
-``kcl_residuals`` and AC analysis read it from there.
+``kcl_residuals`` reads it from there.
 """
 
 import copy

@@ -11,9 +11,10 @@ import random
 
 import pytest
 
-from repro.testgen import (LogicNetwork, collapse_faults, compact_vectors,
+from repro.testgen import (LogicNetwork, collapse_faults,
                            enumerate_stuck_faults, exhaustive_vectors,
-                           fault_detect_matrix, full_adder, random_network)
+                           fault_detect_matrix, full_adder, greedy_compact,
+                           random_network)
 
 SWEEP_SEEDS = range(6)
 
@@ -102,8 +103,9 @@ class TestVectorCompaction:
         vectors = [{pi: bool(rng.getrandbits(1))
                     for pi in network.primary_inputs}
                    for _ in range(48)]
-        compacted = compact_vectors(network, vectors)
         before = fault_detect_matrix(network, vectors)
+        compacted = [vectors[i]
+                     for i in greedy_compact(before, len(vectors))]
         after = fault_detect_matrix(network, compacted)
         assert {f for f, m in before.items() if m} == \
             {f for f, m in after.items() if m}
@@ -112,9 +114,10 @@ class TestVectorCompaction:
     def test_compaction_actually_shrinks_redundant_sets(self):
         network = full_adder()
         vectors = list(exhaustive_vectors(network.primary_inputs)) * 3
-        compacted = compact_vectors(network, vectors)
+        compacted = greedy_compact(fault_detect_matrix(network, vectors),
+                                   len(vectors))
         assert len(compacted) < len(set(map(
             lambda v: tuple(sorted(v.items())), vectors)))
 
     def test_empty_vector_set(self):
-        assert compact_vectors(full_adder(), []) == []
+        assert greedy_compact(fault_detect_matrix(full_adder(), []), 0) == []
