@@ -2,18 +2,21 @@
 
 Boots the asyncio campaign service on an ephemeral TCP port with a
 content-addressed result store, then exercises the full client path
-twice with the same job:
+twice with the same job, with a malformed job in between:
 
 1. **Cold** — every defect is a store miss and solves fresh; progress
    events stream back while shards execute.
-2. **Warm** — a second client resubmits the identical ``JobSpec``; the
+2. **Malformed** — a spec with a negative ``limit`` must be refused
+   with one ``error`` event, before any job exists.
+3. **Warm** — a second client resubmits the identical ``JobSpec``; the
    service must serve (nearly) every record from the store, and the
-   returned verdict set must match the cold run exactly.
+   returned verdict set must match the cold run exactly.  It also shows
+   that the refused spec left the service up.
 
 This is the cheap end-to-end check the CI matrix and the nightly fuzz
-workflow both run: it proves the wire protocol, the job scheduler and
-the cache key all still agree.  ``REPRO_EXAMPLE_FAST=1`` shrinks the
-chain so the test-suite invocation stays quick.
+workflow both run: it proves the wire protocol, the job scheduler, spec
+validation and the cache key all still agree.  ``REPRO_EXAMPLE_FAST=1``
+shrinks the chain so the test-suite invocation stays quick.
 
 Run with:  python examples/service_smoke.py
 """
@@ -41,11 +44,16 @@ async def run_smoke(store_dir: str) -> None:
     print(f"service listening on {host}:{port}")
     try:
         cold = await submit_and_stream(host, port, spec)
+        malformed = await submit_and_stream(host, port,
+                                            {**spec.to_dict(), "limit": -1})
         warm = await submit_and_stream(host, port, spec)
     finally:
         server.close()
         await server.wait_closed()
 
+    assert [event["event"] for event in malformed] == ["error"], \
+        f"malformed spec was not refused: {malformed}"
+    print(f"malformed: refused ({malformed[0]['error']})")
     for label, events in (("cold", cold), ("warm", warm)):
         done = events[-1]
         assert done["event"] == "done", f"{label} run failed: {done}"

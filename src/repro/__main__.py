@@ -91,33 +91,27 @@ def _cmd_export_spice(path: str, stages: int, pipe: float) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    from .cml import NOMINAL, buffer_chain
-    from .dft import build_shared_monitor
-    from .faults import (FlagOracle, IddqOracle, LogicOracle,
-                         enumerate_defects, run_campaign)
-    from .sim import SimOptions
+    from .faults import run_campaign
+    from .service import JobSpec, build_campaign_job
 
-    chain = buffer_chain(NOMINAL, n_stages=args.stages, frequency=100e6)
-    # Enumerate fault sites before instrumentation so only the functional
-    # logic is attacked.
-    defects = list(enumerate_defects(
-        chain.circuit, kinds=tuple(args.kinds),
-        pipe_resistances=tuple(args.pipe_resistances)))
-    if args.limit is not None:
-        defects = defects[:args.limit]
-    monitor = build_shared_monitor(chain.circuit, chain.output_nets,
-                                   tech=NOMINAL)
-    oracles = [LogicOracle(chain.output_nets),
-               FlagOracle(monitor.nets.flag, monitor.nets.flagb),
-               IddqOracle()]
-    options = SimOptions(solve_deadline_s=args.deadline,
-                         chunk_timeout_s=args.chunk_timeout)
+    try:
+        spec = JobSpec(stages=args.stages, kinds=args.kinds,
+                       pipe_resistances=args.pipe_resistances,
+                       limit=args.limit, low_rank=args.low_rank,
+                       parallel=args.parallel, workers=args.workers,
+                       chunk_size=args.chunk_size, deadline_s=args.deadline,
+                       chunk_timeout_s=args.chunk_timeout)
+    except ValueError as error:
+        print(f"repro campaign: {error}", file=sys.stderr)
+        return 2
+    circuit, defects, oracles, options = build_campaign_job(spec)
 
     started = time.time()
-    result = run_campaign(chain.circuit, defects, oracles,
-                          options=options, low_rank=args.low_rank,
-                          parallel=args.parallel, workers=args.workers,
-                          chunk_size=args.chunk_size, store=args.store)
+    result = run_campaign(circuit, defects, oracles, options=options,
+                          low_rank=spec.low_rank, parallel=spec.parallel,
+                          workers=spec.workers, chunk_size=spec.chunk_size,
+                          chunk_timeout=spec.chunk_timeout_s or None,
+                          store=args.store)
     elapsed = time.time() - started
 
     print(result.format())
@@ -262,8 +256,6 @@ def _cmd_report(args) -> int:
 def _cmd_trace(args) -> int:
     from .telemetry import export_trace, read_jsonl
 
-    if args.trace_command == "report":
-        return _cmd_report(args)
     try:
         events = read_jsonl(args.trace)
     except OSError as error:
@@ -414,7 +406,7 @@ def main(argv=None) -> int:
 
     trace = sub.add_parser(
         "trace",
-        help="work with saved JSONL traces (export, report)")
+        help="work with saved JSONL traces")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     trace_export = trace_sub.add_parser(
         "export",
@@ -426,11 +418,6 @@ def main(argv=None) -> int:
                               choices=["chrome", "collapsed"],
                               help="chrome: Perfetto/chrome://tracing "
                                    "JSON; collapsed: flamegraph stacks")
-    trace_report = trace_sub.add_parser(
-        "report", help="same as 'repro report'")
-    trace_report.add_argument("trace", metavar="TRACE.jsonl")
-    trace_report.add_argument("--markdown", action="store_true")
-
     args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()

@@ -181,8 +181,8 @@ def delay_escape_study(tech: CmlTechnology = NOMINAL,
     rng = random.Random(seed)
     tasks = [(tech, n_stages, sigma, slow_factor, rng.randrange(1 << 30))
              for _ in range(n_samples)]
-    samples = parallel_map(_delay_sample, tasks, workers=workers,
-                           serial=not parallel)
+    workers = workers if parallel else 1
+    samples = parallel_map(_delay_sample, tasks, workers=workers)
     fault_free = [s[0] for s in samples]
     faulty = [s[1] for s in samples]
     test_limit = max(fault_free)
@@ -192,8 +192,8 @@ def delay_escape_study(tech: CmlTechnology = NOMINAL,
         rng_det = random.Random(seed + 1)
         det_tasks = [(tech, n_stages, sigma, rng_det.randrange(1 << 30))
                      for _ in range(n_samples)]
-        verdicts = parallel_map(_detector_sample, det_tasks, workers=workers,
-                                serial=not parallel)
+        verdicts = parallel_map(_detector_sample, det_tasks,
+                                workers=workers)
         catches, trials = sum(verdicts), n_samples
 
     return EscapeStudy(sigma=sigma, slow_factor=slow_factor,

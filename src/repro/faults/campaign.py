@@ -400,6 +400,20 @@ def _guarded(defect: Defect, oracles: Sequence[Oracle],
             defect, oracles, f"{type(error).__name__}: {error}")
 
 
+#: Newton-iteration-cap escalation of the last-resort cold retry: it
+#: solves with ``int(max_nr_iterations * RETRY_ITERATION_SCALE)``
+#: iterations and a fresh deadline before the defect is quarantined.
+RETRY_ITERATION_SCALE = 2.0
+
+
+def _escalated(options: SimOptions) -> SimOptions:
+    """Options for the last-resort cold retry: a larger Newton
+    iteration cap (the deadline restarts by itself, because
+    ``solve_deadline_s`` is a per-solve budget)."""
+    return replace(options, max_nr_iterations=int(
+        options.max_nr_iterations * RETRY_ITERATION_SCALE))
+
+
 def _failed_stats(error: ConvergenceError) -> NewtonStats:
     """Work a failed solve spent (zeros when the solver predates it)."""
     stats = getattr(error, "stats", None)
@@ -408,29 +422,26 @@ def _failed_stats(error: ConvergenceError) -> NewtonStats:
 
 def _solve_defect(defect: Defect, circuit: Circuit,
                   oracles: Sequence[Oracle], options: SimOptions,
-                  warm: Optional[Tuple[Dict[str, float], Dict[str, float]]]
+                  warm: Tuple[Dict[str, float], Dict[str, float]]
                   ) -> FaultRecord:
     """Conventional inject-and-solve with the degradation ladder's
-    conventional rungs: (warm) full solve → escalated cold retry →
+    conventional rungs: warm full solve → escalated cold retry →
     quarantine.  Each rung charges its work to the defect's record."""
     faulty = inject(circuit, defect)
-    initial = None
-    if warm is not None:
-        initial = _warm_start_vector(structure_for(faulty), *warm)
+    initial = _warm_start_vector(structure_for(faulty), *warm)
     record = FaultRecord(defect=defect, verdicts={})
-    rung = "warm-full" if initial is not None else "cold-full"
     try:
         solution = operating_point(faulty, options, initial=initial)
     except ConvergenceError as error:
         record.merge_stats(_failed_stats(error))
-        failures = [f"{rung}: {error}"]
+        failures = [f"warm-full: {error}"]
         # Last conventional rung: cold restart under an escalated
         # Newton-iteration cap (and a fresh wall-clock budget).  A
         # bistable faulty circuit sometimes diverges from the fault-free
         # warm start yet falls to a plain cold solve; a genuinely
         # unsolvable one is quarantined with the full account.
         try:
-            solution = operating_point(faulty, options.escalated())
+            solution = operating_point(faulty, _escalated(options))
         except ConvergenceError as retry_error:
             record.merge_stats(_failed_stats(retry_error))
             failures.append(f"cold-retry: {retry_error}")
@@ -452,8 +463,7 @@ def _solve_defect(defect: Defect, circuit: Circuit,
 
 def _solve_low_rank(defect: Defect, circuit: Circuit,
                     oracles: Sequence[Oracle], options: SimOptions,
-                    warm: Optional[Tuple[Dict[str, float],
-                                         Dict[str, float]]],
+                    warm: Tuple[Dict[str, float], Dict[str, float]],
                     context: DeltaContext, outcome: BatchMember
                     ) -> FaultRecord:
     """One batch member's record: judged on its replay solution, or
@@ -523,7 +533,7 @@ _BATCH_COUNTER_KEYS = ("n_batched_solves", "batch_occupancy",
 
 def _solve_unit(unit: Sequence[Defect], *, circuit: Circuit,
                 oracles: Sequence[Oracle], options: SimOptions,
-                warm: Optional[Tuple[Dict[str, float], Dict[str, float]]],
+                warm: Tuple[Dict[str, float], Dict[str, float]],
                 x_ref: Optional[np.ndarray], window: int
                 ) -> Tuple[List[FaultRecord], Dict[str, int]]:
     """One campaign unit of work: batch or inject, solve, judge.
@@ -706,10 +716,11 @@ def _record_from_entry(entry: Dict[str, Any],
 
 
 @contextlib.contextmanager
-def _profiled(tel: Optional[Telemetry], options: SimOptions, span):
-    """Sample the enclosed steps when the options ask for a profile;
-    the profile event correlates to the campaign span it covered."""
-    profiler = profiler_for(options) if tel is not None else None
+def _profiled(tel: Optional[Telemetry], span):
+    """Sample the enclosed steps when ``REPRO_PROFILE`` asks for a
+    profile; the profile event correlates to the campaign span it
+    covered."""
+    profiler = profiler_for() if tel is not None else None
     if profiler is None:
         yield
         return
@@ -726,12 +737,12 @@ def _profiled(tel: Optional[Telemetry], options: SimOptions, span):
 def run_campaign(circuit: Circuit, defects: Sequence[Defect],
                  oracles: Sequence[Oracle], *,
                  options: SimOptions = DEFAULT_OPTIONS,
-                 warm_start: bool = True,
                  low_rank: bool = False,
                  batch_size: Optional[int] = None,
                  parallel: bool = False,
                  workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
+                 chunk_timeout: Optional[float] = None,
                  progress: Optional[Callable[[int, int, float], None]] = None,
                  store: Optional[Union[ResultStore, str, os.PathLike]] = None,
                  store_namespace: str = ""
@@ -748,8 +759,8 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
     :meth:`CampaignResult.solver_failed`.  ``options.solve_deadline_s``
     bounds each rung's wall-clock cost; a crashed or hung worker process
     likewise costs only its defects (quarantined with a worker reason),
-    never the sweep (see :func:`repro.parallel.parallel_map`,
-    ``options.chunk_timeout_s`` / ``max_chunk_retries``).
+    never the sweep (see :func:`repro.parallel.parallel_map` and
+    ``chunk_timeout`` below).
 
     ``store`` (a :class:`repro.store.ResultStore` or a directory path)
     is the campaign's record log.  Every record is addressed by a
@@ -770,7 +781,7 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
     the engine name).  A store opened here from a path is closed on
     return.
 
-    ``warm_start`` seeds every faulty solve from the fault-free
+    Every conventional faulty solve starts from the fault-free
     operating point (mapped by net name, see :func:`_warm_start_vector`),
     which typically halves the Newton iteration count per defect.
     ``low_rank=True`` solves every defect with a DC view — added
@@ -802,7 +813,11 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
     (``workers`` processes, ``chunk_size`` defects per chunk, rounded up
     to whole units — see :func:`repro.parallel.parallel_map`); results
     and batch counters are identical to the serial path's, records in
-    defect order.
+    defect order.  ``chunk_size`` must be at least 1.  ``chunk_timeout``
+    is the pool's liveness window in seconds: when no chunk completes
+    for that long, the defects of the chunks still running are
+    quarantined with a timeout reason (``None``, the default, waits
+    forever).
 
     ``progress`` (when given) is called from the parent process as
     ``progress(defects_done, defects_to_solve, elapsed_seconds)`` after
@@ -821,6 +836,8 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
         if batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, "
                              f"got {batch_size}")
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     defects = list(defects)
     window = batch_size or DEFAULT_BATCH_SIZE
     unit_size = window * WINDOWS_PER_UNIT if low_rank else 1
@@ -832,8 +849,8 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
         span = None if tel is None else scope.enter_context(tel.span(
             "campaign", n_defects=len(defects),
             oracles=[oracle.name for oracle in oracles],
-            warm_start=warm_start, low_rank=low_rank, parallel=parallel))
-        with _profiled(tel, options, span):
+            low_rank=low_rank, parallel=parallel))
+        with _profiled(tel, span):
             cache_before = dict(CACHE_STATS)
             fingerprint = (None if store is None else campaign_fingerprint(
                 circuit, options, oracles, store_namespace))
@@ -874,8 +891,8 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
             # Solve: the store's misses, unit by unit.
             fresh, batch_totals, worker_cache = _solve_todo(
                 circuit, [defects[index] for index in todo], oracles,
-                options, warm_start, low_rank, window, unit_size,
-                parallel, workers, chunk_size, sink, tel, span)
+                options, low_rank, window, unit_size, parallel, workers,
+                chunk_size, chunk_timeout, sink, tel, span)
             for index, record in zip(todo, fresh):
                 records[index] = record
             result = CampaignResult(
@@ -936,9 +953,9 @@ def _trace_campaign(tel: Telemetry, span, result: CampaignResult,
 
 def _solve_todo(circuit: Circuit, todo: List[Defect],
                 oracles: Sequence[Oracle], options: SimOptions,
-                warm_start: bool, low_rank: bool, window: int,
-                unit_size: int, parallel: bool,
-                workers: Optional[int], chunk_size: Optional[int],
+                low_rank: bool, window: int, unit_size: int,
+                parallel: bool, workers: Optional[int],
+                chunk_size: Optional[int], chunk_timeout: Optional[float],
                 sink: Callable[[List[FaultRecord]], None], tel, span
                 ) -> Tuple[List[FaultRecord], Dict[str, int], Dict[str, int]]:
     """Solve the defects the store did not hold.
@@ -968,11 +985,9 @@ def _solve_todo(circuit: Circuit, todo: List[Defect],
     for oracle in oracles:
         oracle.prepare(reference)
 
-    warm = None
-    if warm_start:
-        warm = (reference.voltages(),
-                {name: reference.branch_current(name)
-                 for name in reference.structure.branch_index})
+    warm = (reference.voltages(),
+            {name: reference.branch_current(name)
+             for name in reference.structure.branch_index})
 
     units = [todo[i:i + unit_size] for i in range(0, len(todo), unit_size)]
     # ``chunk_size`` counts defects; a chunk holds whole units.
@@ -1004,15 +1019,9 @@ def _solve_todo(circuit: Circuit, todo: List[Defect],
         finished[index] = _unit_records(units[index], oracles, value)
         sink(finished[index][0])
 
-    raw = parallel_map(solve, units, workers=workers,
-                       chunk_size=chunk_size, serial=not parallel,
-                       on_result=on_result,
-                       chunk_timeout=(options.chunk_timeout_s
-                                      if options.chunk_timeout_s > 0
-                                      else None),
-                       max_chunk_retries=options.max_chunk_retries,
-                       retry_backoff=options.chunk_retry_backoff_s,
-                       on_error="return",
+    raw = parallel_map(solve, units, workers=workers if parallel else 1,
+                       chunk_size=chunk_size, chunk_timeout=chunk_timeout,
+                       on_result=on_result, on_error="return",
                        metrics=tel.metrics if tel is not None else None)
     records: List[FaultRecord] = []
     parent_id = span.span_id if span is not None else None

@@ -59,6 +59,20 @@ class Defect:
     #: are ``"interconnect"``.
     family: ClassVar[str] = "catalog"
 
+    def __post_init__(self) -> None:
+        """Refuse a model value :meth:`apply` would refuse (through
+        :class:`Resistor` and :class:`Capacitor`), so that every campaign
+        engine, with or without injection, sees the same defects."""
+        resistance = getattr(self, "resistance", None)
+        if resistance is not None and resistance < Resistor.MIN_RESISTANCE:
+            raise ValueError(
+                f"{self.kind} resistance {resistance} below minimum "
+                f"{Resistor.MIN_RESISTANCE} Ohm")
+        capacitance = getattr(self, "capacitance", None)
+        if capacitance is not None and capacitance <= 0:
+            raise ValueError(f"{self.kind} capacitance {capacitance} must "
+                             f"be positive")
+
     def apply(self, circuit: Circuit) -> None:
         """Mutate ``circuit`` to contain this defect."""
         raise NotImplementedError

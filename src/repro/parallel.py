@@ -16,7 +16,7 @@ retry instead of discarding all completed work.  The degradation ladder
 for a chunk is:
 
 1. **retry** — a failed chunk is resubmitted to the pool up to
-   ``max_chunk_retries`` times with linear backoff (transient worker
+   :data:`MAX_CHUNK_RETRIES` times with linear backoff (transient worker
    deaths, OOM-killed processes);
 2. **isolated rerun** — a chunk that keeps failing (or whose pool
    became unusable, or that was cancelled before starting when a hang
@@ -48,32 +48,40 @@ R = TypeVar("R")
 #: A chunk's identity inside one map call: ``(start, stop)`` item span.
 _Span = Tuple[int, int]
 
+#: Resubmissions of a failed chunk before its items fall back to the
+#: isolated rerun.
+MAX_CHUNK_RETRIES = 1
+#: Backoff before a chunk resubmission: ``RETRY_BACKOFF_S * attempt``
+#: seconds.
+RETRY_BACKOFF_S = 0.1
+#: Chunks per worker that :func:`balanced_chunk_size` cuts.
+CHUNKS_PER_WORKER = 4
+
 
 def default_workers() -> int:
     """Worker count used when the caller does not specify one."""
     return max(os.cpu_count() or 1, 1)
 
 
-def balanced_chunk_size(total: int, workers: Optional[int] = None,
-                        oversubscribe: int = 4) -> int:
+def balanced_chunk_size(total: int, workers: Optional[int] = None) -> int:
     """Work-stealing-ish chunk size: several chunks per worker.
 
     :func:`parallel_map`'s default splits the items evenly, one chunk
     per worker — minimal pickling overhead, but one slow chunk leaves
-    the other workers idle at the tail.  Cutting ``oversubscribe``
-    chunks per worker lets the pool's natural first-free-worker
-    scheduling rebalance load: a worker that drew easy defects takes
-    more chunks while a slow one finishes its first.  Smaller chunks
-    also tighten the salvage/timeout blast radius (a crash or hang
-    costs ``1/oversubscribe`` as many items).  The campaign service
-    uses this for every sharded job; plain ``parallel_map`` callers
-    keep the even split unless they opt in.
+    the other workers idle at the tail.  Cutting
+    :data:`CHUNKS_PER_WORKER` chunks per worker lets the pool's natural
+    first-free-worker scheduling rebalance load: a worker that drew
+    easy defects takes more chunks while a slow one finishes its first.
+    Smaller chunks also tighten the salvage/timeout blast radius (a
+    crash or hang costs ``1/CHUNKS_PER_WORKER`` as many items).  The
+    campaign service uses this for every sharded job; plain
+    ``parallel_map`` callers keep the even split unless they opt in.
     """
     workers = workers if workers else default_workers()
     if total <= 0:
         return 1
-    return max(1, (total + workers * oversubscribe - 1)
-               // (workers * oversubscribe))
+    return max(1, (total + workers * CHUNKS_PER_WORKER - 1)
+               // (workers * CHUNKS_PER_WORKER))
 
 
 @dataclass
@@ -124,11 +132,6 @@ class MapTimeoutError(TimeoutError):
             f"(indices: {items})")
 
 
-def _chunked(items: Sequence[T], chunk_size: int) -> List[List[T]]:
-    return [list(items[i:i + chunk_size])
-            for i in range(0, len(items), chunk_size)]
-
-
 def _run_chunk(payload):
     """Module-level chunk worker (must be picklable for the pool)."""
     func, chunk = payload
@@ -138,11 +141,7 @@ def _run_chunk(payload):
 def parallel_map(func: Callable[[T], R], items: Sequence[T], *,
                  workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
-                 serial: bool = False,
-                 progress: Optional[Callable[[int, int], None]] = None,
                  chunk_timeout: Optional[float] = None,
-                 max_chunk_retries: int = 1,
-                 retry_backoff: float = 0.1,
                  on_error: str = "raise",
                  on_result: Optional[Callable[[int, Any], None]] = None,
                  metrics: Optional[Any] = None
@@ -152,22 +151,21 @@ def parallel_map(func: Callable[[T], R], items: Sequence[T], *,
     ``workers`` defaults to the machine's CPU count; ``chunk_size``
     defaults to an even split across workers (chunking amortises the
     per-task pickling overhead, which matters because one DC solve is
-    only a few milliseconds).  ``serial=True`` forces the in-process
-    path, as do single-worker counts and short work lists.
+    only a few milliseconds); a ``chunk_size`` below 1 raises
+    :class:`ValueError`.  ``workers=1`` runs in-process, as do short
+    work lists.
 
-    ``progress`` (when given) is called as ``progress(done, total)``
-    from the parent process after every finalized item; ``done`` counts
-    completions (chunks finish out of order) and is **monotonic** across
-    every fallback stage — salvaged chunk results are never re-counted
-    when the remainder of a map reruns serially.  ``on_result`` (when
-    given) is called as ``on_result(index, value)`` from the parent
-    process the moment an item's value is final (a campaign writes each
-    finished unit's records to its result store from it); like
-    ``progress`` it fires in completion order, not index order, and
-    ``value`` may be a :class:`MapFailure` under ``on_error="return"``.
-    Results are still returned in input order.  An exception from either
-    hook stops the map: queued chunks are cancelled, and it propagates
-    once the chunks already running have finished.
+    ``on_result`` (when given) is called as ``on_result(index, value)``
+    from the parent process the moment an item's value is final (a
+    campaign writes each finished unit's records to its result store
+    from it), exactly once per item across every fallback stage:
+    salvaged chunk results are never reported again when the remainder
+    of a map reruns.  It fires in completion order, not index order,
+    and ``value`` may be a :class:`MapFailure` under
+    ``on_error="return"``.  Results are still returned in input order.
+    An exception from the hook stops the map: queued chunks are
+    cancelled, and it propagates once the chunks already running have
+    finished.
 
     Fault tolerance (see the module docstring for the full ladder):
 
@@ -180,9 +178,9 @@ def parallel_map(func: Callable[[T], R], items: Sequence[T], *,
       a hanging or crashing item that a broken pool dumped into the
       leftover set is caught there instead of wedging the parent.
       ``None`` waits forever (the pre-existing behaviour).
-    * ``max_chunk_retries`` / ``retry_backoff`` — bounded resubmissions
-      of a failed chunk before its items fall back to the rerun; the
-      backoff sleep is ``retry_backoff * attempt`` seconds.
+    * A failed chunk is resubmitted up to :data:`MAX_CHUNK_RETRIES`
+      times before its items fall back to the rerun; the backoff sleep
+      is ``RETRY_BACKOFF_S * attempt`` seconds.
     * ``on_error`` — ``"raise"`` (default) re-raises an item's error in
       the parent during the rerun, exactly where the legacy whole-map
       fallback would have raised it; ``"return"`` records a
@@ -201,27 +199,24 @@ def parallel_map(func: Callable[[T], R], items: Sequence[T], *,
     if on_error not in ("raise", "return"):
         raise ValueError(
             f"on_error must be 'raise' or 'return', got {on_error!r}")
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     if workers is None:
         workers = default_workers()
 
     results: List[Any] = [None] * total
-    done_count = 0
 
     def finalize(index: int, value: Any) -> None:
-        nonlocal done_count
         results[index] = value
-        done_count += 1
         if on_result is not None:
             on_result(index, value)
-        if progress is not None:
-            progress(done_count, total)
 
     def run_one(index: int, attempts: int) -> None:
         """Run one item in the parent, applying the ``on_error`` policy.
 
         Only the ``func`` call is guarded: an exception out of a
-        caller-supplied ``progress``/``on_result`` hook is the caller's
-        error and propagates instead of masquerading as an item failure.
+        caller-supplied ``on_result`` hook is the caller's error and
+        propagates instead of masquerading as an item failure.
         """
         try:
             value: Any = func(items[index])
@@ -234,7 +229,7 @@ def parallel_map(func: Callable[[T], R], items: Sequence[T], *,
                 attempts=attempts)
         finalize(index, value)
 
-    if serial or workers <= 1 or total <= 1:
+    if workers <= 1 or total <= 1:
         for index in range(total):
             run_one(index, 1)
         return results
@@ -245,8 +240,7 @@ def parallel_map(func: Callable[[T], R], items: Sequence[T], *,
                           for start in range(0, total, chunk_size)]
 
     leftover, hung, pooled = _pool_phase(func, items, spans, workers,
-                                         chunk_timeout, max_chunk_retries,
-                                         retry_backoff, finalize, metrics)
+                                         chunk_timeout, finalize, metrics)
     if metrics is not None and hung:
         metrics.counter("parallel.chunks_hung").add(len(hung))
 
@@ -395,8 +389,7 @@ def _rerun_isolated(func, items: List[Any],
 
 
 def _pool_phase(func, items: List[Any], spans: List[_Span], workers: int,
-                chunk_timeout: Optional[float], max_chunk_retries: int,
-                retry_backoff: float,
+                chunk_timeout: Optional[float],
                 finalize: Callable[[int, Any], None],
                 metrics: Optional[Any] = None
                 ) -> Tuple[List[Tuple[_Span, int]],
@@ -466,9 +459,9 @@ def _pool_phase(func, items: List[Any], spans: List[_Span], workers: int,
                     if isinstance(error, BrokenProcessPool):
                         broken = True
                         leftover.append((span, attempts[span]))
-                    elif not broken and attempts[span] <= max_chunk_retries:
-                        if retry_backoff > 0:
-                            time.sleep(retry_backoff * attempts[span])
+                    elif not broken and attempts[span] <= MAX_CHUNK_RETRIES:
+                        if RETRY_BACKOFF_S > 0:
+                            time.sleep(RETRY_BACKOFF_S * attempts[span])
                         attempts[span] += 1
                         if metrics is not None:
                             metrics.counter("parallel.chunk_retries").add()
@@ -497,7 +490,7 @@ def _pool_phase(func, items: List[Any], spans: List[_Span], workers: int,
                         (future_span[future], attempts[future_span[future]]))
                 pending = set()
     except BaseException:
-        # A ``finalize`` hook raised (how a campaign's ``progress``
+        # The ``on_result`` hook raised (how a campaign's ``progress``
         # stops it): drop the queued chunks instead of solving them.
         stopped = True
         raise

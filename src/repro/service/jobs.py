@@ -6,9 +6,9 @@ knobs to run with.  It is deliberately JSON-round-trippable
 (:meth:`JobSpec.to_dict` / :meth:`JobSpec.from_dict`) so the TCP front
 end, the in-process API, and test harnesses all speak the same
 language.  :func:`build_campaign_job` turns a spec into the concrete
-``(circuit, defects, oracles, options)`` the campaign engine consumes —
-the same recipe ``python -m repro campaign`` uses, factored here so CLI
-and service jobs are byte-identical workloads.
+``(circuit, defects, oracles, options)`` the campaign engine consumes;
+``python -m repro campaign`` builds a spec from its flags and calls it
+too, so CLI and service jobs are byte-identical workloads.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.netlist import Circuit
-from ..faults import (FlagOracle, IddqOracle, LogicOracle, Oracle,
-                      enumerate_defects)
+from ..faults import (ALL_KINDS, FlagOracle, IddqOracle, LogicOracle,
+                      Oracle, enumerate_defects)
 from ..sim.options import SimOptions
 
 #: Defect kinds enumerated when a spec does not name any.
@@ -34,6 +34,10 @@ class JobSpec:
     attacked; ``True`` enumerates after the shared monitor is built,
     which adds the detector's own devices to the catalog (the DFT
     overhead-circuitry question: can the tester test itself?).
+
+    A spec checks its fields when it is constructed and raises
+    :class:`ValueError` naming the first bad one, so a malformed
+    submission is refused before any job exists.
     """
 
     stages: int = 3
@@ -54,6 +58,34 @@ class JobSpec:
     #: Free-form client metadata, echoed back with results.
     tags: Dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.kinds, (list, tuple)) or not all(
+                kind in ALL_KINDS for kind in self.kinds):
+            raise ValueError(f"kinds must be a list of defect kinds from "
+                             f"{list(ALL_KINDS)}, got {self.kinds!r}")
+        self.kinds = tuple(self.kinds)
+        if not isinstance(self.pipe_resistances, (list, tuple)) or not all(
+                _is_number(r) and r > 0 for r in self.pipe_resistances):
+            raise ValueError(f"pipe_resistances must be a list of positive "
+                             f"resistances, got {self.pipe_resistances!r}")
+        self.pipe_resistances = tuple(float(r) for r in self.pipe_resistances)
+        _check_int("stages", self.stages, 1, optional=False)
+        _check_int("limit", self.limit, 0)
+        _check_int("workers", self.workers, 1)
+        _check_int("chunk_size", self.chunk_size, 1)
+        for name in ("deadline_s", "chunk_timeout_s"):
+            value = getattr(self, name)
+            if not (_is_number(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be >= 0 seconds, got {value!r}")
+        for name in ("include_monitor_sites", "low_rank", "parallel"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got "
+                                 f"{value!r}")
+        if not isinstance(self.tags, dict):
+            raise ValueError(f"tags must be an object, got {self.tags!r}")
+
     def to_dict(self) -> Dict[str, Any]:
         payload = asdict(self)
         payload["kinds"] = list(self.kinds)
@@ -67,11 +99,24 @@ class JobSpec:
         if unknown:
             raise ValueError(
                 f"unknown JobSpec field(s): {', '.join(sorted(unknown))}")
-        spec = cls(**payload)
-        spec.kinds = tuple(spec.kinds)
-        spec.pipe_resistances = tuple(float(r)
-                                      for r in spec.pipe_resistances)
-        return spec
+        return cls(**payload)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value: Any, minimum: int,
+               optional: bool = True) -> None:
+    """Raise unless ``value`` is an integer >= ``minimum`` (or ``None``
+    when ``optional``)."""
+    if optional and value is None:
+        return
+    if not (isinstance(value, int) and not isinstance(value, bool)
+            and value >= minimum):
+        allowed = "null or " if optional else ""
+        raise ValueError(f"{name} must be {allowed}an integer >= {minimum}, "
+                         f"got {value!r}")
 
 
 def build_campaign_job(spec: JobSpec
@@ -106,6 +151,5 @@ def build_campaign_job(spec: JobSpec
         FlagOracle(monitor.nets.flag, monitor.nets.flagb),
         IddqOracle(),
     ]
-    options = SimOptions(solve_deadline_s=spec.deadline_s,
-                         chunk_timeout_s=spec.chunk_timeout_s)
+    options = SimOptions(solve_deadline_s=spec.deadline_s)
     return chain.circuit, defects, oracles, options

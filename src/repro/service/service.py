@@ -178,7 +178,9 @@ class CampaignService:
                     low_rank=job.spec.low_rank,
                     parallel=job.spec.parallel,
                     workers=job.spec.workers or self.workers,
-                    chunk_size=chunk_size, progress=progress,
+                    chunk_size=chunk_size,
+                    chunk_timeout=job.spec.chunk_timeout_s or None,
+                    progress=progress,
                     store=self.store,
                     store_namespace=job.spec.namespace)
                 span.set(n_defects=len(result.records),

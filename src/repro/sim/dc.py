@@ -14,7 +14,7 @@ import contextlib
 import functools
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +23,14 @@ from ..telemetry import telemetry_for
 from .mna import (CompanionSet, MnaStructure, SingularMatrixError, build_base,
                   stamp_nonlinear, structure_for)
 from .options import DEFAULT_OPTIONS, SimOptions
+
+#: Gmin-stepping ladder used when the plain operating point fails:
+#: junction shunts start at ``GMIN_START`` siemens and shrink by
+#: ``GMIN_FACTOR`` per rung down to ``SimOptions.gmin``.
+GMIN_START = 1e-2
+GMIN_FACTOR = 10.0
+#: Source-stepping increments (the last-resort homotopy).
+SOURCE_STEPS = 20
 
 
 class ConvergenceError(RuntimeError):
@@ -46,6 +54,17 @@ class SolveDeadlineExceeded(ConvergenceError):
     homotopy ladder on it instead of escalating to the next (equally
     doomed, possibly much slower) strategy.
     """
+
+
+def gmin_ladder(gmin: float) -> Tuple[float, ...]:
+    """Decreasing gmin values from :data:`GMIN_START` ending at ``gmin``."""
+    values = []
+    g = GMIN_START
+    while g > gmin * 1.001:
+        values.append(g)
+        g /= GMIN_FACTOR
+    values.append(gmin)
+    return tuple(values)
 
 
 def _deadline_for(options: "SimOptions") -> Optional[float]:
@@ -407,7 +426,7 @@ def _operating_point_impl(circuit: Circuit, options: SimOptions,
     x = x0
     try:
         with _newton_span(tel, stats, "gmin-stepping"):
-            for gmin in options.gmin_ladder():
+            for gmin in gmin_ladder(options.gmin):
                 x = _fresh_solve(structure, options, x, gmin=gmin,
                                  stats=stats, deadline=deadline)
                 stats.gmin_steps += 1
@@ -422,8 +441,8 @@ def _operating_point_impl(circuit: Circuit, options: SimOptions,
     x = np.zeros(structure.n_unknowns)
     try:
         with _newton_span(tel, stats, "source-stepping"):
-            for step in range(1, options.source_steps + 1):
-                scale = step / options.source_steps
+            for step in range(1, SOURCE_STEPS + 1):
+                scale = step / SOURCE_STEPS
                 x = _fresh_solve(structure, options, x, source_scale=scale,
                                  stats=stats, deadline=deadline)
                 stats.source_steps += 1

@@ -319,13 +319,11 @@ def _transient_fixed(circuit: Circuit, structure: MnaStructure,
     times, break_times = _time_grid(t_stop, dt, circuit)
     states = np.empty((len(times), structure.n_unknowns))
     states[0] = x
-    use_trap = options.integration.lower() == "trap"
     restart = True  # first step, and every step leaving a breakpoint
     for step_index in range(1, len(times)):
         t0, t1 = float(times[step_index - 1]), float(times[step_index])
         x = _advance(structure, state, options, x, t0, t1,
-                     use_trap and not restart, stats,
-                     options.max_step_halvings)
+                     not restart, stats, options.max_step_halvings)
         states[step_index] = x
         restart = t1 in break_times
     return TransientResult(structure, times, states, stats)

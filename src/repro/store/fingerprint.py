@@ -28,29 +28,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; the store never
     from ..sim.options import SimOptions  # imports the simulator
 
 #: Bump when the canonical form changes incompatibly (old cache lines
-#: simply miss — a fingerprint change is an implicit cache flush).
+#: simply miss — a fingerprint change is an implicit cache flush), and
+#: when a solver constant changes, such as the gmin ladder and source
+#: steps of :mod:`repro.sim.dc` or the campaign's retry iteration scale:
+#: those values are code, not options, so no fingerprint sees them.
 FINGERPRINT_SCHEMA = 1
 
 #: :class:`~repro.sim.options.SimOptions` fields that can change what a
 #: record contains: the only fields the options fingerprint hashes, so
 #: adding or removing any other field leaves every store valid.
-#: ``solve_deadline_s`` and ``retry_iteration_scale`` belong here: they
-#: can turn a slow solve into a quarantine.
+#: ``solve_deadline_s`` belongs here: it can turn a slow solve into a
+#: quarantine.
 SOLVE_OPTION_FIELDS = frozenset({
     "reltol", "vntol", "abstol", "gmin", "max_nr_iterations",
-    "gmin_start", "gmin_factor", "source_steps", "sparse_threshold",
-    "integration", "max_step_halvings", "use_compiled",
-    "solve_deadline_s", "retry_iteration_scale",
+    "sparse_threshold", "max_step_halvings", "use_compiled",
+    "solve_deadline_s",
 })
 
-#: :class:`~repro.sim.options.SimOptions` fields that steer *execution*
-#: (parallel chunk policy, observability) but cannot change what any
-#: record contains, so e.g. re-running with a different chunk timeout
-#: still hits the cache.  Every field is in exactly one of the two sets.
-EXECUTION_ONLY_OPTION_FIELDS = frozenset({
-    "telemetry", "chunk_timeout_s", "max_chunk_retries",
-    "chunk_retry_backoff_s", "profile", "profile_interval_s",
-})
+#: :class:`~repro.sim.options.SimOptions` fields that cannot change what
+#: any record contains, so a run traced or untraced hits the same cache
+#: lines.  Every field is in exactly one of the two sets.
+EXECUTION_ONLY_OPTION_FIELDS = frozenset({"telemetry"})
 
 
 def canonical(value: Any, _depth: int = 0) -> Any:

@@ -18,10 +18,9 @@ Results aggregate two ways:
   stack so recursion doesn't double-count).  Self-times sum to exactly
   ``n_samples * interval_s`` ≤ the profiled wall time.
 
-Enable on campaigns with ``SimOptions.profile`` or the
-``REPRO_PROFILE`` environment variable (truthy, or a float sampling
-interval in seconds).  Export to flamegraph tooling with
-:func:`repro.telemetry.export.collapsed_stacks`.
+Enable on campaigns with the ``REPRO_PROFILE`` environment variable
+(truthy, or a float sampling interval in seconds).  Export to
+flamegraph tooling with :func:`repro.telemetry.export.collapsed_stacks`.
 """
 
 from __future__ import annotations
@@ -191,19 +190,14 @@ def aggregate_hotspots(
     return rows[:limit] if limit is not None else rows
 
 
-def profiler_for(options: Any) -> Optional[SamplingProfiler]:
-    """Resolve the campaign profiler from options or the environment.
+def profiler_for() -> Optional[SamplingProfiler]:
+    """Resolve the campaign profiler from the environment.
 
-    ``options.profile`` (see :class:`~repro.sim.options.SimOptions`)
-    wins; otherwise :data:`PROFILE_ENV_VAR` enables profiling — set to
-    a float for a custom interval, or "1"/"true"/"yes"/"on" (or any
-    other non-numeric non-empty value) for the default; "0"/"false"/
-    "no"/"off" disable.  Returns ``None`` when profiling is off.
+    :data:`PROFILE_ENV_VAR` enables profiling — set to a float for a
+    custom interval, or "1"/"true"/"yes"/"on" (or any other non-numeric
+    non-empty value) for the default; "0"/"false"/"no"/"off" disable.
+    Returns ``None`` when profiling is off.
     """
-    if getattr(options, "profile", False):
-        interval = getattr(options, "profile_interval_s", 0.0) or \
-            DEFAULT_INTERVAL_S
-        return SamplingProfiler(interval_s=interval)
     raw = os.environ.get(PROFILE_ENV_VAR, "").strip()
     if not raw or raw.lower() in ("0", "false", "no", "off"):
         return None

@@ -123,7 +123,8 @@ class TestStoreRoundTrip:
         store = ResultStore(tmp_path / "store")
         run_campaign(chain.circuit, defects, oracles, store=store)
         warm = run_campaign(chain.circuit, defects, oracles,
-                            options=SimOptions(chunk_timeout_s=30.0),
+                            options=SimOptions(
+                                telemetry=Telemetry.capturing()),
                             store=store)
         assert warm.n_store_hits == len(defects)
 

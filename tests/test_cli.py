@@ -49,3 +49,34 @@ class TestExportSpice:
         assert main(["export-spice", str(path), "--stages", "8",
                      "--pipe", "4e3"]) == 0
         assert "R_FAULT_PIPE_DUT_Q3" in path.read_text()
+
+
+class TestCampaign:
+    ARGS = ["campaign", "--stages", "2", "--kinds", "pipe", "--limit", "4"]
+
+    @staticmethod
+    def _table(text):
+        return [line for line in text.splitlines() if "|" in line]
+
+    def test_tiny_deadline_quarantines_every_defect(self, capsys):
+        assert main(self.ARGS + ["--deadline", "1e-9"]) == 0
+        out = capsys.readouterr().out
+        assert "4 quarantined" in out
+        reasons = [line for line in out.splitlines()
+                   if line.startswith("  quarantined ")]
+        assert len(reasons) == 4
+        assert all("budget" in line for line in reasons)
+
+    def test_parallel_run_prints_the_serial_table(self, capsys):
+        assert main(self.ARGS) == 0
+        serial = capsys.readouterr().out
+        assert main(self.ARGS + ["--parallel", "--workers", "2",
+                                 "--chunk-timeout", "60"]) == 0
+        parallel = capsys.readouterr().out
+        assert self._table(serial)
+        assert self._table(parallel) == self._table(serial)
+        assert "quarantined" not in parallel
+
+    def test_negative_limit_exits_2(self, capsys):
+        assert main(self.ARGS[:-1] + ["-1"]) == 2
+        assert "limit" in capsys.readouterr().err

@@ -222,7 +222,7 @@ class TestFamilyBreakouts:
 
 
 # ----------------------------------------------------------------------
-# Cold / delta / batched verdict identity on the new families
+# Conventional / delta / batched verdict identity on the new families
 # ----------------------------------------------------------------------
 def test_delta_and_batched_match_cold_solves():
     chain, link = _linked_chain()
@@ -238,9 +238,9 @@ def test_delta_and_batched_match_cold_solves():
         return [(r.defect.describe(), dict(r.verdicts), r.converged)
                 for r in result.records]
 
-    cold = verdicts(warm_start=False)
-    assert verdicts(low_rank=True, batch_size=1) == cold
-    assert verdicts(low_rank=True) == cold
+    conventional = verdicts()
+    assert verdicts(low_rank=True, batch_size=1) == conventional
+    assert verdicts(low_rank=True) == conventional
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Cross-validation of independent engine paths against each other.
 
 Production confidence comes from agreement between implementations that
-share no code path: dense vs sparse linear algebra, backward Euler vs
-trapezoidal integration, and a divide-by-2 built from the synthesized
-DFF.  Two more cross-checks live beside the code they check: transient
-vs DC-sweep hysteresis in ``test_dcsweep.py`` and edge-timed vs
-ring-oscillator delay in ``test_oscillator_variation.py``.
+share no code path: dense vs sparse linear algebra, and a divide-by-2
+built from the synthesized DFF.  Two more cross-checks live beside the
+code they check: transient vs DC-sweep hysteresis in
+``test_dcsweep.py`` and edge-timed vs ring-oscillator delay in
+``test_oscillator_variation.py``.
 """
 
 import numpy as np
@@ -52,22 +52,6 @@ class TestSparseVsDense:
         sparse = run(1)
         assert np.allclose(dense.wave("op2").values,
                            sparse.wave("op2").values, atol=1e-6)
-
-
-class TestIntegratorAgreement:
-    def test_be_and_trap_converge_to_same_levels(self):
-        """Both integration methods agree on settled plateau levels."""
-        def levels(method):
-            chain = buffer_chain(TECH, n_stages=2, frequency=100e6)
-            result = run_cycles(chain.circuit, 100e6, cycles=2.0,
-                                points_per_cycle=400,
-                                options=SimOptions(integration=method))
-            return result.wave("op2").window(8e-9, 20e-9).levels()
-
-        trap = levels("trap")
-        be = levels("be")
-        assert be[0] == pytest.approx(trap[0], abs=2e-3)
-        assert be[1] == pytest.approx(trap[1], abs=2e-3)
 
 
 class TestDividerAtTransistorLevel:

@@ -9,11 +9,13 @@ from repro.cml import NOMINAL, attach_low_swing_link, buffer_chain
 from repro.faults import (
     ALL_KINDS,
     Bridge,
+    OxideBreakdown,
     Pipe,
     ResistorOpen,
     ResistorShort,
     TerminalOpen,
     TerminalShort,
+    WireLeak,
     catalog_summary,
     enumerate_defects,
     inject,
@@ -169,6 +171,36 @@ class TestBridgeAndResistorShort:
     def test_resistor_short_type_check(self, chain):
         with pytest.raises(TypeError):
             inject(chain.circuit, ResistorShort("DUT.Q1"))
+
+
+class TestModelValues:
+    """A defect refuses, when constructed, a value its injected resistor
+    or capacitor would refuse, so the low-rank engine (which never
+    injects) and the conventional one see the same defects."""
+
+    @pytest.mark.parametrize("cls, site", [
+        pytest.param(cls, site, id=cls.kind) for cls, site in (
+            (Pipe, ("X1.Q3",)),
+            (TerminalShort, ("X1.Q3", "c", "e")),
+            (Bridge, ("op1", "opb1")),
+            (TerminalOpen, ("X1.Q3", "c")),
+            (ResistorShort, ("X1.RC1",)),
+            (OxideBreakdown, ("X1.Q3",)),
+            (WireLeak, ("lw", "lwb")))])
+    def test_resistance_below_minimum_rejected(self, cls, site):
+        with pytest.raises(ValueError, match="1e-09 below minimum"):
+            cls(*site, resistance=1e-9)
+        cls(*site, resistance=Resistor.MIN_RESISTANCE)
+
+    @pytest.mark.parametrize("capacitance", [0.0, -1e-15])
+    def test_open_capacitance_must_be_positive(self, capacitance):
+        with pytest.raises(ValueError, match="capacitance"):
+            TerminalOpen("X1.Q3", "c", capacitance=capacitance)
+
+    def test_catalog_refuses_a_sub_minimum_pipe(self, chain):
+        with pytest.raises(ValueError, match="below minimum"):
+            list(enumerate_defects(chain.circuit, kinds=("pipe",),
+                                   pipe_resistances=(1e-9,)))
 
 
 class TestInjector:

@@ -332,23 +332,16 @@ class TestSamplingProfiler:
 
 
 class TestProfilerFor:
-    def test_options_flag_wins(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        options = replace(DEFAULT_OPTIONS, profile=True,
-                          profile_interval_s=0.002)
-        profiler = profiler_for(options)
-        assert profiler is not None and profiler.interval_s == 0.002
-
     def test_env_values(self, monkeypatch):
         for raw, expect in (("1", DEFAULT_INTERVAL_S),
                             ("0.002", 0.002),
                             ("yes", DEFAULT_INTERVAL_S)):
             monkeypatch.setenv("REPRO_PROFILE", raw)
-            profiler = profiler_for(DEFAULT_OPTIONS)
+            profiler = profiler_for()
             assert profiler is not None and profiler.interval_s == expect
         for raw in ("", "0", "false", "off", "no"):
             monkeypatch.setenv("REPRO_PROFILE", raw)
-            assert profiler_for(DEFAULT_OPTIONS) is None
+            assert profiler_for() is None
 
 
 # -- traced + profiled campaigns -----------------------------------------
@@ -377,11 +370,12 @@ class TestCampaignObservability:
         assert all(e.get("trace_id") == tel.tracer.trace_id
                    for e in events if e.get("type") != "meta")
 
-    def test_profiled_campaign_emits_profile_event(self, small_campaign):
+    def test_profiled_campaign_emits_profile_event(self, small_campaign,
+                                                   monkeypatch):
         chain, oracles, defects = small_campaign
+        monkeypatch.setenv("REPRO_PROFILE", "0.001")
         tel = Telemetry.capturing()
-        options = replace(DEFAULT_OPTIONS, telemetry=tel, profile=True,
-                          profile_interval_s=0.001)
+        options = replace(DEFAULT_OPTIONS, telemetry=tel)
         run_campaign(chain.circuit, defects, oracles, options=options)
         profiles = [e for e in tel.events() if e.get("type") == "profile"]
         assert len(profiles) == 1
@@ -495,8 +489,3 @@ class TestCli:
         for line in text.splitlines():
             stack, count = line.rsplit(" ", 1)
             assert int(count) >= 1 and stack
-
-    def test_trace_report_alias(self, trace_file, capsys):
-        from repro.__main__ import main
-        assert main(["trace", "report", str(trace_file)]) == 0
-        assert "campaign" in capsys.readouterr().out

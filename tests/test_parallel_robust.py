@@ -2,9 +2,9 @@
 
 Covers the degradation ladder: chunk salvage around a poisoned item, a
 worker process crash, a hung worker caught by the liveness timeout, and
-the structured :class:`MapFailure` results / monotonic progress that
-callers observe through it all.  Worker functions live at module level
-so the pool can pickle them.
+the structured :class:`MapFailure` results and once-per-item
+``on_result`` reports that callers observe through it all.  Worker
+functions live at module level so the pool can pickle them.
 """
 
 import multiprocessing
@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro import parallel
 from repro.parallel import MapFailure, MapTimeoutError, parallel_map
 
 #: Every pool test uses two workers explicitly: single-core hosts (and
@@ -63,17 +64,23 @@ class _Stop(Exception):
     """Raised from a hook to stop a map."""
 
 
+@pytest.fixture(autouse=True)
+def no_retry_backoff(monkeypatch):
+    """Resubmit a failed chunk at once: the backoff only slows tests."""
+    monkeypatch.setattr(parallel, "RETRY_BACKOFF_S", 0.0)
+
+
 class TestSerialPath:
     def test_plain_map(self):
-        assert parallel_map(_double, range(5), serial=True) == \
+        assert parallel_map(_double, range(5), workers=1) == \
             [0, 2, 4, 6, 8]
 
     def test_on_error_raise_propagates(self):
         with pytest.raises(ValueError, match="poisoned item 3"):
-            parallel_map(_poison, range(5), serial=True)
+            parallel_map(_poison, range(5), workers=1)
 
     def test_on_error_return_isolates_item(self):
-        results = parallel_map(_poison, range(5), serial=True,
+        results = parallel_map(_poison, range(5), workers=1,
                                on_error="return")
         assert results[:3] == [0, 2, 4] and results[4] == 8
         failure = results[3]
@@ -87,12 +94,18 @@ class TestSerialPath:
         with pytest.raises(ValueError, match="on_error"):
             parallel_map(_double, range(3), on_error="ignore")
 
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_non_positive_chunk_size_rejected(self, chunk_size):
+        # A chunk size below 1 cuts no chunks: every result would be lost.
+        with pytest.raises(ValueError, match="chunk_size"):
+            parallel_map(abs, [-1, -2, -3, -4], workers=WORKERS,
+                         chunk_size=chunk_size)
+
 
 class TestPoolSalvage:
     def test_poisoned_item_costs_only_itself(self):
         results = parallel_map(_poison, range(8), workers=WORKERS,
-                               chunk_size=1, on_error="return",
-                               retry_backoff=0.0)
+                               chunk_size=1, on_error="return")
         for index in range(8):
             if index == 3:
                 assert isinstance(results[index], MapFailure)
@@ -103,12 +116,11 @@ class TestPoolSalvage:
     def test_poisoned_item_raises_deterministically(self):
         with pytest.raises(ValueError, match="poisoned item 3"):
             parallel_map(_poison, range(8), workers=WORKERS,
-                         chunk_size=1, retry_backoff=0.0)
+                         chunk_size=1)
 
     def test_worker_crash_salvages_other_chunks(self):
         results = parallel_map(_crash, range(8), workers=WORKERS,
-                               chunk_size=1, on_error="return",
-                               retry_backoff=0.0)
+                               chunk_size=1, on_error="return")
         for index in range(8):
             if index == 3:
                 assert isinstance(results[index], MapFailure)
@@ -122,7 +134,7 @@ class TestPoolSalvage:
     def test_worker_crash_with_timeout_confirms_crash_in_isolation(self):
         results = parallel_map(_crash, range(8), workers=WORKERS,
                                chunk_size=1, chunk_timeout=10.0,
-                               on_error="return", retry_backoff=0.0)
+                               on_error="return")
         for index in range(8):
             if index == 3:
                 assert isinstance(results[index], MapFailure)
@@ -130,22 +142,16 @@ class TestPoolSalvage:
             else:
                 assert results[index] == 2 * index
 
-    def test_progress_monotonic_across_crash_fallback(self):
+    def test_on_result_streams_every_slot_once(self):
+        """Salvaged results are never reported again when the crashed
+        chunk's items rerun."""
         calls = []
         parallel_map(_crash, range(8), workers=WORKERS, chunk_size=1,
-                     on_error="return", retry_backoff=0.0,
-                     progress=lambda done, total: calls.append(
-                         (done, total)))
-        dones = [done for done, _ in calls]
-        assert dones == list(range(1, 9))
-        assert {total for _, total in calls} == {8}
-
-    def test_on_result_streams_every_slot_once(self):
-        seen = {}
-        parallel_map(_crash, range(8), workers=WORKERS, chunk_size=1,
-                     on_error="return", retry_backoff=0.0,
+                     on_error="return",
                      on_result=lambda index, value:
-                     seen.setdefault(index, value))
+                     calls.append((index, value)))
+        assert len(calls) == 8
+        seen = dict(calls)
         assert sorted(seen) == list(range(8))
         assert isinstance(seen[3], MapFailure)
         assert all(seen[i] == 2 * i for i in range(8) if i != 3)
@@ -178,7 +184,7 @@ class TestHungWorker:
         started = time.perf_counter()
         results = parallel_map(_hang, range(6), workers=WORKERS,
                                chunk_size=1, chunk_timeout=1.5,
-                               on_error="return", retry_backoff=0.0)
+                               on_error="return")
         elapsed = time.perf_counter() - started
         # The 60s sleeper must not have been rerun in the parent.
         assert elapsed < 30.0
@@ -192,5 +198,5 @@ class TestHungWorker:
     def test_hang_raises_map_timeout(self):
         with pytest.raises(MapTimeoutError) as info:
             parallel_map(_hang, range(6), workers=WORKERS, chunk_size=1,
-                         chunk_timeout=1.5, retry_backoff=0.0)
+                         chunk_timeout=1.5)
         assert any(f.index == 3 for f in info.value.failures)

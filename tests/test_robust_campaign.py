@@ -10,6 +10,7 @@ from its result store to a record-identical result.
 import multiprocessing
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.faults import (
     enumerate_defects,
     run_campaign,
 )
+from repro.faults.campaign import RETRY_ITERATION_SCALE, _escalated
 from repro.sim import SimOptions
 
 TECH = NOMINAL
@@ -95,12 +97,10 @@ class TestCrashAndHang:
         chain, oracles, defects, baseline = setup
         mixed = (defects[:2] + [CrashPipe("X1.Q1", 4e3)] + defects[2:3]
                  + [HangPipe("X1.Q2", 4e3)] + defects[3:])
-        options = SimOptions(chunk_timeout_s=3.0,
-                             chunk_retry_backoff_s=0.0)
         started = time.perf_counter()
         result = run_campaign(chain.circuit, mixed, oracles,
-                              options=options, parallel=True,
-                              workers=WORKERS, chunk_size=1)
+                              parallel=True, workers=WORKERS, chunk_size=1,
+                              chunk_timeout=3.0)
         elapsed = time.perf_counter() - started
         # The 60s hang defect must not have run in the parent.
         assert elapsed < 30.0
@@ -129,6 +129,16 @@ class TestCrashAndHang:
         assert tuple(matrix["hang"]["solver_failed"]) == (1, 1)
         assert tuple(matrix["pipe"]["solver_failed"]) == (0, 4)
         assert "solver_failed" in result.format()
+
+
+@pytest.mark.parametrize("chunk_size", [0, -3])
+def test_chunk_size_below_one_is_rejected(setup, chunk_size):
+    # Refused in the plan step, before a chunk size below 1 can lose
+    # every unit's records in the pool.
+    chain, oracles, defects, _ = setup
+    with pytest.raises(ValueError, match="chunk_size"):
+        run_campaign(chain.circuit, defects, oracles, parallel=True,
+                     workers=WORKERS, chunk_size=chunk_size)
 
 
 class TestSolverDeadline:
@@ -178,10 +188,11 @@ class TestSolverDeadline:
         assert result.solver_counts() == {"none": 1, solved: 1}
 
     def test_escalated_options_grow_iteration_cap(self):
-        options = SimOptions(max_nr_iterations=100,
-                             retry_iteration_scale=2.5)
-        assert options.escalated().max_nr_iterations == 250
-        assert options.escalated().reltol == options.reltol
+        assert RETRY_ITERATION_SCALE == 2.0
+        options = SimOptions(max_nr_iterations=75, solve_deadline_s=1.0)
+        escalated = _escalated(options)
+        assert escalated.max_nr_iterations == 150
+        assert escalated == replace(options, max_nr_iterations=150)
 
 
 def _kill_then_rerun(circuit, defects, oracles, store, killed_at,

@@ -13,7 +13,7 @@ import pytest
 
 from repro.faults import campaign as campaign_module
 from repro.faults.campaign import DEFAULT_BATCH_SIZE
-from repro.parallel import balanced_chunk_size
+from repro.parallel import CHUNKS_PER_WORKER, balanced_chunk_size
 from repro.service import (
     CampaignService,
     JobSpec,
@@ -39,6 +39,25 @@ class TestJobSpec:
     def test_unknown_fields_are_rejected(self):
         with pytest.raises(ValueError, match="unknown JobSpec field"):
             JobSpec.from_dict({"stages": 2, "stgaes": 3})
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"kinds": "pipe"}, "kinds"),
+        ({"kinds": ["pipe", "pipes"]}, "kinds"),
+        ({"stages": "3"}, "stages"),
+        ({"stages": 0}, "stages"),
+        ({"limit": -1}, "limit"),
+        ({"pipe_resistances": [-5]}, "pipe_resistances"),
+        ({"pipe_resistances": [0.0, 2e3]}, "pipe_resistances"),
+        ({"workers": 0}, "workers"),
+        ({"chunk_size": -3}, "chunk_size"),
+        ({"deadline_s": -1.0}, "deadline_s"),
+        ({"chunk_timeout_s": -0.5}, "chunk_timeout_s"),
+        ({"low_rank": "no"}, "low_rank"),
+        ({"tags": "x"}, "tags"),
+    ])
+    def test_bad_fields_are_rejected(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            JobSpec.from_dict(payload)
 
     def test_build_is_deterministic(self):
         circuit_a, defects_a, oracles_a, options_a = \
@@ -106,7 +125,10 @@ class TestInProcessService:
     def test_failed_job_raises_and_counts(self):
         async def scenario():
             service = CampaignService()
-            job = await service.submit(JobSpec(stages=0, kinds=("pipe",)))
+            # A valid spec whose build fails: a pipe below the minimum
+            # resistance refuses construction inside the job.
+            job = await service.submit(JobSpec(
+                stages=2, kinds=("pipe",), pipe_resistances=(1e-9,)))
             with pytest.raises(ServiceError):
                 await job.wait()
             return service, job
@@ -200,6 +222,25 @@ class TestTCPFrontEnd:
         assert {r["key"]: r["verdicts"] for r in done["records"]} == \
             {r["key"]: r["verdicts"] for r in warm_done["records"]}
 
+    def test_bad_spec_gets_an_error_and_no_job(self):
+        async def scenario():
+            service = CampaignService()
+            server = await service.serve(port=0)
+            host, port = server.sockets[0].getsockname()[:2]
+            try:
+                events = await submit_and_stream(host, port, {"limit": -1})
+            finally:
+                server.close()
+                await server.wait_closed()
+            return service, events
+
+        service, events = asyncio.run(scenario())
+        [event] = events
+        assert event["event"] == "error"
+        assert "limit" in event["error"]
+        assert service.jobs == {}
+        assert service.stats()["jobs_submitted"] == 0
+
     def test_ping_stats_and_bad_ops(self):
         async def scenario():
             import json
@@ -257,9 +298,10 @@ class TestTCPFrontEnd:
 
 
 def test_balanced_chunk_size_oversubscribes_for_stealing():
-    # Four chunks per worker by default: stragglers steal the slack.
+    # Four chunks per worker: stragglers steal the slack.
+    assert CHUNKS_PER_WORKER == 4
     assert balanced_chunk_size(160, workers=4) == 10
-    assert balanced_chunk_size(160, workers=4, oversubscribe=1) == 40
+    assert balanced_chunk_size(161, workers=4) == 11
     # Degenerate cases stay sane.
     assert balanced_chunk_size(3, workers=8) == 1
     assert balanced_chunk_size(0, workers=4) == 1

@@ -22,20 +22,21 @@ from repro.circuit import (
     VoltageSource,
 )
 from repro.sim import SimOptions, run_cycles, transient
+from repro.sim.dc import GMIN_FACTOR, GMIN_START, SOURCE_STEPS, gmin_ladder
 from repro.sim.options import DEFAULT_OPTIONS
 
 
 class TestOptions:
     def test_gmin_ladder_descends_to_gmin(self):
-        ladder = SimOptions().gmin_ladder()
-        assert ladder[0] == pytest.approx(1e-2)
-        assert ladder[-1] == pytest.approx(1e-12)
+        assert (GMIN_START, GMIN_FACTOR, SOURCE_STEPS) == (1e-2, 10.0, 20)
+        ladder = gmin_ladder(SimOptions().gmin)
+        # Built by repeated division, so the rungs from 1e-6 down carry
+        # its rounding; a literal tuple of powers of ten would differ.
+        assert ladder == (0.01, 0.001, 0.0001, 1e-05, 1.0000000000000002e-06,
+                          1.0000000000000002e-07, 1.0000000000000002e-08,
+                          1.0000000000000003e-09, 1.0000000000000003e-10,
+                          1.0000000000000003e-11, 1e-12)
         assert all(a > b for a, b in zip(ladder, ladder[1:]))
-
-    def test_custom_gmin_ladder(self):
-        options = SimOptions(gmin_start=1e-4, gmin=1e-10, gmin_factor=100)
-        ladder = options.gmin_ladder()
-        assert len(ladder) == 4  # 1e-4, 1e-6, 1e-8, 1e-10
 
     def test_defaults_are_shared_instance(self):
         assert DEFAULT_OPTIONS.reltol == 1e-3
