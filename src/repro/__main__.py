@@ -316,9 +316,9 @@ def main(argv=None) -> int:
                                "(0 = unbounded)")
     campaign.add_argument("--chunk-timeout", type=float, default=0.0,
                           metavar="SECONDS",
-                          help="parallel liveness timeout: quarantine "
-                               "defects whose worker hangs this long "
-                               "(0 = wait forever)")
+                          help="parallel liveness timeout (needs "
+                               "--parallel): quarantine defects whose "
+                               "worker hangs this long (0 = wait forever)")
     campaign.add_argument("--store", default=None, metavar="DIR",
                           help="content-addressed result store: serve "
                                "already-solved defects from it and write "

@@ -817,7 +817,9 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
     is the pool's liveness window in seconds: when no chunk completes
     for that long, the defects of the chunks still running are
     quarantined with a timeout reason (``None``, the default, waits
-    forever).
+    forever).  A serial campaign runs in-process, where no window can
+    be kept, so ``chunk_timeout`` is only accepted with
+    ``parallel=True``.
 
     ``progress`` (when given) is called from the parent process as
     ``progress(defects_done, defects_to_solve, elapsed_seconds)`` after
@@ -838,6 +840,8 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
                              f"got {batch_size}")
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
+    if chunk_timeout is not None and not parallel:
+        raise ValueError("chunk_timeout applies only with parallel=True")
     defects = list(defects)
     window = batch_size or DEFAULT_BATCH_SIZE
     unit_size = window * WINDOWS_PER_UNIT if low_rank else 1

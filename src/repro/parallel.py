@@ -153,7 +153,9 @@ def parallel_map(func: Callable[[T], R], items: Sequence[T], *,
     per-task pickling overhead, which matters because one DC solve is
     only a few milliseconds); a ``chunk_size`` below 1 raises
     :class:`ValueError`.  ``workers=1`` runs in-process, as do short
-    work lists.
+    work lists, unless a ``chunk_timeout`` is given: only a pool can
+    keep that liveness guard, so with one even a single item, or a
+    single worker, runs in a pool.
 
     ``on_result`` (when given) is called as ``on_result(index, value)``
     from the parent process the moment an item's value is final (a
@@ -229,7 +231,8 @@ def parallel_map(func: Callable[[T], R], items: Sequence[T], *,
                 attempts=attempts)
         finalize(index, value)
 
-    if workers <= 1 or total <= 1:
+    if not total or (chunk_timeout is None
+                     and (workers <= 1 or total <= 1)):
         for index in range(total):
             run_one(index, 1)
         return results

@@ -83,6 +83,9 @@ class JobSpec:
             if not isinstance(value, bool):
                 raise ValueError(f"{name} must be true or false, got "
                                  f"{value!r}")
+        if self.chunk_timeout_s > 0 and not self.parallel:
+            raise ValueError("chunk_timeout_s applies only with "
+                             "parallel=true")
         if not isinstance(self.tags, dict):
             raise ValueError(f"tags must be an object, got {self.tags!r}")
 

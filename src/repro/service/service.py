@@ -114,6 +114,7 @@ class CampaignService:
                       or store is None else ResultStore(store))
         self.workers = workers if workers else default_workers()
         self.telemetry = telemetry or Telemetry.capturing()
+        #: The jobs queued or running; a job leaves when it finishes.
         self.jobs: Dict[str, Job] = {}
         self._ids = itertools.count(1)
         self._gate = asyncio.Semaphore(max(1, max_concurrent_jobs))
@@ -205,6 +206,9 @@ class CampaignService:
                 self.telemetry.metrics.histogram(
                     "service.job_wall_s").observe(job.wall_s)
                 self._track_depth(-1)
+                # The caller holds the job (``submit`` returned it), so
+                # the service lets go of it and its result.
+                del self.jobs[job.job_id]
                 post(None)
                 job.finished.set()
 

@@ -21,7 +21,10 @@ engine (Goel 1981) over the five-valued D-calculus of :mod:`.dcalc`:
 Decisions are made only at primary inputs (PODEM's defining trick), so
 the search never enumerates vector spaces; a backtrack budget bounds
 worst-case behaviour and aborted targets are reported as such rather
-than silently declared untestable.
+than silently declared untestable.  Before a detection search, the
+constant nets learned over the network (``xor2(n, n)`` is 0 whatever
+``n`` is) prove redundant faults untestable that no search within the
+budget could.
 """
 
 from __future__ import annotations
@@ -106,6 +109,68 @@ def _row(codes: Sequence[int]) -> int:
     for code in codes:
         row = row * 5 + code
     return row
+
+
+# Literals: what the untestability proofs know of a net's boolean
+# function.  0 and 1 are the constants; ``2 * name + 2`` is the
+# function called ``name`` and ``2 * name + 3`` its complement, so
+# ``code ^ 1`` negates any literal.  Two nets with one literal compute
+# the same function; two literals that differ prove nothing.
+
+#: (cell type, input literals with names renumbered 1, 2, ... by first
+#: appearance) -> output literal over those numbers, or -1 when the
+#: output is neither a constant nor an input literal.
+_LITERAL_RULES: Dict[Tuple[str, Tuple[int, ...]], int] = {}
+
+
+def _literal_rule(eval_fn, pattern: Tuple[int, ...], n_names: int) -> int:
+    """Evaluate ``eval_fn`` on every assignment of ``pattern``'s names
+    (at most three inputs: at most 8 rows) and name its output."""
+    rows = 1 << n_names
+    column = 0
+    for row in range(rows):
+        args = [bool(code) if code < 2
+                else bool(row >> ((code >> 1) - 1) & 1) != bool(code & 1)
+                for code in pattern]
+        if eval_fn(*args)[0]:
+            column |= 1 << row
+    full = (1 << rows) - 1
+    if column in (0, full):
+        return int(column == full)
+    for number in range(1, n_names + 1):
+        named = sum(1 << row for row in range(rows)
+                    if row >> (number - 1) & 1)
+        if column in (named, named ^ full):
+            return 2 * number + (column != named)
+    return -1
+
+
+def _derive_literal(gate: Gate, codes: Sequence[int]) -> int:
+    """The literal of ``gate``'s output given its inputs' literals, or
+    -1 when it is none of the constants or input literals.
+
+    Derived from the cell's ``logic_eval``, as :func:`.dcalc.dcalc_eval`
+    derives the five-valued tables, and cached per input pattern, so
+    ``xor2(n, n)`` is 0 and ``and2(n, not n)`` too, whatever ``n`` is.
+    """
+    names: List[int] = []
+    pattern: List[int] = []
+    for code in codes:
+        if code < 2:
+            pattern.append(code)
+            continue
+        name = code >> 1
+        if name not in names:
+            names.append(name)
+        pattern.append(2 * names.index(name) + 2 + (code & 1))
+    key = (gate.cell_type, tuple(pattern))
+    rule = _LITERAL_RULES.get(key)
+    if rule is None:
+        rule = _LITERAL_RULES[key] = _literal_rule(gate.eval_fn, key[1],
+                                                   len(names))
+    if rule < 2:
+        return rule
+    return 2 * names[(rule >> 1) - 1] + (rule & 1)
 
 
 #: PODEM call outcomes.
@@ -265,6 +330,8 @@ class PodemEngine:
         #: fault site -> (reachable observed, cone, frontier gates).
         self._cone_cache: Dict[
             int, Tuple[List[int], List[int], List[int]]] = {}
+        #: Each net's fault-free literal, learned on the first detect.
+        self._literals: Optional[List[int]] = None
 
         pinned_nets: Dict[str, Value] = {
             g.output: g.state for g in network.sequential_gates()}
@@ -338,6 +405,82 @@ class PodemEngine:
                     seen.add(out)
                     stack.append(out)
         return seen
+
+    # ------------------------------------------------------------------
+    # Untestability proofs from learned literals
+    # ------------------------------------------------------------------
+    def _fault_free_literals(self) -> List[int]:
+        """Each net's fault-free literal (see :func:`_derive_literal`).
+
+        A pinned net with a known value is that constant.  Every other
+        net no gate drives (a decidable input, an unknown pin, an
+        undriven net) is a free function named after itself, and so is
+        a gate output that is neither a constant nor an input literal.
+        A gate's output replaces any pin on its net, as in
+        :class:`_Implication`.
+        """
+        if self._literals is None:
+            view = self._view
+            literals = [2 * net + 2 for net in range(len(view.nets))]
+            for net, code in self._pinned.items():
+                if _GOOD[code] is not None:
+                    literals[net] = int(_GOOD[code])
+            for position, gate in enumerate(view.order):
+                out = view.output[position]
+                code = _derive_literal(
+                    gate, [literals[net] for net in view.inputs[position]])
+                literals[out] = code if code >= 0 else 2 * out + 2
+            self._literals = literals
+        return self._literals
+
+    def _proven_untestable(self, site: int, stuck: bool) -> bool:
+        """Whether the learned literals prove that no assignment
+        detects ``site`` stuck-at ``stuck``: either the site's
+        fault-free literal is the stuck constant (activation is
+        impossible), or no observed net's faulty literal differs from
+        its fault-free one (every path crosses a net whose faulty
+        function equals its fault-free one).
+
+        The faulty literals are derived over the site's fanout, only
+        at gates an input of which changed.  It is sound because:
+
+        * a fault sits on a net (a stem), so every reader of the site
+          sees the stuck constant;
+        * a faulty literal that is new gets a name after every
+          fault-free one (``len(nets) + out``), so one name never
+          stands for two different functions;
+        * known pins are constants, and unknown pins and decidable
+          nets free names, so a proof holds for every value of both.
+        """
+        good = self._fault_free_literals()
+        if good[site] == int(stuck):
+            return True
+        view = self._view
+        readers, output, observed = view.readers, view.output, self._observed
+        if site in observed:
+            return False
+        fresh = len(view.nets)
+        faulty = {site: int(stuck)}
+        queue = list(readers[site])  # ascending: already a heap
+        queued = set(queue)
+        while queue:
+            position = heappop(queue)
+            code = _derive_literal(
+                view.order[position],
+                [faulty.get(net, good[net]) for net in view.inputs[position]])
+            out = output[position]
+            if code < 0:
+                code = 2 * (fresh + out) + 2
+            if code == good[out]:
+                continue
+            if out in observed:
+                return False
+            faulty[out] = code
+            for reader in readers[out]:
+                if reader not in queued:
+                    queued.add(reader)
+                    heappush(queue, reader)
+        return True
 
     # ------------------------------------------------------------------
     # Backtrace: objective (net, value) -> primary-input assignment
@@ -499,9 +642,18 @@ class PodemEngine:
         return self._search(target, None, status, objective, cone)
 
     def detect(self, fault: StuckFault) -> AtpgResult:
-        """Find a vector detecting ``fault`` at an observed net."""
+        """Find a vector detecting ``fault`` at an observed net.
+
+        A fault :meth:`_proven_untestable` settles is untestable with
+        no search (one call, no backtrack)."""
         target = fault.describe()
         site = self._view.index[fault.net]
+        if self._proven_untestable(site, fault.value):
+            # Never activated, or never observed (a site no observed net
+            # is downstream of included): untestable without a search.
+            self.stats.podem_calls += 1
+            self.stats.untestable += 1
+            return AtpgResult(status=UNTESTABLE, target=target)
         cached = self._cone_cache.get(site)
         if cached is None:
             downstream = self._downstream_nets(site)
@@ -517,12 +669,6 @@ class PodemEngine:
             cached = (reachable, cone, frontier_gates)
             self._cone_cache[site] = cached
         reachable, cone, frontier_gates = cached
-        if not reachable:
-            # No observed net is structurally downstream of the fault
-            # site: untestable without any search.
-            self.stats.podem_calls += 1
-            self.stats.untestable += 1
-            return AtpgResult(status=UNTESTABLE, target=target)
         # Every net that can carry the fault effect.
         carriers = [site] + [self._view.output[position]
                              for position in frontier_gates]
@@ -859,18 +1005,25 @@ def _generate_tests_impl(network, faults, observed, backtrack_limit,
         target_fault(queue.pop(0), engine)
 
     aborted = [f.describe() for f in aborted_faults]
+    proven: Set[StuckFault] = set()
+    untestable_set = set(untestable)
+    for rep, members in collapsed.classes.items():
+        if rep.describe() in untestable_set:
+            proven.update(members)
 
-    # Phase 3: escalating random mop-up.  Aborted targets are almost
-    # always redundant faults the budget could not *prove* untestable,
-    # but any detectable stragglers (aborted or simply unlucky) are
-    # cheap to rescue with bit-parallel screening.  Up to four rounds,
-    # each batch four times the last, run for as long as undetected
-    # faults remain; each round keeps the first vector catching each
-    # newly caught fault.  The batches are drawn packed, so only kept
-    # vectors become dicts.
+    # Phase 3: escalating random mop-up.  Aborted targets are mostly
+    # redundant faults the budget could not *prove* untestable, but any
+    # detectable stragglers (aborted or simply unlucky) are cheap to
+    # rescue with bit-parallel screening.  Up to four rounds, each
+    # batch four times the last, run for as long as faults neither
+    # detected nor proven untestable remain (a proven fault never sets
+    # a detect bit, so screening it could keep no vector); each round
+    # keeps the first vector catching each newly caught fault.  The
+    # batches are drawn packed, so only kept vectors become dicts.
     detects = fault_detect_matrix(network, vectors, faults,
                                   observed=observed)
-    leftovers = [f for f in faults if not detects.get(f, 0)]
+    leftovers = [f for f in faults
+                 if not detects.get(f, 0) and f not in proven]
     batch = 4 * random_phase
     rescued = False
     for _ in range(4):
@@ -897,11 +1050,6 @@ def _generate_tests_impl(network, faults, observed, backtrack_limit,
         detects = fault_detect_matrix(network, vectors, faults,
                                       observed=observed)
     confirmed = [f for f in faults if detects.get(f, 0)]
-    proven: Set[StuckFault] = set()
-    untestable_set = set(untestable)
-    for rep, members in collapsed.classes.items():
-        if rep.describe() in untestable_set:
-            proven.update(members)
     missed = [f for f in faults
               if not detects.get(f, 0) and f not in proven]
 

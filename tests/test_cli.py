@@ -80,3 +80,7 @@ class TestCampaign:
     def test_negative_limit_exits_2(self, capsys):
         assert main(self.ARGS[:-1] + ["-1"]) == 2
         assert "limit" in capsys.readouterr().err
+
+    def test_serial_chunk_timeout_exits_2(self, capsys):
+        assert main(self.ARGS + ["--chunk-timeout", "5"]) == 2
+        assert "parallel" in capsys.readouterr().err

@@ -52,6 +52,10 @@ def _hang(x):
     return 2 * x
 
 
+def _pid(x):
+    return os.getpid()
+
+
 def _mark(item):
     """Works briefly, then leaves one marker file for its item."""
     directory, index = item
@@ -194,6 +198,19 @@ class TestHungWorker:
         assert failure.error_type == "TimeoutError"
         for index in (0, 1, 2, 4, 5):
             assert results[index] == 2 * index
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_timeout_guards_a_single_item(self, workers):
+        """Only a pool can keep the liveness guard, so a chunk timeout
+        takes one even for one item or one worker."""
+        [failure] = parallel_map(time.sleep, [1.5], workers=workers,
+                                 chunk_timeout=0.5, on_error="return")
+        assert isinstance(failure, MapFailure)
+        assert failure.stage == "timeout"
+
+    def test_timeout_runs_one_worker_in_a_pool(self):
+        pids = parallel_map(_pid, range(3), workers=1, chunk_timeout=30.0)
+        assert os.getpid() not in pids
 
     def test_hang_raises_map_timeout(self):
         with pytest.raises(MapTimeoutError) as info:

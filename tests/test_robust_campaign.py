@@ -141,6 +141,30 @@ def test_chunk_size_below_one_is_rejected(setup, chunk_size):
                      workers=WORKERS, chunk_size=chunk_size)
 
 
+def test_chunk_timeout_without_parallel_is_rejected(setup):
+    # A serial campaign runs in-process, where no liveness window can
+    # be kept: refused rather than silently ignored.
+    chain, oracles, defects, _ = setup
+    with pytest.raises(ValueError, match="chunk_timeout"):
+        run_campaign(chain.circuit, defects, oracles, chunk_timeout=1.0)
+
+
+@pytest.mark.timeout(120)
+def test_chunk_timeout_guards_a_single_low_rank_unit(setup):
+    """A parallel low-rank campaign smaller than one unit is one work
+    item; its hang is still caught."""
+    chain, oracles, defects, _ = setup
+    started = time.perf_counter()
+    result = run_campaign(chain.circuit,
+                          defects + [HangPipe("X1.Q2", 4e3)], oracles,
+                          low_rank=True, parallel=True, workers=WORKERS,
+                          chunk_timeout=3.0)
+    assert time.perf_counter() - started < 30.0
+    assert len(result.quarantined()) == len(defects) + 1
+    assert all("timeout" in record.quarantine_reason
+               for record in result.quarantined())
+
+
 class TestSolverDeadline:
     def test_generous_deadline_changes_nothing(self, setup):
         chain, oracles, defects, baseline = setup

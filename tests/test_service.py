@@ -54,6 +54,7 @@ class TestJobSpec:
         ({"chunk_timeout_s": -0.5}, "chunk_timeout_s"),
         ({"low_rank": "no"}, "low_rank"),
         ({"tags": "x"}, "tags"),
+        ({"chunk_timeout_s": 5.0}, "chunk_timeout_s"),  # not parallel
     ])
     def test_bad_fields_are_rejected(self, payload, field):
         with pytest.raises(ValueError, match=field):
@@ -136,6 +137,18 @@ class TestInProcessService:
         service, job = asyncio.run(scenario())
         assert job.status == "failed"
         assert service.stats()["jobs_failed"] == 1
+
+    def test_finished_jobs_leave_the_service(self):
+        async def scenario():
+            service = CampaignService()
+            results = [await service.run(JobSpec(**SMALL))
+                       for _ in range(3)]
+            return service, results
+
+        service, results = asyncio.run(scenario())
+        assert service.jobs == {}
+        assert [len(result.records) for result in results] == [4, 4, 4]
+        assert service.stats()["jobs_running"] == 0
 
     def test_queue_depth_tracks_outstanding_jobs(self):
         async def scenario():
@@ -223,21 +236,27 @@ class TestTCPFrontEnd:
             {r["key"]: r["verdicts"] for r in warm_done["records"]}
 
     def test_bad_spec_gets_an_error_and_no_job(self):
+        # The second spec asks for a chunk timeout without a pool.
+        bad_specs = [({"limit": -1}, "limit"),
+                     ({"chunk_timeout_s": 5.0}, "chunk_timeout_s")]
+
         async def scenario():
             service = CampaignService()
             server = await service.serve(port=0)
             host, port = server.sockets[0].getsockname()[:2]
             try:
-                events = await submit_and_stream(host, port, {"limit": -1})
+                replies = [await submit_and_stream(host, port, spec)
+                           for spec, _ in bad_specs]
             finally:
                 server.close()
                 await server.wait_closed()
-            return service, events
+            return service, replies
 
-        service, events = asyncio.run(scenario())
-        [event] = events
-        assert event["event"] == "error"
-        assert "limit" in event["error"]
+        service, replies = asyncio.run(scenario())
+        for events, (_, field) in zip(replies, bad_specs):
+            [event] = events
+            assert event["event"] == "error"
+            assert field in event["error"]
         assert service.jobs == {}
         assert service.stats()["jobs_submitted"] == 0
 

@@ -11,7 +11,7 @@ disturbs.  Both must give exactly what a full pass gives:
 * every detect mask equals a brute-force reference built from
   ``LogicNetwork.evaluate(vector, forces={net: value})``, vector by
   vector, in the dict and in the packed form;
-* ``generate_tests`` keeps the results recorded before the engines were
+* ``generate_tests`` keeps the vectors recorded before the engines were
   made event-driven.
 
 A pinned net is never a decision: backtrace and propagation choose only
@@ -339,15 +339,17 @@ class TestSameErrors:
 # ----------------------------------------------------------------------
 # generate_tests keeps its recorded results
 # ----------------------------------------------------------------------
-#: ``generate_tests(iscas_like(2, n_gates=350, n_inputs=24), seed=s)``
-#: as recorded before the engines were event-driven: sha256 prefix of
-#: the sorted-key JSON of the vectors, vector count, PODEM calls and
-#: backtracks.
+#: ``generate_tests(iscas_like(2, n_gates=350, n_inputs=24), seed=s)``:
+#: sha256 prefix of the sorted-key JSON of the vectors, vector count and
+#: PODEM calls as recorded before the engines were event-driven, and the
+#: backtracks left once the learned-literal proofs settle the 17 targets
+#: that used to abort at the budget (3,594 at seed 17, 3,590 at the
+#: others before).
 RECORDED_RUNS = {
-    17: ("22b9d484b533", 14, 26, 3594),
-    18: ("9676dc1ba290", 11, 25, 3590),
-    19: ("c077f3853249", 14, 25, 3590),
-    20: ("0a74b1c942df", 13, 25, 3590),
+    17: ("22b9d484b533", 14, 26, 4),
+    18: ("9676dc1ba290", 11, 25, 0),
+    19: ("c077f3853249", 14, 25, 0),
+    20: ("0a74b1c942df", 13, 25, 0),
 }
 
 
@@ -361,9 +363,9 @@ def test_atpg_results_are_unchanged(seed):
     assert len(run.vectors) == n_vectors
     assert run.stats.podem_calls == podem_calls
     assert run.stats.backtracks == backtracks
-    assert len(run.aborted) == 17
+    assert len(run.aborted) == 0
     assert len(run.confirmed) == 716
-    assert len(run.missed) == 24
-    assert len(run.proven_untestable) == 8
+    assert len(run.missed) == 0
+    assert len(run.proven_untestable) == 32
     assert run.n_collapsed == 679
     assert run.n_faults == 748
